@@ -717,10 +717,9 @@ let run_micro ~smoke ~json () =
 (* ------------------------------------------------------------------ *)
 
 let run_id id =
-  let t0 = Sys.time () in
   Printf.printf ">>> %s — %s\n%!" id (Figures.describe id);
-  List.iter (fun block -> print_endline block) (Figures.run params id);
-  Printf.printf "<<< %s done in %.1fs\n\n%!" id (Sys.time () -. t0)
+  let seconds = Measure.time (fun () -> List.iter print_endline (Figures.run params id)) in
+  Printf.printf "<<< %s done in %.1fs\n\n%!" id seconds
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -1,10 +1,10 @@
 (** Computational-cost experiments (paper Figs. 7–10): fit time and memory
     versus the dimension of the common subspace, per method.
 
-    Time is CPU seconds of the subspace fit (the paper's dominant cost);
-    memory is bytes allocated during the fit plus the live heap after it —
-    see {!Measure}.  Classification cost is excluded, as it is identical
-    across methods at equal dimension. *)
+    Time is wall-clock seconds of the subspace fit (the paper's dominant
+    cost); memory is bytes allocated during the fit plus the live heap after
+    it — see {!Measure}.  Classification cost is excluded, as it is
+    identical across methods at equal dimension. *)
 
 type cost = { r : int; seconds : float; alloc_mb : float }
 

@@ -39,7 +39,7 @@ let reset_impl () = selected := None
    an nr-wide B panel stream stays L1-resident through the tile loop.
    mc: rows per packed A block (mc·kc·8 = 256 KB, L2-resident).
    nc: columns per packed B block (kc·nc·8 = 2 MB, L3-resident); also caps
-   the per-domain scratch footprint.  mc and nc are multiples of mr/nr so
+   the scratch footprint of one band.  mc and nc are multiples of mr/nr so
    register tiles never straddle a cache block. *)
 let mr = 4
 let nr = 4
@@ -58,10 +58,13 @@ let small_cutoff () = !small_cutoff_v
 let set_small_cutoff v = small_cutoff_v := max 0 v
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain packing scratch: long-lived worker domains reuse their
-   buffers across calls (grow-only), so steady-state GEMMs allocate only
-   the result.  Each domain touches exclusively its own scratch, so the
-   parallel bands never race. *)
+(* Packing scratch, checked out for the duration of one band and returned
+   afterwards.  Keying it by domain is not enough: the serving daemon's
+   compute workers are systhreads of one domain, and a thread can be
+   preempted mid-band, so two concurrent products would pack into one
+   buffer.  The mutex-guarded free list hands every band its own scratch;
+   buffers are grow-only and the list keeps them across calls, so
+   steady-state GEMMs allocate only the result. *)
 
 type scratch = {
   mutable ap : float array; (* packed A block: mpan panels × klen × mr *)
@@ -69,8 +72,29 @@ type scratch = {
   tile : float array; (* mr×nr staging buffer for edge/diagonal tiles *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () -> { ap = [||]; bp = [||]; tile = Array.make (mr * nr) 0. })
+let free = ref [||] (* free.(0 .. n_free-1) are idle *)
+let n_free = ref 0
+let free_mutex = Mutex.create ()
+
+let checkout () =
+  Mutex.lock free_mutex;
+  let s =
+    if !n_free > 0 then begin
+      decr n_free;
+      !free.(!n_free)
+    end
+    else { ap = [||]; bp = [||]; tile = Array.make (mr * nr) 0. }
+  in
+  Mutex.unlock free_mutex;
+  s
+
+let release s =
+  Mutex.lock free_mutex;
+  if !n_free = Array.length !free then
+    free := Array.append !free (Array.make (max 4 !n_free) s);
+  !free.(!n_free) <- s;
+  incr n_free;
+  Mutex.unlock free_mutex
 
 let grown buf len = if Array.length buf >= len then buf else Array.make len 0.
 
@@ -297,13 +321,12 @@ let kern ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
 (* One pool chunk: rows [r0, r1) of the output.  BLIS-style loop nest —
    jc (nc column blocks) → pc (kc depth slabs, ascending, so every cell
    accumulates its terms in ascending-k order across slabs) → ic (mc row
-   blocks) → register tiles.  Each chunk packs into its own domain-local
+   blocks) → register tiles.  Each chunk packs into its own checked-out
    scratch; B is repacked per chunk, which duplicates O(k·n) copy work but
    keeps the partitioning embarrassingly deterministic. *)
 
-let band ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
+let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
   if r1 > r0 && n > 0 && k > 0 then begin
-    let s = Domain.DLS.get scratch_key in
     let klen_max = min kc k in
     let npan_cap = (min nc n + nr - 1) / nr in
     let bp = grown s.bp (klen_max * npan_cap * nr) in
@@ -348,6 +371,14 @@ let band ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
       jc := j0 + nlen
     done
   end
+
+let band ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
+  let s = checkout () in
+  match band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 with
+  | () -> release s
+  | exception e ->
+    release s;
+    raise e
 
 (* ------------------------------------------------------------------ *)
 

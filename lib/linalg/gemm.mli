@@ -4,10 +4,16 @@
     [gram], [tgram], and therefore whitening, the covariance tensor, MTTKRP,
     the factored [Op_tensor] path, kernels and the learners — funnels into
     the two entry points below.  A and B panels are repacked into contiguous
-    tile-ordered scratch buffers (per-domain, reused across calls), and the
-    inner loop computes an [mr]×[nr] register tile with cache-level
-    mc/kc/nc blocking; transposed operands pay a different packing walk
-    instead of strided inner loops.
+    tile-ordered scratch buffers, and the inner loop computes an [mr]×[nr]
+    register tile with cache-level mc/kc/nc blocking; transposed operands
+    pay a different packing walk instead of strided inner loops.
+
+    Each pool chunk checks its scratch out of a mutex-guarded free list and
+    returns it when done, so concurrent products never share a buffer —
+    not across domains, and not across systhreads of one domain (the
+    serving daemon's compute workers), which a per-domain buffer would
+    not protect.  The buffers are grow-only and reused, so steady-state
+    products allocate only their result.
 
     {2 Bitwise accumulation contract}
 

@@ -65,7 +65,7 @@ let normalize_columns_in_place u lambda =
     end
   done
 
-let rec init_factors init ~rank op =
+let rec init_factors init ~rank ~mode_grams op =
   let m = Op_tensor.order op in
   let dims = Op_tensor.dims op in
   match init with
@@ -83,7 +83,7 @@ let rec init_factors init ~rank op =
       Robust.warnf
         "Cp_als: warm-start factors do not match the operator (order/dims/finite) — \
          falling back to Hosvd init";
-      init_factors Hosvd ~rank op
+      init_factors Hosvd ~rank ~mode_grams op
     end
     else
       let rng = Rng.create 0x5741524D (* "WARM" *) in
@@ -103,9 +103,9 @@ let rec init_factors init ~rank op =
     Array.init m (fun k -> Mat.init dims.(k) rank (fun _ _ -> Rng.gaussian rng))
   | Hosvd ->
     let rng = Rng.create 0x415353 in
+    let grams = Lazy.force mode_grams in
     Array.init m (fun k ->
-        let gram = Op_tensor.mode_gram op k in
-        let eig = Eigen.decompose gram in
+        let eig = Eigen.decompose grams.(k) in
         let keep = min rank dims.(k) in
         let lead = Eigen.top_k eig keep in
         if keep = rank then lead
@@ -182,17 +182,20 @@ type run_outcome = {
    head; on expiry the run stops at that boundary with its best-so-far
    factors and [o_deadline] set — never an exception.  [on_sweep] receives a
    lazily-built durable state after each completed sweep (the checkpoint
-   hook; [ignore]-cheap when checkpointing is off). *)
-let single_run options ~budget ~sweeps_before ~on_sweep ~resume ~rank ~init op =
+   hook; [ignore]-cheap when checkpointing is off).  [norm_x2] and
+   [mode_grams] belong to the solve and are shared by its runs (see
+   [decompose_op]). *)
+let single_run options ~budget ~sweeps_before ~on_sweep ~resume ~rank ~init ~norm_x2
+    ~mode_grams op =
   let m = Op_tensor.order op in
   let factors, lambda =
     match resume with
     | Some rs ->
       ( Array.map mat_of_factor rs.Checkpoint.rs_factors,
         Array.copy rs.Checkpoint.rs_weights )
-    | None -> (init_factors init ~rank op, Array.make rank 1.)
+    | None -> (init_factors init ~rank ~mode_grams op, Array.make rank 1.)
   in
-  let norm_x2 = Op_tensor.norm2 op in
+  let norm_x2 = Lazy.force norm_x2 in
   let norm_x = sqrt norm_x2 in
   let fit_history = ref [] in
   let previous_fit = ref neg_infinity in
@@ -386,9 +389,19 @@ let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ?chec
   let sweeps_of_states states =
     List.fold_left (fun acc rs -> acc + rs.Checkpoint.rs_iterations) 0 states
   in
+  (* ‖X‖² is computed once per solve and shared by every run, restarts
+     included.  When a run starts from HOSVD, its mode Grams come from the
+     same pass as the norm (Op_tensor.norm2_and_mode_grams); otherwise the
+     norm is computed on its own. *)
+  let joint = lazy (Op_tensor.norm2_and_mode_grams op) in
+  let mode_grams = lazy (snd (Lazy.force joint)) in
+  let norm_x2 =
+    lazy (if Lazy.is_val joint then fst (Lazy.force joint) else Op_tensor.norm2 op)
+  in
   let run_one ~sweeps_before ~init ~resume =
     let outcome =
-      single_run options ~budget ~sweeps_before ~on_sweep ~resume ~rank ~init op
+      single_run options ~budget ~sweeps_before ~on_sweep ~resume ~rank ~init ~norm_x2
+        ~mode_grams op
     in
     (* End-of-run snapshot: makes the completed run (including its final
        guard verdict) durable before any restart decision. *)

@@ -106,8 +106,8 @@ let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ~rank
   in
   (* HOSVD-style init on the dense path, as in Cp_als.  The factored path
      initializes from the seeded Gaussian stream instead: its mode Grams
-     would cost an n×n Hadamard (n = component count, e.g. N for the Nyström
-     operator), defeating the point of sampling. *)
+     cost a streamed O(n²·Σdₚ) pass over the view Grams (n = component
+     count, e.g. N), defeating the point of sampling. *)
   let factors =
     match op with
     | Op_tensor.Dense x ->

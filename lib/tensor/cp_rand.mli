@@ -57,5 +57,5 @@ val decompose_op :
     costs O(n·m), a mode-k fiber O(n·(m + dₖ)) where n is the component
     count), so nothing of size ∏dₚ is ever materialized.  The factored path
     initializes factors from the seeded Gaussian stream instead of HOSVD —
-    the mode Grams HOSVD needs would cost an n×n Hadamard product, which is
-    exactly the allocation this path exists to avoid. *)
+    the mode Grams HOSVD needs cost an O(n²·Σdₚ) pass over the view Grams,
+    more than the sampled sweeps this path exists to keep cheap. *)

@@ -116,9 +116,9 @@ let dense_mttkrp (x : Tensor.t) us k =
       dense_mttkrp_slice x us k vd ~lo ~hi);
   v
 
-(* Hadamard product over the factored blocks: ⊛_{q≠skip} (f q zq), an n×n or
-   n×r matrix.  The GEMMs inside f run on the Parallel pool; the Hadamard
-   itself is cheap. *)
+(* Hadamard product over the factored blocks: ⊛_{q≠skip} (f q zq), an n×r
+   matrix.  The GEMMs inside f run on the Parallel pool; the Hadamard itself
+   is cheap. *)
 let hadamard_excluding factors ~skip ~rows ~cols f =
   let acc = ref (Mat.make rows cols 1.) in
   Array.iteri (fun q z -> if q <> skip then acc := Mat.map2 ( *. ) !acc (f q z)) factors;
@@ -139,15 +139,118 @@ let mttkrp op us k =
     in
     Mat.scale weight (Mat.mul factors.(k) h)
 
+(* ------------------------------------------------------------------ *)
+(* The factored Gram pass: ‖M‖² = w²·1ᵀ(⊛ₚGₚ)1 (⟨M, M⟩ = w²Σᵢⱼ∏ₚ⟨zₚᵢ, zₚⱼ⟩)
+   and the mode Grams w²·Zₖ(⊛_{q≠k}G_q)Zₖᵀ (M₍ₖ₎ = w·Zₖ(⊙_{q≠k}Z_q)ᵀ), with
+   Gₚ = ZₚᵀZₚ the N×N view Grams, from one stream over blocks of
+   [gram_block_rows] rows.  Per block [i₀, i₀+b) it
+   forms each needed Gₚ[i₀:i₀+b, :] with one GEMM, adds the block's ⊛ₚGₚ
+   cells to the norm, and for each requested mode k multiplies Zₖ by the
+   block's ⊛_{q≠k}G_q (transposed), which fills columns i₀..i₀+b of
+   Pₖ = Zₖ·(⊛_{q≠k}G_q).  Memory is O(m·b·N); no N×N array exists.
+
+   The result is bitwise the historical N×N formula (kept in the tests as
+   the oracle):
+   - a block cell Gₚ[i, j], formed from rows of Zₚᵀ, is the ascending-l
+     sum Σₗ Zₚ[l,i]·Zₚ[l,j] that tgram computes for i ≤ j; for i > j
+     tgram mirrors cell (j, i), whose products are the commuted ones, so
+     the bits agree;
+   - the Hadamard chain starts from 1 and multiplies the views in ascending
+     order, as [Mat.make n n 1.] folded with [Mat.map2 ( *. )] did;
+   - the norm adds the cells in row-major order from +0., one block after
+     the other, in one sequential accumulation;
+   - ⊛_{q≠k}G_q is bitwise symmetric, so Zₖ times its row block transposed
+     equals the same columns of Zₖ·(⊛_{q≠k}G_q) cell for cell, and the
+     final Pₖ·Zₖᵀ is the historical product. *)
+
+let gram_block_rows = 128
+
+(* One block's buffers, reused from block to block. *)
+type block = {
+  grams : Mat.t array; (* Gₚ[i₀:i₀+b, :] *)
+  chain : Mat.t; (* one Hadamard chain over the block *)
+  cols : Mat.t array; (* Pₖ[:, i₀:i₀+b], one per requested mode *)
+}
+
+(* The Hadamard chain (…((1·g_{q₀})·g_{q₁})…) of cell t over the views
+   q ≠ skip. *)
+let[@inline] chain_cell (gs : float array array) ~skip t =
+  let v = ref 1. in
+  for q = 0 to Array.length gs - 1 do
+    if q <> skip then v := !v *. Array.unsafe_get (Array.unsafe_get gs q) t
+  done;
+  !v
+
+(* [(w²·1ᵀ(⊛ₚGₚ)1, [| mode Gram of each k in modes |])]; the norm is 0
+   when [norm] is false. *)
+let gram_pass ~weight factors ~norm ~modes =
+  let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
+  let dim q = fst (Mat.dims factors.(q)) in
+  (* Gₚ is needed for the norm and for every mode other than p. *)
+  let needed q = norm || Array.exists (fun k -> k <> q) modes in
+  let per_view f = Array.mapi (fun q z -> if needed q then f z else Mat.create 0 0) factors in
+  let zts = per_view Mat.transpose in
+  let buffers rows =
+    { grams = per_view (fun _ -> Mat.create rows n);
+      chain = Mat.create rows n;
+      cols = Array.map (fun k -> Mat.create (dim k) rows) modes }
+  in
+  let ps = Array.map (fun k -> Mat.create (dim k) n) modes in
+  let total = ref 0. in
+  let block i0 blk =
+    let rows = blk.chain.Mat.rows in
+    Array.iteri
+      (fun q zt ->
+        if needed q then Mat.mul_nt_into (Mat.sub_rows zt i0 rows) zt blk.grams.(q))
+      zts;
+    let gs = Array.map (fun (g : Mat.t) -> g.Mat.data) blk.grams in
+    if norm then begin
+      let acc = ref !total in
+      for t = 0 to (rows * n) - 1 do
+        acc := !acc +. chain_cell gs ~skip:(-1) t
+      done;
+      total := !acc
+    end;
+    Array.iteri
+      (fun i k ->
+        let h = blk.chain.Mat.data in
+        Parallel.parallel_for ~cost:(rows * n * m) ~n:rows (fun lo hi ->
+            for t = lo * n to (hi * n) - 1 do
+              Array.unsafe_set h t (chain_cell gs ~skip:k t)
+            done);
+        let c = blk.cols.(i) in
+        Mat.mul_nt_into factors.(k) blk.chain c;
+        for a = 0 to dim k - 1 do
+          Array.blit c.Mat.data (a * rows) ps.(i).Mat.data ((a * n) + i0) rows
+        done)
+      modes
+  in
+  let b = min gram_block_rows n in
+  let full = buffers b and tail = lazy (buffers (n mod b)) in
+  let i0 = ref 0 in
+  while !i0 < n do
+    let rows = min b (n - !i0) in
+    block !i0 (if rows = b then full else Lazy.force tail);
+    i0 := !i0 + rows
+  done;
+  let w2 = weight *. weight in
+  (w2 *. !total, Array.mapi (fun i k -> Mat.scale w2 (Mat.mul_nt ps.(i) factors.(k))) modes)
+
 let norm2 = function
   | Dense x -> Tensor.inner x x
+  | Factored { weight; factors } -> fst (gram_pass ~weight factors ~norm:true ~modes:[||])
+
+let mode_gram op k =
+  if k < 0 || k >= order op then invalid_arg "Op_tensor.mode_gram: bad mode";
+  match op with
+  | Dense x -> Mat.gram (Unfold.unfold x k)
   | Factored { weight; factors } ->
-    (* ⟨M, M⟩ = w² Σᵢⱼ ∏ₚ ⟨zₚᵢ, zₚⱼ⟩ = w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1. *)
-    let n = snd (Mat.dims factors.(0)) in
-    let g = hadamard_excluding factors ~skip:(-1) ~rows:n ~cols:n (fun _ z -> Mat.tgram z) in
-    let total = ref 0. in
-    Array.iter (fun v -> total := !total +. v) g.Mat.data;
-    weight *. weight *. !total
+    (snd (gram_pass ~weight factors ~norm:false ~modes:[| k |])).(0)
+
+let norm2_and_mode_grams = function
+  | Dense x as op -> (norm2 op, Array.init (Tensor.order x) (mode_gram op))
+  | Factored { weight; factors } ->
+    gram_pass ~weight factors ~norm:true ~modes:(Array.init (Array.length factors) Fun.id)
 
 let inner_kruskal op lambda us =
   let m = order op in
@@ -182,17 +285,6 @@ let inner_kruskal op lambda us =
       total := !total +. (lambda.(c) *. !col_sum)
     done;
     weight *. !total
-
-let mode_gram op k =
-  let m = order op in
-  if k < 0 || k >= m then invalid_arg "Op_tensor.mode_gram: bad mode";
-  match op with
-  | Dense x -> Mat.gram (Unfold.unfold x k)
-  | Factored { weight; factors } ->
-    (* M₍ₖ₎ = w·Zₖ(⊙_{q≠k}Zq)ᵀ, so M₍ₖ₎M₍ₖ₎ᵀ = w²·Zₖ(⊛_{q≠k}ZqᵀZq)Zₖᵀ. *)
-    let n = snd (Mat.dims factors.(0)) in
-    let w = hadamard_excluding factors ~skip:k ~rows:n ~cols:n (fun _ z -> Mat.tgram z) in
-    Mat.scale (weight *. weight) (Mat.mul_nt (Mat.mul factors.(k) w) factors.(k))
 
 let to_tensor = function
   | Dense x -> x

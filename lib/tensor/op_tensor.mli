@@ -10,10 +10,10 @@
     ∏ₚ dₚ to N · Σₚ dₚ, which is what makes many-view workloads (5 views at
     dₚ = 40 is a ~10⁸-entry dense tensor) representable at all.
 
-    All factored implementations are built from [Mat.mul] / [Mat.mul_tn] /
-    [Mat.tgram] and Hadamard products, so they run on the shared [Parallel]
-    domain pool and inherit its deterministic row-partitioning contract:
-    results are bitwise identical for every pool size. *)
+    All factored implementations are built from [Mat]'s GEMM entry points
+    and Hadamard products, so they run on the shared [Parallel] domain pool
+    and inherit its deterministic row-partitioning contract: results are
+    bitwise identical for every pool size. *)
 
 type t =
   | Dense of Tensor.t
@@ -57,7 +57,9 @@ val mttkrp : t -> Mat.t array -> int -> Mat.t
     [weight · Zₖ · ⊛_{q≠k}(ZqᵀUq)], O(n · Σₚ dₚ · r). *)
 
 val norm2 : t -> float
-(** [⟨X, X⟩ = ‖X‖²_F].  Factored: [w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1], O(n² · Σₚ dₚ). *)
+(** [⟨X, X⟩ = ‖X‖²_F].  Factored: [w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1] by the streamed Gram
+    pass of {!norm2_and_mode_grams}, O(n² · Σₚ dₚ) time, O(m · b · n)
+    memory. *)
 
 val inner_kruskal : t -> Vec.t -> Mat.t array -> float
 (** [inner_kruskal op λ us = ⟨X, ⟦λ; U₁…Uₘ⟧⟩] — the cross term of the fit
@@ -66,7 +68,20 @@ val inner_kruskal : t -> Vec.t -> Mat.t array -> float
 val mode_gram : t -> int -> Mat.t
 (** [mode_gram op k = X₍ₖ₎ X₍ₖ₎ᵀ] ([dₖ × dₖ]) — what HOSVD initialization
     eigendecomposes.  Dense: Gram of the explicit unfolding.  Factored:
-    [w² · Zₖ (⊛_{q≠k} ZqᵀZq) Zₖᵀ] without forming the unfolding. *)
+    [w² · Zₖ (⊛_{q≠k} ZqᵀZq) Zₖᵀ] without forming the unfolding, by the
+    streamed Gram pass of {!norm2_and_mode_grams}. *)
+
+val norm2_and_mode_grams : t -> float * Mat.t array
+(** [(norm2 op, [| mode_gram op k | k = 0 … m−1 |])] from one pass, each
+    bitwise equal to the separate call — what a CP-ALS solve with HOSVD
+    initialization needs.  Dense: the separate calls.  Factored: one stream
+    over row blocks of height [b = min gram_block_rows n] of the view Grams
+    ZₚᵀZₚ; per block, 2m GEMMs form the block of each Gram and multiply
+    each mode's Hadamard chain by Zₖ.  O(n² · Σₚ dₚ) time, O(m · b · n)
+    memory: no n × n temporary is ever allocated. *)
+
+val gram_block_rows : int
+(** Row height of the blocks of the factored Gram pass. *)
 
 (** {1 Conversion} *)
 

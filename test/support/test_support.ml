@@ -60,3 +60,40 @@ let gen_tensor3 =
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* Bitwise equality, for the kernels' bitwise contracts. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+let bits_equal x y = Mat.dims x = Mat.dims y && Array.for_all2 same_bits x.Mat.data y.Mat.data
+
+(* Run [f] on a pool of [size] domains with the sequential cutoff at 0, so
+   even tiny inputs take the parallel paths; the previous settings are
+   restored afterwards. *)
+let with_pool size f =
+  let d0 = Parallel.num_domains () and c0 = Parallel.sequential_cutoff () in
+  Parallel.set_num_domains size;
+  Parallel.set_sequential_cutoff 0;
+  Fun.protect
+    ~finally:(fun () ->
+      Parallel.set_num_domains d0;
+      Parallel.set_sequential_cutoff c0)
+    f
+
+(* The historical factored Op_tensor formulas, N×N Hadamards of tgrams:
+   the bitwise oracle for the streamed Gram pass. *)
+let hadamard_of_tgrams factors ~skip =
+  let n = snd (Mat.dims factors.(0)) in
+  let acc = ref (Mat.make n n 1.) in
+  Array.iteri (fun q z -> if q <> skip then acc := Mat.map2 ( *. ) !acc (Mat.tgram z)) factors;
+  !acc
+
+(* w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1, summed row-major. *)
+let oracle_norm2 ~weight factors =
+  let g = hadamard_of_tgrams factors ~skip:(-1) in
+  let total = ref 0. in
+  Array.iter (fun v -> total := !total +. v) g.Mat.data;
+  weight *. weight *. !total
+
+(* w² · Zₖ (⊛_{q≠k} ZqᵀZq) Zₖᵀ. *)
+let oracle_mode_gram ~weight factors k =
+  let w = hadamard_of_tgrams factors ~skip:k in
+  Mat.scale (weight *. weight) (Mat.mul_nt (Mat.mul factors.(k) w) factors.(k))

@@ -231,12 +231,6 @@ let ref_tgram a =
   done;
   Mat.unsafe_of_flat ~rows:n ~cols:n c
 
-let bits_equal x y =
-  Mat.dims x = Mat.dims y
-  && Array.for_all2
-       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
-       x.Mat.data y.Mat.data
-
 (* Entries mix exact zeros in so the kernels' zero-skip branches are hit. *)
 let gen_entry = QCheck2.Gen.(frequency [ (1, pure 0.); (4, float_range (-10.) 10.) ])
 
@@ -254,15 +248,6 @@ let gen_parallel_case =
     pair (array_size (return (m * k)) gen_entry) (array_size (return (k * n)) gen_entry)
     >|= fun (x, y) ->
     (Mat.unsafe_of_flat ~rows:m ~cols:k x, Mat.unsafe_of_flat ~rows:k ~cols:n y))
-
-let with_pool size f =
-  Parallel.set_num_domains size;
-  Parallel.set_sequential_cutoff 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Parallel.set_num_domains 1;
-      Parallel.set_sequential_cutoff Parallel.default_cutoff)
-    f
 
 let agree_at_all_pool_sizes reference compute =
   let expected = reference () in
@@ -375,6 +360,49 @@ let prop_transpose_consistency =
   qtest ~count:100 "mul_tn/mul_nt/gram/tgram ≡ mul with explicit transpose (bitwise)"
     gen_adversarial_case (fun (a, b) -> transpose_consistent a b)
 
+(* [mul_nt_into] overwrites whatever the buffer held with the bits of
+   [mul_nt], under either implementation. *)
+let prop_into_overwrites =
+  qtest ~count:100 "mul_nt_into on a dirty buffer ≡ mul_nt (bitwise)" gen_adversarial_case
+    (fun (a, b) ->
+      let bt = Mat.transpose b in
+      let rows, _ = Mat.dims a and _, cols = Mat.dims b in
+      List.for_all
+        (fun impl ->
+          with_impl impl (fun () ->
+              let c = Mat.make rows cols Float.nan in
+              Mat.mul_nt_into a bt c;
+              bits_equal (Mat.mul_nt a bt) c))
+        [ `Naive; `Microkernel ])
+
+(* Packed products from several systhreads of one domain — how the serving
+   daemon's compute workers call them.  A thread can be preempted in the
+   middle of a product; the packing scratch it was using must not be
+   repacked by another thread meanwhile.  Each thread multiplies its own
+   operands for about a second and checks every result against the
+   sequential one. *)
+let test_threads_share_no_scratch () =
+  with_impl `Microkernel (fun () ->
+      let r = rng () in
+      let inputs = Array.init 3 (fun _ -> (random_mat r 96 120, random_mat r 120 112)) in
+      let expected = Array.map (fun (a, b) -> Mat.mul a b) inputs in
+      let stop = Unix.gettimeofday () +. 1. in
+      let wrong = Atomic.make 0 and products = Atomic.make 0 in
+      let worker (a, b, want) =
+        while Unix.gettimeofday () < stop do
+          if not (bits_equal want (Mat.mul a b)) then Atomic.incr wrong;
+          Atomic.incr products
+        done
+      in
+      let threads =
+        Array.mapi (fun i (a, b) -> Thread.create worker (a, b, expected.(i))) inputs
+      in
+      Array.iter Thread.join threads;
+      check_true "products ran" (Atomic.get products > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "wrong products of %d" (Atomic.get products))
+        0 (Atomic.get wrong))
+
 let () =
   Alcotest.run "mat"
     [ ( "construction",
@@ -405,4 +433,7 @@ let () =
           prop_parallel_gram_bitwise ] );
       ( "gemm-equivalence",
         [ prop_microkernel_vs_naive_mul; prop_microkernel_vs_naive_gram;
-          prop_transpose_consistency ] ) ]
+          prop_transpose_consistency; prop_into_overwrites ] );
+      ( "gemm-threads",
+        [ Alcotest.test_case "systhreads share no scratch" `Quick
+            test_threads_share_no_scratch ] ) ]

@@ -34,10 +34,17 @@ let test_busy_work_takes_time () =
   in
   check_true "measurable time" (t > 0.)
 
+(* Time is wall time: a thunk that sleeps uses no CPU yet takes 50 ms. *)
+let test_wall_clock () =
+  let t = Measure.time (fun () -> Unix.sleepf 0.05) in
+  check_true (Printf.sprintf "sleep of 50 ms measures >= 40 ms (got %.1f ms)" (t *. 1e3))
+    (t >= 0.04)
+
 let () =
   Alcotest.run "measure"
     [ ( "sampling",
         [ Alcotest.test_case "value" `Quick test_returns_value;
           Alcotest.test_case "non-negative" `Quick test_time_nonnegative;
           Alcotest.test_case "allocation" `Quick test_allocation_tracked;
-          Alcotest.test_case "time" `Quick test_busy_work_takes_time ] ) ]
+          Alcotest.test_case "time" `Quick test_busy_work_takes_time;
+          Alcotest.test_case "wall clock" `Quick test_wall_clock ] ) ]

@@ -76,6 +76,59 @@ let prop_shape_accessors =
       && Op_tensor.size op = Tensor.size x
       && Op_tensor.n_components op <> None)
 
+(* ------------------------------------------------------------------ *)
+(* The streamed Gram pass against the historical N×N formulas, bit for bit:
+   norm2, mode_gram and the joint call, with component counts around the
+   pass's block height, at pool sizes 1 and 4. *)
+
+(* (dims, n, weight, seed) with m ∈ 2..5 and n at the block edges. *)
+let gen_pass_case =
+  let b = Op_tensor.gram_block_rows in
+  QCheck2.Gen.(
+    int_range 2 5 >>= fun m ->
+    list_repeat m (int_range 1 4) >>= fun dims ->
+    oneofl [ 1; b - 1; b; b + 1; (2 * b) + 3 ] >>= fun n ->
+    float_range (-1.5) 1.5 >>= fun weight ->
+    int_bound 1_000_000 >|= fun seed -> (Array.of_list dims, n, weight, seed))
+
+let prop_gram_pass_bitwise =
+  qtest ~count:40 "streamed norm2/mode_gram/joint ≡ N×N oracle (bitwise, pools 1 and 4)"
+    gen_pass_case (fun (dims, n, weight, seed) ->
+      let r = Rng.create seed in
+      (* Exact zeros mixed in, as the GEMM contract suites do. *)
+      let entry _ _ = if Rng.uniform r < 0.2 then 0. else (2. *. Rng.uniform r) -. 1. in
+      let zs = Array.map (fun d -> Mat.init d n entry) dims in
+      let op = Op_tensor.factored ~weight zs in
+      let modes = List.init (Array.length zs) Fun.id in
+      let norm = oracle_norm2 ~weight zs in
+      let grams = List.map (oracle_mode_gram ~weight zs) modes in
+      List.for_all
+        (fun size ->
+          with_pool size (fun () ->
+              let joint_norm, joint_grams = Op_tensor.norm2_and_mode_grams op in
+              same_bits norm (Op_tensor.norm2 op)
+              && same_bits norm joint_norm
+              && List.for_all2 bits_equal grams (Array.to_list joint_grams)
+              && List.for_all2
+                   (fun k g -> bits_equal g (Op_tensor.mode_gram op k))
+                   modes grams))
+        [ 1; 4 ])
+
+(* The joint pass holds O(m·b·N) at once, never an N×N matrix: at N = 4096
+   one such matrix is 128 MiB; the whole pass allocates about 20 MB. *)
+let test_gram_pass_allocation () =
+  let n = 4096 in
+  let r = Rng.create 0x9A55 in
+  let zs = Array.init 3 (fun _ -> Mat.init 4 n (fun _ _ -> Rng.gaussian r)) in
+  let op = Op_tensor.factored ~weight:(1. /. float_of_int n) zs in
+  let before = Gc.allocated_bytes () in
+  ignore (Op_tensor.norm2_and_mode_grams op);
+  let allocated = Gc.allocated_bytes () -. before in
+  let nxn = 8. *. float_of_int (n * n) in
+  check_true
+    (Printf.sprintf "allocated %.0f bytes < one N×N matrix (%.0f)" allocated nxn)
+    (allocated < nxn)
+
 (* decompose_op on the factored operator must recover the same well-separated
    structure the dense solver recovers exactly. *)
 let test_decompose_op_recovery () =
@@ -159,6 +212,9 @@ let () =
     [ qsuite "equivalence"
         [ prop_mttkrp; prop_norm2; prop_inner_kruskal; prop_mode_gram;
           prop_shape_accessors ];
+      qsuite "gram-pass"
+        [ prop_gram_pass_bitwise;
+          Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation ];
       qsuite "decompose"
         [ Alcotest.test_case "factored recovery = dense" `Quick test_decompose_op_recovery ];
       qsuite "tcca"
