@@ -578,6 +578,8 @@ let flops_of_kernel =
   | "par/mul-192x160x176" | "par/mul_tn-192x160x176" | "par/mul_nt-192x176x160" ->
     Some (mulf 192 160 176)
   | "par/gram-192x160" | "par/tgram-160x192" -> Some (syrkf 192 160)
+  (* One multiply-add per entry per instance: N = 400 on 60³ views. *)
+  | "fig7/covariance-tensor" -> Some (2 * 400 * 60 * 60 * 60)
   | "op/mttkrp-dense" -> Some (2 * 8 * 810_000)
   | "op/mttkrp-factored" -> Some ((3 * mulf 200 30 8) + (3 * 200 * 8) + mulf 30 200 8)
   (* Randomized SVD: six m×n×k GEMM passes (sketch, 2×2 power-iteration

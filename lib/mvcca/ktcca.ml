@@ -368,24 +368,6 @@ let fit_prepared_checked ?(solver = Tcca.default_solver) ?budget ?checkpoint ~r 
     | Some d ->
       Robust.warnf "Ktcca.fit: %s — returning best-so-far model" (Robust.failure_to_string d)
   in
-  let dense_tensor () =
-    match prepared.p_op with
-    | Op_tensor.Dense t -> t
-    | Op_tensor.Factored _ ->
-      let entries =
-        Array.fold_left
-          (fun acc d -> acc *. float_of_int d)
-          1.
-          (Op_tensor.dims prepared.p_op)
-      in
-      if entries > 1e8 then
-        invalid_arg
-          (Printf.sprintf
-             "Ktcca.fit_prepared: this solver needs the dense tensor (%.0f entries); use \
-              the Als solver or ~materialize:true"
-             entries);
-      Op_tensor.to_tensor prepared.p_op
-  in
   let solved =
     match solver with
     | Tcca.Als options ->
@@ -397,7 +379,8 @@ let fit_prepared_checked ?(solver = Tcca.default_solver) ?budget ?checkpoint ~r 
       note_deadline info.Cp_rand.deadline;
       match info.Cp_rand.failure with Some f -> Error f | None -> Ok k)
     | Tcca.Power_deflation ->
-      let k, deadline = Tensor_power.decompose ?budget ~rank:r (dense_tensor ()) in
+      let dense = Tcca.materialize_for_solver "Ktcca.fit_prepared" prepared.p_op in
+      let k, deadline = Tensor_power.decompose ?budget ~rank:r dense in
       note_deadline deadline;
       Ok (Kruskal.normalize k)
   in

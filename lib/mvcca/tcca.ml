@@ -24,21 +24,9 @@ let check_views name views =
 
 let covariance_tensor views =
   let n = check_views "Tcca.covariance_tensor" views in
-  let dims = Array.map (fun v -> fst (Mat.dims v)) views in
-  let c = Tensor.create dims in
-  let weight = 1. /. float_of_int n in
-  (* The N-dependent pass.  Mode 0 is sliced into slabs, one per pool chunk;
-     each chunk owns its slab of the tensor exclusively and replays all N
-     instances in order, so every cell accumulates its N rank-1 contributions
-     in the exact sequential order — bitwise identical for any pool size.
-     Columns are materialized once, shared read-only across chunks. *)
-  let cols = Array.init n (fun i -> Array.map (fun v -> Mat.col v i) views) in
-  Parallel.parallel_for ~cost:(n * Tensor.size c) ~n:dims.(0)
-    (fun lo hi ->
-      for i = 0 to n - 1 do
-        Tensor.add_outer_slab_in_place c weight cols.(i) ~lo ~hi
-      done);
-  c
+  (* The N-dependent pass: (1/N) Σₙ ∘ₚ xₚₙ is a factored operator over the
+     views, materialized as one blocked GEMM. *)
+  Op_tensor.to_tensor (Op_tensor.factored ~weight:(1. /. float_of_int n) views)
 
 let whiteners ~eps views =
   let n = check_views "Tcca.whiteners" views in

@@ -89,6 +89,12 @@ val fit :
 val materialize_threshold : int
 (** The ∏dₚ cutoff of the default heuristic (262 144 entries = 2 MB). *)
 
+val materialize_for_solver : string -> Op_tensor.t -> Tensor.t
+(** [materialize_for_solver name op] is the dense tensor a raw-entry solver
+    ([Power_deflation]) needs: [Op_tensor.to_tensor op], refused with
+    [Invalid_argument] (prefixed by [name]) when a factored operator has
+    more than 10⁸ entries, rather than letting the allocation OOM. *)
+
 type prepared
 (** The N-dependent work of a fit — centering, whitening, covariance-tensor
     accumulation (or its factored stand-in) — frozen so that several ranks

@@ -1,5 +1,7 @@
 (** The daemon's wire protocol: length-prefixed binary frames over a stream
-    socket, one synchronous request/response pair at a time per connection.
+    socket.  A client may pipeline: it can write any number of request
+    frames without reading, and each connection's responses come back in
+    the order its requests were sent (DESIGN.md §14.1).
 
     Framing: a u32 little-endian body length followed by the body; the body
     is a [Checkpoint.Wire] field stream (tagged variants, little-endian i64

@@ -286,22 +286,88 @@ let inner_kruskal op lambda us =
     done;
     weight *. !total
 
+(* ------------------------------------------------------------------ *)
+(* The factored materialization as one GEMM.  Read row-major, the tensor is
+   the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where row
+   (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is the running product
+   (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:] over the n components;
+   for m = 1 its single row is w.  KR is filled one block of at most
+   [to_tensor_block_rows n] rows at a time, and each block becomes tensor
+   rows with one [Mat.mul_nt_into], so no (∏dₚ) × n array ever exists.
+
+   The result is bitwise the historical loop that added one rank-1 term per
+   component (kept in the tests as the oracle):
+   - a GEMM cell is the sum from +0. of its products KR[row,i]·z_{m−1}[a,i]
+     in ascending i, with no FMA and no zero skips — the loop's per-cell
+     sum over the components;
+   - a KR entry associates as the loop's running coefficient did, w·z₀
+     first, and the GEMM product is the loop's innermost coeff·x;
+   - the loop skipped the subtree under a zero z_p entry (p < m−1).  When
+     no product is infinite or NaN a skipped term is ±0, and a sum that
+     starts at +0. never becomes −0, so adding it changes nothing.  A
+     non-finite factor entry is never hidden this way: every cell it
+     touches comes out non-finite.
+   Chunks and blocks own disjoint output rows, so any pool size gives the
+   same bits. *)
+
+(* A 4 MiB block of KR rows. *)
+let to_tensor_block_rows n = max 1 ((4 lsl 20) / (8 * n))
+
+(* Rows r₀ … r₀ + kr.rows − 1 of KR into [kr].  [span.(p)] is the number of
+   KR rows per index of mode p; [prefix.(p)] holds the running product
+   through mode p of the current index, for p < m − 2. *)
+let fill_khatri_rao ~weight factors ~span prefix (kr : Mat.t) r0 =
+  let m = Array.length factors and n = kr.Mat.cols and rows = kr.Mat.rows in
+  let rec go p base =
+    let z = (factors.(p) : Mat.t).Mat.data and s = span.(p) in
+    let a_lo = max 0 ((r0 - base) / s)
+    and a_hi = min (fst (Mat.dims factors.(p)) - 1) ((r0 + rows - 1 - base) / s) in
+    for a = a_lo to a_hi do
+      let dst, off =
+        if p = m - 2 then (kr.Mat.data, (base + (a * s) - r0) * n) else (prefix.(p), 0)
+      in
+      let za = a * n in
+      if p = 0 then
+        for i = 0 to n - 1 do
+          Array.unsafe_set dst (off + i) (weight *. Array.unsafe_get z (za + i))
+        done
+      else begin
+        let coeff = prefix.(p - 1) in
+        for i = 0 to n - 1 do
+          Array.unsafe_set dst (off + i)
+            (Array.unsafe_get coeff i *. Array.unsafe_get z (za + i))
+        done
+      end;
+      if p < m - 2 then go (p + 1) (base + (a * s))
+    done
+  in
+  if m = 1 then Array.fill kr.Mat.data 0 n weight else go 0 0
+
+let materialize ~weight factors =
+  let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
+  let out = Tensor.create (Array.map (fun z -> fst (Mat.dims z)) factors) in
+  let last = factors.(m - 1) in
+  let cols = fst (Mat.dims last) in
+  let rows = Tensor.size out / cols in
+  let span = Array.init (m - 1) (fun p -> out.Tensor.strides.(p) / cols) in
+  let b = to_tensor_block_rows n in
+  (* Each chunk owns a run of tensor rows and walks it in blocks of b rows
+     (the last one shorter), reusing its own buffers; the block GEMMs nested
+     in the pool run sequentially. *)
+  Parallel.parallel_for ~cost:(n * Tensor.size out) ~n:rows (fun lo hi ->
+      let prefix = Array.init (max 0 (m - 2)) (fun _ -> Array.make n 0.) in
+      let buffers height = lazy (Mat.create height n, Mat.create height cols) in
+      let full = buffers b and tail = buffers ((hi - lo) mod b) in
+      let r0 = ref lo in
+      while !r0 < hi do
+        let kr, c = Lazy.force (if !r0 + b <= hi then full else tail) in
+        fill_khatri_rao ~weight factors ~span prefix kr !r0;
+        Mat.mul_nt_into kr last c;
+        Array.blit c.Mat.data 0 out.Tensor.data (!r0 * cols) (c.Mat.rows * cols);
+        r0 := !r0 + c.Mat.rows
+      done);
+  out
+
 let to_tensor = function
   | Dense x -> x
-  | Factored { weight; factors } ->
-    (* Same slab pattern as Tcca.covariance_tensor: mode 0 is sliced into
-       chunks, each chunk owns its slab exclusively and replays all n
-       components in order, so every cell accumulates its n rank-1
-       contributions in the exact sequential order — bitwise identical to
-       the sequential loop at any pool size.  This is the Nyström hot path
-       (O(n·∏dₚ) scalar FMAs for the dense ℓ-space tensor), so it must
-       actually ride the pool. *)
-    let n = snd (Mat.dims factors.(0)) in
-    let dims = Array.map (fun z -> fst (Mat.dims z)) factors in
-    let out = Tensor.create dims in
-    let cols = Array.init n (fun i -> Array.map (fun z -> Mat.col z i) factors) in
-    Parallel.parallel_for ~cost:(n * Tensor.size out) ~n:dims.(0) (fun lo hi ->
-        for i = 0 to n - 1 do
-          Tensor.add_outer_slab_in_place out weight cols.(i) ~lo ~hi
-        done);
-    out
+  | Factored { weight; factors } -> materialize ~weight factors

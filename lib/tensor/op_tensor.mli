@@ -88,4 +88,29 @@ val gram_block_rows : int
 val to_tensor : t -> Tensor.t
 (** Materialize.  [Dense] returns the wrapped tensor (shared, not copied);
     [Factored] allocates the full ∏ₚ dₚ array — callers should check {!size}
-    first (the dense-only CP solvers go through this escape hatch). *)
+    first (the dense-only CP solvers go through this escape hatch).
+
+    Factored: one GEMM, streamed over row blocks.  Read row-major, the
+    tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where row
+    (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is
+    (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:].  The rows are split
+    across the [Parallel] pool, and each domain walks its run in blocks of
+    at most [b = to_tensor_block_rows n] rows: it fills the block of KR and
+    turns it into tensor rows with one [Mat.mul_nt_into].  O(n · ∏ₚ dₚ)
+    time at GEMM rate; memory is the output plus O(b · n) per domain — no
+    (∏dₚ) × n array is allocated.
+
+    Bitwise contract: every cell is [Σᵢ (w·∏ₚ zₚ[aₚ,i])] with the product
+    associated from [w] through the modes in order and the sum taken from
+    [+0.] in ascending component order, without FMA — for any pool size and
+    either [Gemm] implementation.  For factors whose partial products are
+    all finite this equals, bit for bit, the loop that adds one rank-1 term
+    per component and skips the subtree under a zero entry.  A non-finite
+    weight or factor entry is never skipped: every cell whose index in that
+    entry's mode is the entry's row comes out non-finite, so
+    [all_finite op = false] implies a non-finite materialization. *)
+
+val to_tensor_block_rows : int -> int
+(** KR rows per full block of the factored {!to_tensor} for [n] components:
+    a fixed 4 MiB budget divided by the 8·n bytes of one row, at least 1.
+    The last block of each domain's run may be shorter. *)

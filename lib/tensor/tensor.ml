@@ -77,11 +77,8 @@ let scale_in_place s a =
 let map f a = { a with data = Array.map f a.data }
 
 (* Accumulate w · (x1 ∘ … ∘ xm) by recursing over modes; the innermost mode is
-   a tight scalar-times-vector loop over contiguous memory.  The [slab]
-   variant restricts mode 0 to [lo, hi): it touches only the flat range
-   [lo·strides.(0), hi·strides.(0)), which is what lets the covariance-tensor
-   accumulation partition mode 0 across domains with exclusive ownership. *)
-let add_outer_slab_in_place t w xs ~lo ~hi =
+   a tight scalar-times-vector loop over contiguous memory. *)
+let add_outer_in_place t w xs =
   let m = order t in
   if Array.length xs <> m then invalid_arg "Tensor.add_outer_in_place: arity mismatch";
   Array.iteri
@@ -89,16 +86,13 @@ let add_outer_slab_in_place t w xs ~lo ~hi =
       if Array.length x <> t.dims.(k) then
         invalid_arg "Tensor.add_outer_in_place: dimension mismatch")
     xs;
-  if lo < 0 || hi > t.dims.(0) then invalid_arg "Tensor.add_outer_slab_in_place: bad slab";
   let rec go k base coeff =
-    if k = m - 1 then begin
-      let x = xs.(k) in
+    let x = xs.(k) in
+    if k = m - 1 then
       for i = 0 to t.dims.(k) - 1 do
         t.data.(base + i) <- t.data.(base + i) +. (coeff *. Array.unsafe_get x i)
       done
-    end
     else begin
-      let x = xs.(k) in
       let stride = t.strides.(k) in
       for i = 0 to t.dims.(k) - 1 do
         let xi = Array.unsafe_get x i in
@@ -106,22 +100,7 @@ let add_outer_slab_in_place t w xs ~lo ~hi =
       done
     end
   in
-  if m = 1 then begin
-    let x = xs.(0) in
-    for i = lo to hi - 1 do
-      t.data.(i) <- t.data.(i) +. (w *. Array.unsafe_get x i)
-    done
-  end
-  else begin
-    let x = xs.(0) in
-    let stride = t.strides.(0) in
-    for i = lo to hi - 1 do
-      let xi = Array.unsafe_get x i in
-      if xi <> 0. then go 1 (i * stride) (w *. xi)
-    done
-  end
-
-let add_outer_in_place t w xs = add_outer_slab_in_place t w xs ~lo:0 ~hi:t.dims.(0)
+  go 0 0 w
 
 let outer xs =
   let dims = Array.map Array.length xs in

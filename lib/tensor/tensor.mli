@@ -51,12 +51,6 @@ val add_outer_in_place : t -> float -> Vec.t array -> unit
     accumulation step of the covariance tensor, O(size) per instance and
     independent of how many instances follow. *)
 
-val add_outer_slab_in_place : t -> float -> Vec.t array -> lo:int -> hi:int -> unit
-(** Like {!add_outer_in_place} but restricted to mode-0 indices [lo .. hi-1];
-    writes touch only the flat range [lo·strides.(0), hi·strides.(0)).  Used
-    to partition the covariance-tensor accumulation across the [Parallel]
-    domain pool with exclusive slab ownership (bitwise-deterministic). *)
-
 val inner : t -> t -> float
 (** Element-wise inner product [⟨A, B⟩]. *)
 

@@ -78,6 +78,19 @@ let with_pool size f =
       Parallel.set_sequential_cutoff c0)
     f
 
+(* Run [f] with the GEMM implementation pinned to [impl] and the
+   small-product cutoff at [small_cutoff] (default 0, so the microkernel
+   runs even on tiny shapes); both are restored afterwards. *)
+let with_impl ?(small_cutoff = 0) impl f =
+  let cutoff = Gemm.small_cutoff () in
+  Gemm.set_impl impl;
+  Gemm.set_small_cutoff small_cutoff;
+  Fun.protect
+    ~finally:(fun () ->
+      Gemm.reset_impl ();
+      Gemm.set_small_cutoff cutoff)
+    f
+
 (* The historical factored Op_tensor formulas, N×N Hadamards of tgrams:
    the bitwise oracle for the streamed Gram pass. *)
 let hadamard_of_tgrams factors ~skip =
@@ -97,3 +110,53 @@ let oracle_norm2 ~weight factors =
 let oracle_mode_gram ~weight factors k =
   let w = hadamard_of_tgrams factors ~skip:k in
   Mat.scale (weight *. weight) (Mat.mul_nt (Mat.mul factors.(k) w) factors.(k))
+
+(* The historical materialization of a factored operator
+   [weight · Σᵢ ∘ₚ factors.(p).col(i)]: one rank-1 update per component,
+   recursing over the modes and skipping the subtree under a zero entry
+   (p < m−1).  The bitwise oracle for [Op_tensor.to_tensor] and
+   [Tcca.covariance_tensor].  Its zero skips can hide a non-finite entry,
+   so it is an oracle for finite factors only. *)
+let oracle_to_tensor ~weight factors =
+  let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
+  let t = Tensor.create (Array.map (fun z -> fst (Mat.dims z)) factors) in
+  let dims = t.Tensor.dims and strides = t.Tensor.strides and data = t.Tensor.data in
+  let add_outer xs =
+    let rec go k base coeff =
+      if k = m - 1 then begin
+        let x = xs.(k) in
+        for i = 0 to dims.(k) - 1 do
+          data.(base + i) <- data.(base + i) +. (coeff *. Array.unsafe_get x i)
+        done
+      end
+      else begin
+        let x = xs.(k) in
+        let stride = strides.(k) in
+        for i = 0 to dims.(k) - 1 do
+          let xi = Array.unsafe_get x i in
+          if xi <> 0. then go (k + 1) (base + (i * stride)) (coeff *. xi)
+        done
+      end
+    in
+    if m = 1 then begin
+      let x = xs.(0) in
+      for i = 0 to dims.(0) - 1 do
+        data.(i) <- data.(i) +. (weight *. Array.unsafe_get x i)
+      done
+    end
+    else begin
+      let x = xs.(0) in
+      let stride = strides.(0) in
+      for i = 0 to dims.(0) - 1 do
+        let xi = Array.unsafe_get x i in
+        if xi <> 0. then go 1 (i * stride) (weight *. xi)
+      done
+    end
+  in
+  for i = 0 to n - 1 do
+    add_outer (Array.map (fun z -> Mat.col z i) factors)
+  done;
+  t
+
+let tensor_bits_equal (x : Tensor.t) (y : Tensor.t) =
+  x.Tensor.dims = y.Tensor.dims && Array.for_all2 same_bits x.Tensor.data y.Tensor.data

@@ -286,16 +286,6 @@ let prop_parallel_gram_bitwise =
    degenerate (0, 1×k×1), below one tile, exactly one tile, straddling
    tile and panel boundaries, and primes that never divide evenly. *)
 
-let with_impl impl f =
-  let cutoff = Gemm.small_cutoff () in
-  Gemm.set_impl impl;
-  Gemm.set_small_cutoff 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Gemm.reset_impl ();
-      Gemm.set_small_cutoff cutoff)
-    f
-
 let gen_adversarial_dim =
   QCheck2.Gen.(
     frequency

@@ -129,6 +129,129 @@ let test_gram_pass_allocation () =
     (Printf.sprintf "allocated %.0f bytes < one N×N matrix (%.0f)" allocated nxn)
     (allocated < nxn)
 
+(* ------------------------------------------------------------------ *)
+(* The blocked Khatri–Rao × GEMM materialization against the historical
+   rank-1 slab loop, bit for bit: m ∈ 1..5, dims that include 1, last modes
+   below the 4-wide register tile, component counts whose block height
+   leaves a tail block, exact zeros, pools 1 and 4, and every GEMM route
+   (naive, microkernel forced on every shape, microkernel above the default
+   small-product cutoff). *)
+
+let gemm_routes =
+  let default_cutoff = Gemm.small_cutoff () in
+  [ (fun f -> with_impl `Naive f);
+    (fun f -> with_impl `Microkernel f);
+    (fun f -> with_impl ~small_cutoff:default_cutoff `Microkernel f) ]
+
+(* [compute ()] is bitwise [expected] at pools 1 and 4 on every GEMM route. *)
+let materializes_as expected compute =
+  List.for_all
+    (fun size ->
+      with_pool size (fun () ->
+          List.for_all (fun route -> tensor_bits_equal expected (route compute)) gemm_routes))
+    [ 1; 4 ]
+
+(* Finite factors, a fifth of them exact zeros. *)
+let zero_mixed_factors dims n seed =
+  let r = Rng.create seed in
+  let entry _ _ = if Rng.uniform r < 0.2 then 0. else (2. *. Rng.uniform r) -. 1. in
+  Array.map (fun d -> Mat.init d n entry) dims
+
+let to_tensor_matches_oracle (dims, n, weight, seed) =
+  let zs = zero_mixed_factors dims n seed in
+  materializes_as (oracle_to_tensor ~weight zs) (fun () ->
+      Op_tensor.to_tensor (Op_tensor.factored ~weight zs))
+
+(* (dims, n, weight, seed).  The leading-mode caps keep ∏dₚ near a few
+   hundred rows; the large n put the block height at 349, 201 and 127 rows,
+   so those rows usually split into full blocks and a tail. *)
+let gen_materialize_case =
+  QCheck2.Gen.(
+    int_range 1 5 >>= fun m ->
+    let cap = [| 1; 1; 300; 20; 8; 5 |].(m) in
+    list_repeat (m - 1) (frequency [ (1, return 1); (3, int_range 1 cap) ]) >>= fun lead ->
+    frequency [ (3, int_range 1 3); (1, int_range 4 9) ] >>= fun last ->
+    oneofl [ 1; 2; 5; 17; 64; 1500; 2600; 4100 ] >>= fun n ->
+    float_range (-1.5) 1.5 >>= fun weight ->
+    int_bound 1_000_000 >|= fun seed -> (Array.of_list (lead @ [ last ]), n, weight, seed))
+
+let prop_to_tensor_bitwise =
+  qtest ~count:60 "to_tensor ≡ rank-1 slab oracle (bitwise, pools 1 and 4, all GEMM routes)"
+    gen_materialize_case to_tensor_matches_oracle
+
+(* Shapes pinned to leave a tail block at every order (at pool 1, where one
+   chunk walks all rows). *)
+let test_to_tensor_tail_blocks () =
+  List.iter
+    (fun (dims, n) ->
+      let rows = Array.fold_left ( * ) 1 dims / dims.(Array.length dims - 1) in
+      let b = Op_tensor.to_tensor_block_rows n in
+      check_true
+        (Printf.sprintf "%d rows at block height %d leave a tail" rows b)
+        (rows > b && rows mod b <> 0);
+      check_true "bitwise = oracle" (to_tensor_matches_oracle (dims, n, 0.7, rows + n)))
+    [ ([| 300; 3 |], 2600); ([| 15; 13; 2 |], 3000); ([| 6; 1; 6; 6; 1 |], 4100);
+      ([| 4; 4; 4; 4; 2 |], 4100) ]
+
+let prop_covariance_tensor_bitwise =
+  qtest ~count:30 "Tcca.covariance_tensor ≡ rank-1 slab oracle (bitwise)"
+    QCheck2.Gen.(
+      gen_materialize_case >|= fun (dims, n, _, seed) ->
+      ((if Array.length dims = 1 then [| 3; dims.(0) |] else dims), n, seed))
+    (fun (dims, n, seed) ->
+      let views = zero_mixed_factors dims n seed in
+      materializes_as
+        (oracle_to_tensor ~weight:(1. /. float_of_int n) views)
+        (fun () -> Tcca.covariance_tensor views))
+
+(* A non-finite factor entry is never hidden: every cell whose index in its
+   mode matches the entry's row comes out non-finite, also when a zero
+   column in another mode masks it from the slab loop (whose output then
+   stays finite).  Case: (dims, n, mode, row, column, value, masking mode
+   or −1, seed). *)
+let gen_non_finite_case =
+  QCheck2.Gen.(
+    int_range 1 4 >>= fun m ->
+    list_repeat m (int_range 1 4) >>= fun dims ->
+    int_range 1 6 >>= fun n ->
+    int_bound (m - 1) >>= fun p ->
+    int_bound (List.nth dims p - 1) >>= fun row ->
+    int_bound (n - 1) >>= fun col ->
+    oneofl [ Float.infinity; Float.neg_infinity; Float.nan ] >>= fun value ->
+    (* The slab loop skips only under a zero in a mode before the last. *)
+    oneofl (-1 :: List.filter (( <> ) p) (List.init (m - 1) Fun.id)) >>= fun mask ->
+    int_bound 1_000_000 >|= fun seed ->
+    (Array.of_list dims, n, p, row, col, value, mask, seed))
+
+let prop_to_tensor_non_finite =
+  qtest ~count:100 "a non-finite factor entry materializes non-finite (masked or not)"
+    gen_non_finite_case (fun (dims, n, p, row, col, value, mask, seed) ->
+      let zs = zero_mixed_factors dims n seed in
+      if mask >= 0 then
+        for a = 0 to dims.(mask) - 1 do
+          Mat.set zs.(mask) a col 0.
+        done;
+      Mat.set zs.(p) row col value;
+      let op = Op_tensor.factored ~weight:0.5 zs in
+      let x = Op_tensor.to_tensor op in
+      let stride = x.Tensor.strides.(p) in
+      (not (Op_tensor.all_finite op))
+      && (mask < 0 || Tensor.all_finite (oracle_to_tensor ~weight:0.5 zs))
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun flat v -> flat / stride mod dims.(p) <> row || not (Float.is_finite v))
+              x.Tensor.data))
+
+let test_to_tensor_non_finite_weight () =
+  let zs = zero_mixed_factors [| 2; 3; 2 |] 4 7 in
+  List.iter
+    (fun weight ->
+      check_true "every cell non-finite"
+        (Array.for_all
+           (fun v -> not (Float.is_finite v))
+           (Op_tensor.to_tensor (Op_tensor.factored ~weight zs)).Tensor.data))
+    [ Float.infinity; Float.nan ]
+
 (* decompose_op on the factored operator must recover the same well-separated
    structure the dense solver recovers exactly. *)
 let test_decompose_op_recovery () =
@@ -215,6 +338,12 @@ let () =
       qsuite "gram-pass"
         [ prop_gram_pass_bitwise;
           Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation ];
+      qsuite "materialize"
+        [ prop_to_tensor_bitwise;
+          Alcotest.test_case "tail blocks" `Quick test_to_tensor_tail_blocks;
+          prop_covariance_tensor_bitwise;
+          prop_to_tensor_non_finite;
+          Alcotest.test_case "non-finite weight" `Quick test_to_tensor_non_finite_weight ];
       qsuite "decompose"
         [ Alcotest.test_case "factored recovery = dense" `Quick test_decompose_op_recovery ];
       qsuite "tcca"
