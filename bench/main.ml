@@ -44,10 +44,9 @@ let parallel_kernel_tests () =
     Test.make ~name:"par/pairwise-chi2-300"
       (Staged.stage (fun () -> Distance.pairwise Distance.Chi2 wide)) ]
 
-(* Head-to-head micros for the symmetric eigensolver rewrite: the two-stage
-   tridiagonal path at typical whitener sizes, the Jacobi oracle at the
-   larger size for the crossover record, and the tall-matrix SVD route that
-   rides on it. *)
+(* Symmetric eigensolver micros: the two-stage tridiagonal solver at
+   typical whitener sizes, and the tall-matrix SVD route that rides on
+   it. *)
 let eig_tests () =
   let open Bechamel in
   let r = Rng.create 777 in
@@ -57,12 +56,8 @@ let eig_tests () =
   in
   let a64 = spd 64 and a192 = spd 192 in
   let tall = Mat.init 2048 64 (fun _ _ -> Rng.gaussian r) in
-  [ Test.make ~name:"eig/tridiagonal-d64"
-      (Staged.stage (fun () -> Eigen.decompose ~method_:`Tridiagonal a64));
-    Test.make ~name:"eig/tridiagonal-d192"
-      (Staged.stage (fun () -> Eigen.decompose ~method_:`Tridiagonal a192));
-    Test.make ~name:"eig/jacobi-d192"
-      (Staged.stage (fun () -> Eigen.decompose ~method_:`Jacobi a192));
+  [ Test.make ~name:"eig/tridiagonal-d64" (Staged.stage (fun () -> Eigen.decompose a64));
+    Test.make ~name:"eig/tridiagonal-d192" (Staged.stage (fun () -> Eigen.decompose a192));
     Test.make ~name:"svd/tall-2048x64" (Staged.stage (fun () -> Svd.decompose tall)) ]
 
 (* Serving-path micro (PR "tccad"): one framed transform round trip — encode
@@ -83,7 +78,7 @@ let serve_fixture =
        Server.create ~model { Server.default_config with workers = 2; queue_capacity = 64 }
      in
      let client, sock = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-     ignore (Thread.create (fun () -> Event_loop.serve_connection server sock) ());
+     ignore (Thread.create (fun () -> Event_loop.serve_fds server [ sock ]) ());
      let batch = Array.init 2 (fun _ -> mk 200 64) in
      let req = Protocol.Transform { deadline_ms = -1; views = batch; model_id = "default" } in
      (client, req))
@@ -112,7 +107,7 @@ let route_fixture =
        Server.create ~model { Server.default_config with workers = 2; queue_capacity = 64 }
      in
      let client, sock = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-     ignore (Thread.create (fun () -> Event_loop.serve_connection server sock) ());
+     ignore (Thread.create (fun () -> Event_loop.serve_fds server [ sock ]) ());
      let tmp = Filename.temp_file "tccad-bench" ".tccm" in
      Model_store.save ~path:tmp model;
      (match Protocol.call client (Protocol.Swap { path = tmp; model_id = "alt" }) with
@@ -138,21 +133,16 @@ let route_call () =
 
 (* Concurrent pipelined micro (PR "event loop"): 32 connections, each
    pipelining 64 transforms through ONE reactor, with cross-request GEMM
-   micro-batching on — against a PR-9-shaped reference (thread per
-   connection, blocking round trips, batch_max 1) over the same model.
-   Requests are deliberately small (single-column transforms) so
-   per-request overhead — syscalls, wakeups, GEMM packing — is what the
-   micro actually measures; that is exactly the regime micro-batching is
-   for.  The model is deliberately tiny (r = 8, d = 16): per-request
-   FLOPs are negligible next to per-request dispatch, so the numbers
-   isolate the serving layer itself — the bigger-model regimes are
-   covered by serve/transform-batch and serve/route-transform above.
-   One client thread drives all 32
-   connections through per-connection incremental decoders — with
-   pipelining, connection concurrency no longer needs a thread per
-   connection on either side of the socket.  The blocking reference
-   needs its 32 client threads: one in-flight request per connection is
-   the architecture under comparison. *)
+   micro-batching on.  Requests are deliberately small (single-column
+   transforms) so per-request overhead — syscalls, wakeups, GEMM packing —
+   is what the micro actually measures; that is exactly the regime
+   micro-batching is for.  The model is deliberately tiny (r = 8, d = 16):
+   per-request FLOPs are negligible next to per-request dispatch, so the
+   numbers isolate the serving layer itself — the bigger-model regimes are
+   covered by serve/transform-batch and serve/route-transform above.  One
+   client thread drives all 32 connections through per-connection
+   incremental decoders — with pipelining, connection concurrency no
+   longer needs a thread per connection on either side of the socket. *)
 let c32_conns = 32
 let c32_per_conn = 64
 
@@ -191,19 +181,6 @@ let c32_fixture =
        (Thread.create
           (fun () -> Event_loop.serve_fds server (Array.to_list (Array.map snd pairs)))
           ());
-     (* The PR-9 reference: same model, one thread per connection, no
-        coalescing — yesterday's architecture as a live yardstick. *)
-     let ref_server =
-       Server.create ~model
-         { Server.default_config with workers = 2; queue_capacity = 4096; batch_max = 1 }
-     in
-     let ref_pairs =
-       Array.init c32_conns (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-     in
-     Array.iter
-       (fun (_, s) ->
-         ignore (Thread.create (fun () -> Event_loop.serve_connection ref_server s) ()))
-       ref_pairs;
      let blob =
        let b = Buffer.create 65536 in
        for _ = 1 to c32_per_conn do
@@ -213,14 +190,14 @@ let c32_fixture =
      in
      (* What every response must be, bitwise: batch-of-1 dispatch. *)
      let expected = Protocol.response_to_string (Server.handle server req) in
-     (Array.map fst pairs, Array.map fst ref_pairs, blob, req, expected))
+     (Array.map fst pairs, blob, expected))
 
 (* One client thread, 32 pipelined connections: write every blob, then
    select over the sockets, feeding one incremental decoder per
    connection.  The whole sweep fits in the server queue, so the writes
    cannot deadlock against unread responses (the reactor buffers them). *)
 let c32_sweep ~verify lats =
-  let clients, _, blob, _, expected = Lazy.force c32_fixture in
+  let clients, blob, expected = Lazy.force c32_fixture in
   let total = c32_conns * c32_per_conn in
   let t0 = Unix.gettimeofday () in
   Array.iter (fun fd -> write_all fd blob) clients;
@@ -260,24 +237,14 @@ let c32_sweep ~verify lats =
 
 let c32_call () = ignore (c32_sweep ~verify:false None)
 
-(* Verified sweeps with per-response completion times, plus the PR-9
-   reference sweeps — prints the throughput ratio, returns (p50, p99).
-   Both sides take the best of three sweeps: on one CPU a single sweep's
-   wall time is at the mercy of whatever else the scheduler slots in, and
-   best-of-N is the standard way to ask "how fast is this architecture"
-   rather than "how unlucky was this run".  The percentiles come from the
-   best pipelined sweep for the same reason. *)
+(* Verified sweeps with per-response completion times — prints the
+   throughput, returns (p50, p99).  Takes the best of three sweeps: on one
+   CPU a single sweep's wall time is at the mercy of whatever else the
+   scheduler slots in, and best-of-N is the standard way to ask "how fast
+   is this architecture" rather than "how unlucky was this run".  The
+   percentiles come from the best sweep for the same reason. *)
 let c32_report () =
-  let _, ref_clients, _, req, _ = Lazy.force c32_fixture in
   let total = c32_conns * c32_per_conn in
-  let best_of n f =
-    let best_s = ref infinity in
-    for _ = 1 to n do
-      let s = f () in
-      if s < !best_s then best_s := s
-    done;
-    !best_s
-  in
   let lats = Array.make total nan in
   let pipelined_s =
     let best = ref infinity in
@@ -291,26 +258,8 @@ let c32_report () =
     done;
     !best
   in
-  let ref_worker fd =
-    for _ = 1 to c32_per_conn do
-      match Protocol.call fd req with
-      | Protocol.R_matrix _ -> ()
-      | _ -> failwith "bench: c32 reference got a non-matrix reply"
-    done
-  in
-  let ref_s =
-    best_of 3 (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let ths = Array.map (fun fd -> Thread.create ref_worker fd) ref_clients in
-        Array.iter Thread.join ths;
-        Unix.gettimeofday () -. t0)
-  in
-  Printf.printf
-    "serve/concurrent-transform-c32: pipelined+batched %.0f req/s vs \
-     thread-per-connection %.0f req/s (x%.1f)\n%!"
-    (float_of_int total /. pipelined_s)
-    (float_of_int total /. ref_s)
-    (ref_s /. pipelined_s);
+  Printf.printf "serve/concurrent-transform-c32: pipelined+batched %.0f req/s\n%!"
+    (float_of_int total /. pipelined_s);
   Array.sort compare lats;
   let pick q = lats.(min (total - 1) (int_of_float (float_of_int total *. q))) in
   (pick 0.50, pick 0.99)
@@ -421,11 +370,11 @@ let micro_tests () =
           fun () -> Matfun.inv_sqrt_psd cov));
     (* Fig. 9: the MTTKRP kernel of one ALS sweep. *)
     Test.make ~name:"fig9/mttkrp"
-      (Staged.stage (fun () -> Cp_als.mttkrp covariance factors 0));
+      (Staged.stage (fun () -> Op_tensor.mttkrp (Op_tensor.Dense covariance) factors 0));
     (* Operator representations: same MTTKRP contraction, dense walk over
        ∏dₚ entries vs the factored O(N·Σdₚ·r) GEMM path. *)
     Test.make ~name:"op/mttkrp-dense"
-      (Staged.stage (fun () -> Cp_als.mttkrp op_dense op_us 0));
+      (Staged.stage (fun () -> Op_tensor.mttkrp (Op_tensor.Dense op_dense) op_us 0));
     Test.make ~name:"op/mttkrp-factored"
       (Staged.stage (fun () -> Op_tensor.mttkrp op_factored op_us 0));
     (* End-to-end fit on a dense-feasible shape, both representations … *)

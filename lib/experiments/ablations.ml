@@ -10,7 +10,7 @@ let solver_comparison ~world ~n ~eps ~rs ~seed =
     (fun r ->
       let als_result = ref None in
       let als_s = Measure.time (fun () ->
-          als_result := Some (Cp_als.decompose ~rank:r m_tensor))
+          als_result := Some (Cp_als.decompose_op ~rank:r (Op_tensor.Dense m_tensor)))
       in
       let als_fit =
         match !als_result with

@@ -1,28 +1,5 @@
 type t = { values : Vec.t; vectors : Mat.t }
 type info = { sweeps : int; residual : float; converged : bool }
-type method_ = [ `Tridiagonal | `Jacobi ]
-
-(* TCCA_EIG selects the default algorithm: "jacobi" restores the legacy
-   cyclic-Jacobi numerics everywhere, anything else (or unset) picks the
-   two-stage tridiagonal solver.  Read once — the method is part of a run's
-   determinism contract, so it must not flip mid-process. *)
-let method_of_env = function
-  | Some s when String.lowercase_ascii (String.trim s) = "jacobi" -> `Jacobi
-  | Some _ | None -> `Tridiagonal
-
-let default_method_memo = lazy (method_of_env (Sys.getenv_opt "TCCA_EIG"))
-let default_method () = Lazy.force default_method_memo
-
-let off_diagonal_norm a =
-  let n, _ = Mat.dims a in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let v = Mat.get a i j in
-      acc := !acc +. (2. *. v *. v)
-    done
-  done;
-  sqrt !acc
 
 (* Sort descending by eigenvalue, permuting eigenvector columns along. *)
 let sorted_result n diag vectors =
@@ -31,64 +8,7 @@ let sorted_result n diag vectors =
   { values = Array.map (fun i -> diag.(i)) order; vectors = Mat.select_cols vectors order }
 
 (* ------------------------------------------------------------------ *)
-(* Reference path: cyclic Jacobi.  O(d³) per sweep × 6–10 sweeps, but
-   unconditionally stable and rotation-exact — kept as the oracle the
-   tridiagonal path is property-tested against, and selectable via
-   [`Jacobi] / TCCA_EIG=jacobi.                                        *)
-
-let jacobi_info ~max_sweeps ~eps a0 =
-  let n, _ = Mat.dims a0 in
-  (* Work on a symmetrized copy so tiny asymmetries from accumulation don't
-     bias the rotations. *)
-  let a = Mat.init n n (fun i j -> 0.5 *. (Mat.get a0 i j +. Mat.get a0 j i)) in
-  let v = Mat.identity n in
-  let scale = Float.max (Mat.max_abs a) 1e-300 in
-  let threshold = eps *. scale *. float_of_int n in
-  let sweep = ref 0 in
-  let residual = ref (off_diagonal_norm a) in
-  while !residual > threshold && !sweep < max_sweeps do
-    incr sweep;
-    for p = 0 to n - 2 do
-      for q = p + 1 to n - 1 do
-        let apq = Mat.get a p q in
-        if Float.abs apq > eps *. scale /. 1e3 then begin
-          let app = Mat.get a p p and aqq = Mat.get a q q in
-          (* Stable rotation computation (Golub & Van Loan §8.4). *)
-          let theta = (aqq -. app) /. (2. *. apq) in
-          let t =
-            let sign = if theta >= 0. then 1. else -1. in
-            sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.))
-          in
-          let c = 1. /. sqrt ((t *. t) +. 1.) in
-          let s = t *. c in
-          (* A <- Jᵀ A J on rows/cols p,q. *)
-          for k = 0 to n - 1 do
-            let akp = Mat.get a k p and akq = Mat.get a k q in
-            Mat.set a k p ((c *. akp) -. (s *. akq));
-            Mat.set a k q ((s *. akp) +. (c *. akq))
-          done;
-          for k = 0 to n - 1 do
-            let apk = Mat.get a p k and aqk = Mat.get a q k in
-            Mat.set a p k ((c *. apk) -. (s *. aqk));
-            Mat.set a q k ((s *. apk) +. (c *. aqk))
-          done;
-          for k = 0 to n - 1 do
-            let vkp = Mat.get v k p and vkq = Mat.get v k q in
-            Mat.set v k p ((c *. vkp) -. (s *. vkq));
-            Mat.set v k q ((s *. vkp) +. (c *. vkq))
-          done
-        end
-      done
-    done;
-    residual := off_diagonal_norm a
-  done;
-  (* [<=] (not [<]) so a NaN residual — non-finite input — reads as not
-     converged rather than silently fine. *)
-  ( sorted_result n (Mat.diag a) v,
-    { sweeps = !sweep; residual = !residual; converged = !residual <= threshold } )
-
-(* ------------------------------------------------------------------ *)
-(* Fast path: classical two-stage solver.
+(* The classical two-stage solver.
    Stage 1 — Householder tridiagonalization (tred2-style): n−2 reflectors,
    each a symmetric matrix-vector product plus a rank-2 update
    A ← A − v wᵀ − w vᵀ on the shrinking lower triangle; both are
@@ -104,7 +24,7 @@ let jacobi_info ~max_sweeps ~eps a0 =
    the identical rotation list in the identical order, preserving bitwise
    determinism.
    Total ≈ (4/3)n³ (reduce) + 2n³ (accumulate + rotate) flops, versus
-   Jacobi's ≈ 6n³ per sweep × 6–10 sweeps.                               *)
+   cyclic Jacobi's ≈ 6n³ per sweep × 6–10 sweeps.                        *)
 
 let tridiagonal_info ~max_iter ~eps a0 =
   let n, _ = Mat.dims a0 in
@@ -320,29 +240,26 @@ let tridiagonal_info ~max_iter ~eps a0 =
 
 (* ------------------------------------------------------------------ *)
 
-let decompose_info ?method_ ?(max_sweeps = 64) ?(eps = 1e-12) a0 =
+let decompose_info ?(max_sweeps = 64) ?(eps = 1e-12) a0 =
   let n, m = Mat.dims a0 in
   if n <> m then invalid_arg "Eigen.decompose: not square";
   (* Fault injection: a forced iteration cap turns every non-trivial input
-     into a visible Not_converged, proving the callers' degradation paths —
-     for either method. *)
+     into a visible Not_converged, proving the callers' degradation paths. *)
   let max_sweeps = if Robust.Inject.(active Sweep_cap) then 0 else max_sweeps in
-  match (match method_ with Some m -> m | None -> default_method ()) with
-  | `Jacobi -> jacobi_info ~max_sweeps ~eps a0
-  | `Tridiagonal -> tridiagonal_info ~max_iter:max_sweeps ~eps a0
+  tridiagonal_info ~max_iter:max_sweeps ~eps a0
 
-let decompose ?method_ ?max_sweeps ?eps a0 =
-  let eig, info = decompose_info ?method_ ?max_sweeps ?eps a0 in
+let decompose ?max_sweeps ?eps a0 =
+  let eig, info = decompose_info ?max_sweeps ?eps a0 in
   if not info.converged then
     Robust.warnf "Eigen.decompose: sweep cap hit after %d sweeps (residual %g)" info.sweeps
       info.residual;
   eig
 
-let decompose_checked ?(stage = "eigen") ?method_ ?max_sweeps ?eps a0 =
+let decompose_checked ?(stage = "eigen") ?max_sweeps ?eps a0 =
   if not (Mat.all_finite a0) then
     Error (Robust.Non_finite { stage; where = "input matrix" })
   else begin
-    let eig, info = decompose_info ?method_ ?max_sweeps ?eps a0 in
+    let eig, info = decompose_info ?max_sweeps ?eps a0 in
     if not info.converged then
       Error (Robust.Not_converged { stage; sweeps = info.sweeps; residual = info.residual })
     else Ok eig

@@ -1,18 +1,16 @@
-(** Symmetric eigendecomposition: two-stage tridiagonal solver with a cyclic
-    Jacobi reference path.
+(** Symmetric eigendecomposition: two-stage tridiagonal solver.
 
     Every covariance and Gram matrix in the paper's pipeline is symmetric, and
     whitening ([C̃pp^{-1/2}]) needs the full spectrum with an orthogonal basis.
-    The default solver reduces to tridiagonal form with Householder
-    reflectors (rank-2 updates banded across the [Parallel] pool) and then
-    runs implicit-shift QL with Wilkinson shifts and deflation — ≈3n³ flops
-    total versus Jacobi's ≈6n³ *per sweep* × 6–10 sweeps.  Cyclic Jacobi is
-    retained as the reference oracle and selectable per call or process-wide.
+    The solver reduces to tridiagonal form with Householder reflectors
+    (rank-2 updates banded across the [Parallel] pool) and then runs
+    implicit-shift QL with Wilkinson shifts and deflation — ≈3n³ flops in
+    total.  The test suite checks it against a cyclic-Jacobi reference that
+    shares none of its arithmetic.
 
-    Determinism: for a fixed method, results are bitwise identical across
-    [TCCA_DOMAINS] pool sizes — all banded loops have exclusive row/column
-    ownership and fixed per-cell accumulation order.  The two methods agree
-    only to numerical tolerance, not bitwise. *)
+    Determinism: results are bitwise identical across [TCCA_DOMAINS] pool
+    sizes — all banded loops have exclusive row/column ownership and fixed
+    per-cell accumulation order. *)
 
 type t = {
   values : Vec.t;   (** Eigenvalues in descending order. *)
@@ -20,54 +18,30 @@ type t = {
 }
 
 type info = {
-  sweeps : int;      (** Jacobi sweeps, or QL iterations summed over all
-                         eigenvalues for the tridiagonal method. *)
-  residual : float;  (** Remaining off-diagonal Frobenius norm (of the full
-                         matrix for Jacobi, of the tridiagonal's
-                         sub-diagonal for QL). *)
+  sweeps : int;      (** QL iterations summed over all eigenvalues. *)
+  residual : float;  (** Remaining off-diagonal Frobenius norm of the
+                         tridiagonal's sub-diagonal. *)
   converged : bool;  (** Whether every eigenvalue converged under the
                          iteration cap — false on a cap hit, and on inputs
                          carrying NaNs (which poison the residual). *)
 }
 
-type method_ = [ `Tridiagonal | `Jacobi ]
-(** [`Tridiagonal] — Householder reduction + implicit-shift QL (fast path).
-    [`Jacobi] — cyclic Jacobi rotations (reference oracle; preferable when
-    rotation-exact orthogonality on tiny matrices matters more than speed,
-    or for bisecting a numerics regression against the legacy behavior). *)
-
-val default_method : unit -> method_
-(** Process-wide default: [`Jacobi] iff the [TCCA_EIG] environment variable
-    is ["jacobi"] (case-insensitive), else [`Tridiagonal].  Read once and
-    memoized — the method is part of a run's determinism contract. *)
-
-val method_of_env : string option -> method_
-(** Pure parser behind {!default_method}, exposed for tests. *)
-
-val decompose : ?method_:method_ -> ?max_sweeps:int -> ?eps:float -> Mat.t -> t
-(** [decompose a] for symmetric [a].  [method_] defaults to
-    {!default_method}.  [eps] (default [1e-12]) is the convergence
-    threshold: relative off-diagonal Frobenius norm for Jacobi, relative
-    per-entry deflation test for QL.  [max_sweeps] (default 64) caps Jacobi
-    sweeps, or QL iterations per eigenvalue.  Raises [Invalid_argument] if
-    [a] is not square.  Both triangles are read: the input is symmetrized as
+val decompose : ?max_sweeps:int -> ?eps:float -> Mat.t -> t
+(** [decompose a] for symmetric [a].  [eps] (default [1e-12]) is the
+    relative per-entry deflation threshold.  [max_sweeps] (default 64) caps
+    the QL iterations per eigenvalue.  Raises [Invalid_argument] if [a] is
+    not square.  Both triangles are read: the input is symmetrized as
     [(a + aᵀ)/2] first, so tiny asymmetries from accumulation are averaged
     out rather than ignored (an asymmetric input is decomposed as its
     symmetric part).  Hitting the iteration cap logs a [Robust] warning; use
     {!decompose_info} or {!decompose_checked} to observe it structurally. *)
 
-val decompose_info :
-  ?method_:method_ -> ?max_sweeps:int -> ?eps:float -> Mat.t -> t * info
+val decompose_info : ?max_sweeps:int -> ?eps:float -> Mat.t -> t * info
 (** Same computation, plus the convergence record — the legacy-API view of
     the iteration cap. *)
 
 val decompose_checked :
-  ?stage:string ->
-  ?method_:method_ ->
-  ?max_sweeps:int ->
-  ?eps:float ->
-  Mat.t ->
-  (t, Robust.failure) result
+  ?stage:string -> ?max_sweeps:int -> ?eps:float -> Mat.t -> (t, Robust.failure) result
 (** Guarded variant: [Error Non_finite] on a NaN/Inf input, [Error
     Not_converged] when the iteration cap is hit.  [stage] (default
     ["eigen"]) labels the failure for attribution. *)

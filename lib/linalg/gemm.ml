@@ -1,31 +1,12 @@
 (* Packed, register-blocked GEMM core — see DESIGN.md §10.
 
-   Accumulation contract (shared with the naive oracle loops in Mat): every
+   Accumulation contract (shared with Mat's small-product loops): every
    output cell is the IEEE-754 sum of its k products taken one at a time in
    ascending-k order, starting from +0., with no zero skips and no FMA.
    Packing, register tiling, cache blocking and pool partitioning only
    reorder which *cells* are computed when — never the order of terms
    within a cell — so any blocking parameters and any pool size produce
    bitwise-identical results. *)
-
-type impl = [ `Microkernel | `Naive ]
-
-(* TCCA_GEMM selects the default implementation: "naive" restores the
-   straightforward loops everywhere, anything else (or unset) the packed
-   microkernel.  Read once — the implementation is part of a run's
-   determinism story and must not flip mid-process (same discipline as
-   TCCA_EIG). *)
-let impl_of_env = function
-  | Some s when String.lowercase_ascii (String.trim s) = "naive" -> `Naive
-  | Some _ | None -> `Microkernel
-
-let default_impl_memo = lazy (impl_of_env (Sys.getenv_opt "TCCA_GEMM"))
-let default_impl () = Lazy.force default_impl_memo
-
-let selected : impl option ref = ref None
-let impl () = match !selected with Some i -> i | None -> default_impl ()
-let set_impl i = selected := Some i
-let reset_impl () = selected := None
 
 (* ------------------------------------------------------------------ *)
 (* Blocking parameters.
@@ -48,7 +29,7 @@ let mc = 128
 let nc = 1024
 
 (* Below this many flops (2·m·n·k) the packing walk costs more than it
-   saves; Mat routes such products to the naive loops (bitwise-identical by
+   saves; Mat routes such products to its plain loops (bitwise-identical by
    the accumulation contract, so the switch is invisible).  Crossover
    measured on the CP-ALS factor shapes (r≈8): tiny d×r products lose,
    d≈32³ products already win. *)

@@ -23,26 +23,8 @@
     change {e which cells} are in flight at a time — never the order of
     terms within a cell — so the result is bitwise identical for any
     blocking parameters, any pool size (including the sequential fallback),
-    and bitwise identical to the straightforward naive loops kept in [Mat]
-    as the reference oracle.  See DESIGN.md §10. *)
-
-type impl = [ `Microkernel | `Naive ]
-
-val default_impl : unit -> impl
-(** Resolved once from the [TCCA_GEMM] environment variable: ["naive"]
-    selects the straightforward reference loops everywhere, anything else
-    (or unset) the packed microkernel.  Mirrors [TCCA_EIG]. *)
-
-val impl : unit -> impl
-(** Currently selected implementation ({!set_impl} wins over the
-    environment default). *)
-
-val set_impl : impl -> unit
-(** Override the implementation — test hook for the microkernel-vs-naive
-    equivalence suites. *)
-
-val reset_impl : unit -> unit
-(** Drop the {!set_impl} override and fall back to {!default_impl}. *)
+    and bitwise identical to the plain loops [Mat] runs for products below
+    {!small_cutoff}.  See DESIGN.md §10. *)
 
 (** {2 Blocking parameters} *)
 
@@ -54,13 +36,14 @@ val nr : int
 (** Register-tile columns. *)
 
 val small_cutoff : unit -> int
-(** Products with fewer than this many flops (2·m·n·k) run the naive loops
-    even under [`Microkernel] — packing overhead dominates tiny GEMMs (the
-    r≈8 factor updates of CP-ALS).  Bitwise invisible: both paths obey the
-    accumulation contract. *)
+(** Products with fewer than this many flops (2·m·n·k) run [Mat]'s plain
+    loops instead of the microkernel — packing overhead dominates tiny
+    GEMMs (the r≈8 factor updates of CP-ALS).  Bitwise invisible: both
+    routes obey the accumulation contract. *)
 
 val set_small_cutoff : int -> unit
-(** Test hook (set 0 to force the microkernel on tiny shapes). *)
+(** The only route hook, for tests: [max_int] runs the plain loops on
+    every shape, [0] the microkernel on every shape. *)
 
 (** {2 Kernels}
 

@@ -116,16 +116,17 @@ let add_scaled_identity eps a =
    mul_nt / gram / tgram) obey one accumulation contract: every output cell
    is the IEEE-754 sum of its k products taken in ascending-k order,
    starting from +0., with no zero skips and no FMA (see DESIGN.md §10).
-   Two implementations honour it bitwise — the packed register-blocked
-   microkernel in [Gemm] (the default) and the straightforward loops below,
-   retained as the selectable reference oracle (TCCA_GEMM=naive, mirroring
-   TCCA_EIG=jacobi).  Both row-partition the output across the domain pool;
-   because cells never share accumulators, any partition is bitwise
-   identical to the sequential run.  Everything downstream (whitening, the
-   covariance tensor, MTTKRP, kernels, RLS) funnels through these. *)
+   Each product takes one route, chosen from its flop count: the packed
+   register-blocked microkernel in [Gemm], or — below
+   [Gemm.small_cutoff ()] flops, where packing costs more than it saves —
+   the plain loops below.  Both honour the contract bitwise and
+   row-partition the output across the domain pool; because cells never
+   share accumulators, any partition is bitwise identical to the
+   sequential run.  Everything downstream (whitening, the covariance
+   tensor, MTTKRP, kernels, RLS) funnels through these. *)
 let mul_tile = 64
 
-let naive_mul_into a b c =
+let small_mul_into a b c =
   let m = a.rows and n = b.cols and k = a.cols in
   let ad = a.data and bd = b.data in
   let row_band lo hi =
@@ -151,12 +152,7 @@ let naive_mul_into a b c =
   in
   Parallel.parallel_for ~cost:(m * n * k) ~n:m row_band
 
-(* Microkernel unless the oracle is selected or the product is too small to
-   amortize packing — all bitwise-equivalent routes. *)
-let use_microkernel ~flops =
-  match Gemm.impl () with
-  | `Naive -> false
-  | `Microkernel -> flops >= Gemm.small_cutoff ()
+let use_microkernel ~flops = flops >= Gemm.small_cutoff ()
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: inner dimension mismatch";
@@ -164,7 +160,7 @@ let mul a b =
   let c = Array.make (m * n) 0. in
   if use_microkernel ~flops:(2 * m * n * k) then
     Gemm.gemm ~ta:false ~tb:false ~m ~n ~k ~a:a.data ~b:b.data c
-  else naive_mul_into a b c;
+  else small_mul_into a b c;
   { rows = m; cols = n; data = c }
 
 let mul_vec a x =
@@ -201,7 +197,7 @@ let mirror_lower n c =
     done
   done
 
-let naive_gram_into a c =
+let small_gram_into a c =
   (* a aᵀ: each pool chunk owns a band of output rows and fills its slice of
      the upper triangle with ascending-l dot products (cells are
      independent, so partitioning is trivially deterministic). *)
@@ -224,11 +220,11 @@ let gram a =
   let m = a.rows and k = a.cols in
   let c = Array.make (m * m) 0. in
   if use_microkernel ~flops:(m * (m + 1) * k) then Gemm.syrk ~ta:false ~n:m ~k ~a:a.data c
-  else naive_gram_into a c;
+  else small_gram_into a c;
   mirror_lower m c;
   { rows = m; cols = m; data = c }
 
-let naive_tgram_into a c =
+let small_tgram_into a c =
   (* aᵀ a accumulated row-by-row of [a]: cache-friendly and symmetric.  Pool
      chunks own bands of output rows [i]; every chunk walks all rows [l] of
      [a] in order, so each upper-triangle cell accumulates in ascending-[l]
@@ -254,11 +250,11 @@ let tgram a =
   let c = Array.make (n * n) 0. in
   if use_microkernel ~flops:(n * (n + 1) * a.rows) then
     Gemm.syrk ~ta:true ~n ~k:a.rows ~a:a.data c
-  else naive_tgram_into a c;
+  else small_tgram_into a c;
   mirror_lower n c;
   { rows = n; cols = n; data = c }
 
-let naive_mul_tn_into a b c =
+let small_mul_tn_into a b c =
   let m = a.cols and n = b.cols in
   let rows = a.rows in
   let ad = a.data and bd = b.data in
@@ -284,10 +280,10 @@ let mul_tn a b =
   let c = Array.make (m * n) 0. in
   if use_microkernel ~flops:(2 * m * n * k) then
     Gemm.gemm ~ta:true ~tb:false ~m ~n ~k ~a:a.data ~b:b.data c
-  else naive_mul_tn_into a b c;
+  else small_mul_tn_into a b c;
   { rows = m; cols = n; data = c }
 
-let naive_mul_nt_into a b c =
+let small_mul_nt_into a b c =
   let m = a.rows and n = b.rows and k = a.cols in
   let ad = a.data and bd = b.data in
   Parallel.parallel_for ~cost:(m * n * k) ~n:m (fun lo hi ->
@@ -307,11 +303,11 @@ let mul_nt_into a b c =
   if a.cols <> b.cols || c.rows <> a.rows || c.cols <> b.rows then
     invalid_arg "Mat.mul_nt: dimension mismatch";
   let m = a.rows and n = b.rows and k = a.cols in
-  (* The naive loops add into [c]. *)
+  (* The small-product loops add into [c]. *)
   Array.fill c.data 0 (m * n) 0.;
   if use_microkernel ~flops:(2 * m * n * k) then
     Gemm.gemm ~ta:false ~tb:true ~m ~n ~k ~a:a.data ~b:b.data c.data
-  else naive_mul_nt_into a b c.data
+  else small_mul_nt_into a b c.data
 
 let mul_nt a b =
   let c = create a.rows b.rows in

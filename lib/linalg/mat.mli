@@ -67,12 +67,12 @@ val add_scaled_identity : float -> t -> t
 
 val mul : t -> t -> t
 (** Matrix product.  Runs on the packed register-blocked microkernel
-    ({!Gemm}) by default, or on the straightforward reference loops when
-    [TCCA_GEMM=naive] (or for products too small to amortize packing);
-    every route obeys the same per-cell ascending-k accumulation contract,
-    so all of them — at any pool size, including the sequential fallback —
-    are bitwise identical.  Row-partitioned across the [Parallel] domain
-    pool.  See DESIGN.md §10. *)
+    ({!Gemm}), or on plain loops for products below {!Gemm.small_cutoff}
+    flops, too small to amortize packing; both routes obey the same
+    per-cell ascending-k accumulation contract, so they — at any pool size,
+    including the sequential fallback — are bitwise identical.
+    Row-partitioned across the [Parallel] domain pool.  See DESIGN.md
+    §10. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 val tmul_vec : t -> Vec.t -> Vec.t

@@ -1,10 +1,10 @@
-let apply_spectral ?method_ f a =
-  let { Eigen.values; vectors } = Eigen.decompose ?method_ a in
+let apply_spectral f a =
+  let { Eigen.values; vectors } = Eigen.decompose a in
   let n, k = Mat.dims vectors in
   let scaled = Mat.init n k (fun i j -> Mat.get vectors i j *. f values.(j)) in
   Mat.mul_nt scaled vectors
 
-let sqrt_psd ?method_ a = apply_spectral ?method_ (fun l -> sqrt (Float.max l 0.)) a
+let sqrt_psd a = apply_spectral (fun l -> sqrt (Float.max l 0.)) a
 
 let inv_sqrt_of_eig ?floor { Eigen.values; vectors } =
   let lmax = Float.max values.(0) 0. in
@@ -15,10 +15,10 @@ let inv_sqrt_of_eig ?floor { Eigen.values; vectors } =
   in
   Mat.mul_nt scaled vectors
 
-let inv_sqrt_psd ?floor ?method_ a = inv_sqrt_of_eig ?floor (Eigen.decompose ?method_ a)
+let inv_sqrt_psd ?floor a = inv_sqrt_of_eig ?floor (Eigen.decompose a)
 
-let inv_sqrt_psd_checked ?floor ?(shift = 0.) ?method_ ~stage a =
-  match Eigen.decompose_checked ~stage ?method_ a with
+let inv_sqrt_psd_checked ?floor ?(shift = 0.) ~stage a =
+  match Eigen.decompose_checked ~stage a with
   | Error e -> Error e
   | Ok eig ->
     let w = inv_sqrt_of_eig ?floor eig in
@@ -38,8 +38,8 @@ let inv_sqrt_psd_checked ?floor ?(shift = 0.) ?method_ ~stage a =
       Ok (w, rank)
     end
 
-let inv_psd ?floor ?method_ a =
-  let { Eigen.values; vectors } = Eigen.decompose ?method_ a in
+let inv_psd ?floor a =
+  let { Eigen.values; vectors } = Eigen.decompose a in
   let lmax = Float.max values.(0) 0. in
   let fl = match floor with Some f -> f | None -> 1e-12 *. Float.max lmax 1. in
   let n, k = Mat.dims vectors in

@@ -4,16 +4,14 @@
     covariance tensor with [C̃pp^{-1/2}] (Eq. 4.9), computed spectrally as
     [V diag(λᵢ^{-1/2}) Vᵀ].
 
-    Every spectral function takes an optional [?method_] forwarded to
-    {!Eigen.decompose}, defaulting to {!Eigen.default_method} — so the
-    whitening hot path rides the two-stage tridiagonal solver unless
-    [TCCA_EIG=jacobi] pins the legacy numerics. *)
+    Every spectral function runs on {!Eigen.decompose}, the two-stage
+    tridiagonal solver. *)
 
-val sqrt_psd : ?method_:Eigen.method_ -> Mat.t -> Mat.t
+val sqrt_psd : Mat.t -> Mat.t
 (** Symmetric square root; negative eigenvalues from roundoff are clamped
     to 0. *)
 
-val inv_sqrt_psd : ?floor:float -> ?method_:Eigen.method_ -> Mat.t -> Mat.t
+val inv_sqrt_psd : ?floor:float -> Mat.t -> Mat.t
 (** Symmetric inverse square root.  Eigenvalues below [floor] (default
     [1e-12] × λ_max) are treated as [floor], making the result a regularized
     pseudo-inverse square root for rank-deficient inputs. *)
@@ -21,7 +19,6 @@ val inv_sqrt_psd : ?floor:float -> ?method_:Eigen.method_ -> Mat.t -> Mat.t
 val inv_sqrt_psd_checked :
   ?floor:float ->
   ?shift:float ->
-  ?method_:Eigen.method_ ->
   stage:string ->
   Mat.t ->
   (Mat.t * int, Robust.failure) result
@@ -33,12 +30,12 @@ val inv_sqrt_psd_checked :
     covariance is reported (eigenvalues within [1e-9·λmax] of the shift
     don't count).  [stage] labels any failure for attribution. *)
 
-val inv_psd : ?floor:float -> ?method_:Eigen.method_ -> Mat.t -> Mat.t
+val inv_psd : ?floor:float -> Mat.t -> Mat.t
 (** Symmetric (pseudo-)inverse through the spectrum. *)
 
 val pinv : ?tol:float -> Mat.t -> Mat.t
 (** Moore–Penrose pseudo-inverse of any rectangular matrix via SVD;
     singular values below [tol·σ₀] (default [1e-12]) are dropped. *)
 
-val apply_spectral : ?method_:Eigen.method_ -> (float -> float) -> Mat.t -> Mat.t
+val apply_spectral : (float -> float) -> Mat.t -> Mat.t
 (** [apply_spectral f a = V diag(f λᵢ) Vᵀ] for symmetric [a]. *)

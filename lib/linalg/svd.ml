@@ -139,12 +139,7 @@ let decompose_info ?(method_ = `Auto) ?max_sweeps ?eps a =
     match method_ with
     | `Jacobi -> false
     | `Qr_eig -> true
-    | `Auto -> (
-        (* TCCA_EIG=jacobi restores the full legacy numerics, including
-           one-sided-Jacobi SVD for every shape. *)
-        match Eigen.default_method () with
-        | `Jacobi -> false
-        | `Tridiagonal -> cols > 0 && rows >= tall_ratio * cols)
+    | `Auto -> cols > 0 && rows >= tall_ratio * cols
   in
   let m, n = Mat.dims a in
   if m >= n then

@@ -31,11 +31,10 @@ type info = {
 
 type method_ = [ `Auto | `Jacobi | `Qr_eig ]
 (** [`Auto] (default) routes tall inputs ([max_dim ≥ 3 · min_dim]) through
-    QR + symmetric eig and everything else through one-sided Jacobi — unless
-    [TCCA_EIG=jacobi] pinned the legacy numerics process-wide, in which case
-    every shape stays on Jacobi.  [`Jacobi] and [`Qr_eig] force a route
+    QR + symmetric eig and everything else through one-sided Jacobi, chosen
+    from the aspect ratio alone.  [`Jacobi] and [`Qr_eig] force a route
     ([`Qr_eig] works for any shape; the wide case is handled by transposing
-    first). *)
+    first) — the tests use them to check one route against the other. *)
 
 val decompose : ?method_:method_ -> ?max_sweeps:int -> ?eps:float -> Mat.t -> t
 (** Thin SVD of any rectangular matrix.  Hitting the sweep cap logs a

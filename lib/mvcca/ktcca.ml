@@ -168,16 +168,6 @@ let nystrom_raw_checked ~center ~rank ~tol oracles =
         raw_centered = center }
   with Robust.Error e -> Error e
 
-let prepare_raw_oracles_checked ?(center = true) ~approx oracles =
-  match approx with
-  | Exact -> invalid_arg "Ktcca.prepare_raw_oracles: oracles require a `Nystrom` approx"
-  | Nystrom { rank; tol } -> nystrom_raw_checked ~center ~rank ~tol oracles
-
-let prepare_raw_oracles ?center ~approx oracles =
-  match prepare_raw_oracles_checked ?center ~approx oracles with
-  | Ok raw -> raw
-  | Error e -> Robust.fail e
-
 let prepare_raw_checked ?center ?materialize ?(approx = Exact) kernels_raw =
   match approx with
   | Exact -> Ok (prepare_raw_exact ?center ?materialize kernels_raw)
@@ -340,15 +330,13 @@ let prepare_of_raw ?materialize ~eps raw =
 let prepare ?(eps = 1e-4) ?center ?materialize ?approx kernels_raw =
   prepare_of_raw ?materialize ~eps (prepare_raw ?center ?materialize ?approx kernels_raw)
 
-let prepare_checked ?(eps = 1e-4) ?center ?materialize ?approx kernels_raw =
-  match prepare_raw_checked ?center ?materialize ?approx kernels_raw with
-  | Error e -> Error e
-  | Ok raw -> prepare_of_raw_checked ?materialize ~eps raw
-
-let prepare_oracles_checked ?(eps = 1e-4) ?center ?materialize ~approx oracles =
-  match prepare_raw_oracles_checked ?center ~approx oracles with
-  | Error e -> Error e
-  | Ok raw -> prepare_of_raw_checked ?materialize ~eps raw
+let prepare_oracles_checked ?(eps = 1e-4) ?(center = true) ?materialize ~approx oracles =
+  let raw =
+    match approx with
+    | Exact -> invalid_arg "Ktcca.prepare_oracles: oracles require a `Nystrom` approx"
+    | Nystrom { rank; tol } -> nystrom_raw_checked ~center ~rank ~tol oracles
+  in
+  match raw with Error e -> Error e | Ok raw -> prepare_of_raw_checked ?materialize ~eps raw
 
 let prepare_oracles ?eps ?center ?materialize ~approx oracles =
   match prepare_oracles_checked ?eps ?center ?materialize ~approx oracles with
@@ -448,9 +436,12 @@ let fit_prepared ?solver ?budget ?checkpoint ~r prepared =
 
 let fit_checked ?(eps = 1e-4) ?center ?materialize ?approx ?solver ?budget ?checkpoint ~r
     kernels_raw =
-  match prepare_checked ~eps ?center ?materialize ?approx kernels_raw with
+  match prepare_raw_checked ?center ?materialize ?approx kernels_raw with
   | Error e -> Error e
-  | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared
+  | Ok raw -> (
+    match prepare_of_raw_checked ?materialize ~eps raw with
+    | Error e -> Error e
+    | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared)
 
 let fit ?eps ?center ?materialize ?approx ?solver ?budget ?checkpoint ~r kernels_raw =
   fit_prepared ?solver ?budget ?checkpoint ~r

@@ -120,30 +120,6 @@ val fit_prepared :
     on the whitened operator and the dual weights; ALS failures restart
     inside [Cp_als] first. *)
 
-val prepare_checked :
-  ?eps:float ->
-  ?center:bool ->
-  ?materialize:bool ->
-  ?approx:approx ->
-  Mat.t array ->
-  (prepared, Robust.failure) result
-
-val prepare_oracles_checked :
-  ?eps:float ->
-  ?center:bool ->
-  ?materialize:bool ->
-  approx:approx ->
-  Pchol.oracle array ->
-  (prepared, Robust.failure) result
-
-val fit_prepared_checked :
-  ?solver:Tcca.solver ->
-  ?budget:Budget.t ->
-  ?checkpoint:Checkpoint.config ->
-  r:int ->
-  prepared ->
-  (t, Robust.failure) result
-
 val fit_checked :
   ?eps:float ->
   ?center:bool ->
@@ -189,19 +165,7 @@ type raw
 val prepare_raw :
   ?center:bool -> ?materialize:bool -> ?approx:approx -> Mat.t array -> raw
 
-val prepare_raw_checked :
-  ?center:bool -> ?materialize:bool -> ?approx:approx -> Mat.t array ->
-  (raw, Robust.failure) result
-
-val prepare_raw_oracles : ?center:bool -> approx:approx -> Pchol.oracle array -> raw
-
-val prepare_raw_oracles_checked :
-  ?center:bool -> approx:approx -> Pchol.oracle array -> (raw, Robust.failure) result
-
 val prepare_of_raw : ?materialize:bool -> eps:float -> raw -> prepared
-
-val prepare_of_raw_checked :
-  ?materialize:bool -> eps:float -> raw -> (prepared, Robust.failure) result
 
 val r : t -> int
 val n_views : t -> int

@@ -38,11 +38,12 @@ let whiteners ~eps views =
     views
 
 (* Whitening ladder.  Attempt 0 is bit-for-bit the historical
-   [inv_sqrt_psd (cov + eps·I)]; a Jacobi sweep-cap escalates the ridge
-   geometrically (eps·10ᵏ) — a better-conditioned target — before surfacing
-   the failure.  Rank is measured against the ridge actually added, so a
-   covariance that carries no information at all (numerical rank 0) is a
-   [Rank_deficient] failure rather than a whitener made of pure ridge.
+   [inv_sqrt_psd (cov + eps·I)]; an eigensolver iteration cap escalates the
+   ridge geometrically (eps·10ᵏ) — a better-conditioned target — before
+   surfacing the failure.  Rank is measured against the ridge actually
+   added, so a covariance that carries no information at all (numerical
+   rank 0) is a [Rank_deficient] failure rather than a whitener made of
+   pure ridge.
 
    With a shrinkage regularizer active ([shift0 = ρ·μ > 0]), the shrunk
    covariance replaces the bare ridge as the first rung: attempt 0 adds no
@@ -332,9 +333,6 @@ let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
 let prepare_of_raw ?whiten ~eps raw =
   match prepare_of_raw_checked ?whiten ~eps raw with Ok p -> p | Error e -> Robust.fail e
 
-let prepare_checked ?(eps = 1e-2) ?materialize ?shrinkage ?whiten views =
-  prepare_of_raw_checked ?whiten ~eps (prepare_raw ?materialize ?shrinkage views)
-
 let prepare ?(eps = 1e-2) ?materialize ?shrinkage ?whiten views =
   prepare_of_raw ?whiten ~eps (prepare_raw ?materialize ?shrinkage views)
 
@@ -584,7 +582,7 @@ let fit_prepared ?solver ?budget ?checkpoint ~r prepared =
 
 let fit_checked ?(eps = 1e-2) ?materialize ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r
     views =
-  match prepare_checked ~eps ?materialize ?shrinkage ?whiten views with
+  match prepare_of_raw_checked ?whiten ~eps (prepare_raw ?materialize ?shrinkage views) with
   | Error e -> Error e
   | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared
 

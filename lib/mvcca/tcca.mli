@@ -116,17 +116,13 @@ val fit_prepared :
     [Robust.Error] in exactly those situations.  On healthy inputs the two
     are bit-for-bit identical (the escalation ladders' first attempt is the
     historical arithmetic).  Guardrails on the path: per-view whitening
-    retries a geometric ridge schedule (ε·10ᵏ, up to 4 attempts) on a Jacobi
-    sweep-cap and reports the covariance's numerical rank
+    retries a geometric ridge schedule (ε·10ᵏ, up to 4 attempts) on an
+    eigensolver iteration cap and reports the covariance's numerical rank
     ([Rank_deficient] when 0, a logged warning when merely deficient);
     NaN/Inf are caught at stage boundaries (inputs, the whitened operator,
     projections); ALS failures (non-finite fit, swamp) restart
     deterministically inside {!Cp_als} and surface only when restarts are
     exhausted.  Recovered events land in [Robust.recent_warnings]. *)
-
-val prepare_checked :
-  ?eps:float -> ?materialize:bool -> ?shrinkage:Shrink.t -> ?whiten:whiten -> Mat.t array ->
-  (prepared, Robust.failure) result
 
 val fit_prepared_checked :
   ?solver:solver ->

@@ -83,16 +83,19 @@ module Wire = struct
       add_int b v
 
   (* Decoding: a cursor over the payload; any overrun or bad tag raises
-     [Decode], which framed loaders surface as [Corrupt]. *)
+     [Decode], which framed loaders surface as [Corrupt].  Every length and
+     count is checked against the bytes left before anything is allocated
+     or sliced, in a form that cannot overflow, so a crafted payload
+     allocates O(payload bytes) at most. *)
 
   exception Decode of string
 
   type cursor = { s : string; mutable pos : int }
 
   let cursor s = { s; pos = 0 }
+  let remaining c = String.length c.s - c.pos
 
-  let need c n =
-    if c.pos + n > String.length c.s then raise (Decode "field overruns payload")
+  let need c n = if n < 0 || n > remaining c then raise (Decode "field overruns payload")
 
   let get_i64 c =
     need c 8;
@@ -116,22 +119,38 @@ module Wire = struct
   let get_bool c =
     match get_int c with 0 -> false | 1 -> true | _ -> raise (Decode "bad bool tag")
 
+  let get_count c ~min_bytes what =
+    let n = get_nat c what in
+    if n > remaining c / min_bytes then raise (Decode (what ^ " overruns payload"));
+    n
+
   let get_string c =
-    let n = get_nat c "string length" in
-    need c n;
+    let n = get_count c ~min_bytes:1 "string length" in
     let s = String.sub c.s c.pos n in
     c.pos <- c.pos + n;
     s
 
   let get_f_array c =
-    let n = get_nat c "array length" in
-    need c (8 * n);
+    let n = get_count c ~min_bytes:8 "array length" in
     let a =
       Array.init n (fun i ->
           Int64.float_of_bits (String.get_int64_le c.s (c.pos + (8 * i))))
     in
     c.pos <- c.pos + (8 * n);
     a
+
+  let get_shape c what =
+    let dim () =
+      let v = get_int c in
+      if v < 0 || v > String.length c.s then raise (Decode (what ^ " dimension out of range"));
+      v
+    in
+    let rows = dim () in
+    let cols = dim () in
+    let data = get_f_array c in
+    if (cols > 0 && rows > max_int / cols) || rows * cols <> Array.length data then
+      raise (Decode (what ^ " shape mismatch"));
+    (rows, cols, data)
 
   let get_int_opt c =
     match get_int c with
@@ -175,8 +194,8 @@ module Wire = struct
         match Int64.unsigned_to_int len64 with
         | None -> Error (Corrupt "absurd payload length")
         | Some len ->
-          if String.length s < header_bytes + len then Error Truncated
-          else if String.length s > header_bytes + len then
+          if len > String.length s - header_bytes then Error Truncated
+          else if len < String.length s - header_bytes then
             Error (Corrupt "trailing bytes after payload")
           else
             let payload = String.sub s header_bytes len in
@@ -374,10 +393,7 @@ let get_failure c =
   | _ -> raise (Decode "bad failure tag")
 
 let get_factor c =
-  let rows = get_nat c "factor rows" in
-  let cols = get_nat c "factor cols" in
-  let data = get_f_array c in
-  if Array.length data <> rows * cols then raise (Decode "factor shape mismatch");
+  let rows, cols, data = get_shape c "factor" in
   { rows; cols; data }
 
 let get_run_state c =
@@ -389,7 +405,7 @@ let get_run_state c =
   let rs_converged = get_bool c in
   let rs_failure = get_failure c in
   let rs_weights = get_f_array c in
-  let n_factors = get_nat c "factor count" in
+  let n_factors = get_count c ~min_bytes:24 "factor count" in
   let rs_factors = Array.init n_factors (fun _ -> get_factor c) in
   let rs_history = get_f_array c in
   { rs_init_random;
@@ -408,7 +424,8 @@ let decode_payload s =
   let fingerprint = get_string c in
   let domains = get_nat c "domains" in
   let attempt = get_nat c "attempt" in
-  let n_completed = get_nat c "completed count" in
+  (* A run state's fixed fields alone take ten 8-byte words. *)
+  let n_completed = get_count c ~min_bytes:80 "completed count" in
   let completed = List.init n_completed (fun _ -> get_run_state c) in
   let current = get_run_state c in
   expect_end c;

@@ -135,10 +135,22 @@ module Wire : sig
   (** [get_nat c what] reads an int and raises {!Decode} if negative;
       [what] names the field in the error. *)
 
+  val get_count : cursor -> min_bytes:int -> string -> int
+  (** [get_count c ~min_bytes what] reads the length or count of a
+      sequence whose items take at least [min_bytes] bytes each, and raises
+      {!Decode} unless that many items fit in the bytes left — so a decoder
+      never allocates for items the payload cannot hold. *)
+
   val get_f64 : cursor -> float
   val get_bool : cursor -> bool
   val get_string : cursor -> string
   val get_f_array : cursor -> float array
+
+  val get_shape : cursor -> string -> int * int * float array
+  (** [get_shape c what] reads a [rows], [cols] header and its row-major
+      data; raises {!Decode} when a dimension exceeds the payload length or
+      [rows·cols] overflows or differs from the data length. *)
+
   val get_int_opt : cursor -> int option
 
   val expect_end : cursor -> unit

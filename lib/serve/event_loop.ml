@@ -81,13 +81,18 @@ let bad_request message = Protocol.R_error { code = "bad-request"; message }
    queue, drained later this same iteration, so ordering is uniform. *)
 let handle_frame t (c : Conn.t) body =
   let seq = Conn.begin_request c in
-  match Protocol.request_of_string body with
-  | Error msg ->
-    (* The stream itself is fine (framing held) but the body is garbage:
-       answer typed, then close — same contract as the blocking server. *)
+  (* The stream itself is fine (framing held) but the body is garbage:
+     answer typed, then close — same contract as the blocking server. *)
+  let refuse msg =
     c.closing <- true;
     Conn.complete c seq (bad_request msg)
+  in
+  match Protocol.request_of_string body with
+  | Error msg -> refuse msg
   | Ok req -> Server.submit t.server req (fun resp -> post t c seq resp)
+  (* The decoder is total; should that ever break, one bad frame still
+     costs its connection, never the reactor. *)
+  | exception e -> refuse ("undecodable request: " ^ Printexc.to_string e)
 
 let pump_decoder t (c : Conn.t) =
   let rec go () =
@@ -255,8 +260,6 @@ let run t ~listen fds =
 let serve_fds server fds =
   let t = create server in
   Fun.protect ~finally:(fun () -> destroy t) (fun () -> run t ~listen:None fds)
-
-let serve_connection server fd = serve_fds server [ fd ]
 
 let serve_forever server addr =
   let domain = Unix.domain_of_sockaddr addr in

@@ -23,16 +23,13 @@
     poll tick, flushes in-flight responses (up to a 5 s grace), and shuts
     the engine down. *)
 
-val serve_connection : Server.t -> Unix.file_descr -> unit
-(** Serve one already-connected socket until the peer closes, stalls
-    mid-frame past [io_timeout_s], or poisons the stream (garbage gets a
-    typed ["bad-request"] reply first, oversize frames likewise).  Closes
-    the descriptor; never raises.  (A private reactor for one fd — the
-    test/bench harness's entry point.) *)
-
 val serve_fds : Server.t -> Unix.file_descr list -> unit
-(** One reactor serving several already-connected sockets until all have
-    closed — the multi-connection in-process harness. *)
+(** One private reactor serving already-connected sockets — the in-process
+    test/bench harness's entry point.  Each connection is served until the
+    peer closes, stalls mid-frame past [io_timeout_s], or poisons the
+    stream: a body that does not decode gets a typed ["bad-request"] reply
+    first, an oversize frame likewise.  Every descriptor is closed when its
+    connection ends; returns once all have, and never raises. *)
 
 val serve_forever : Server.t -> Unix.sockaddr -> unit
 (** Daemon main: bind + listen + accept into the reactor until

@@ -8,28 +8,17 @@ let add_vec_array b vs =
   Array.iter (Wire.add_f_array b) vs
 
 let get_vec_array c =
-  let n = Wire.get_nat c "vector count" in
+  let n = Wire.get_count c ~min_bytes:8 "vector count" in
   Array.init n (fun _ -> Wire.get_f_array c)
-
-let add_mat b (m : Mat.t) =
-  Wire.add_int b m.Mat.rows;
-  Wire.add_int b m.Mat.cols;
-  Wire.add_f_array b m.Mat.data
-
-let get_mat c =
-  let rows = Wire.get_nat c "mat rows" in
-  let cols = Wire.get_nat c "mat cols" in
-  let data = Wire.get_f_array c in
-  if Array.length data <> rows * cols then raise (Wire.Decode "mat shape mismatch");
-  Mat.unsafe_of_flat ~rows ~cols data
 
 let add_mat_array b ms =
   Wire.add_int b (Array.length ms);
-  Array.iter (add_mat b) ms
+  Array.iter (Protocol.add_mat b) ms
 
 let get_mat_array c =
-  let n = Wire.get_nat c "matrix count" in
-  Array.init n (fun _ -> get_mat c)
+  (* An encoded matrix takes at least its three header words. *)
+  let n = Wire.get_count c ~min_bytes:24 "matrix count" in
+  Array.init n (fun _ -> Protocol.get_mat c)
 
 let encode_parts (p : Tcca.parts) =
   let b = Buffer.create 4096 in

@@ -81,10 +81,7 @@ let add_mat b (m : Mat.t) =
   Wire.add_f_array b m.Mat.data
 
 let get_mat c =
-  let rows = Wire.get_nat c "mat rows" in
-  let cols = Wire.get_nat c "mat cols" in
-  let data = Wire.get_f_array c in
-  if Array.length data <> rows * cols then raise (Wire.Decode "mat shape mismatch");
+  let rows, cols, data = Wire.get_shape c "mat" in
   Mat.unsafe_of_flat ~rows ~cols data
 
 let add_views b views =
@@ -92,7 +89,8 @@ let add_views b views =
   Array.iter (add_mat b) views
 
 let get_views c =
-  let n = Wire.get_nat c "view count" in
+  (* An encoded matrix takes at least its three header words. *)
+  let n = Wire.get_count c ~min_bytes:24 "view count" in
   Array.init n (fun _ -> get_mat c)
 
 let add_int_array b a =
@@ -100,7 +98,7 @@ let add_int_array b a =
   Array.iter (Wire.add_int b) a
 
 let get_int_array c =
-  let n = Wire.get_nat c "int array length" in
+  let n = Wire.get_count c ~min_bytes:8 "int array length" in
   Array.init n (fun _ -> Wire.get_int c)
 
 (* The wire-compat probe: a PR-8 frame ends exactly where the old body
@@ -351,7 +349,8 @@ let response_of_cursor c =
       let retry_after_ms = Wire.get_nat c "retry-after" in
       R_unavailable { model_id; retry_after_ms }
     | 9 ->
-      let n = Wire.get_nat c "model count" in
+      (* A model_info is five words. *)
+      let n = Wire.get_count c ~min_bytes:40 "model count" in
       R_models (Array.init n (fun _ -> get_model_info c))
     | 10 -> R_model_health (get_model_health c)
     | _ -> raise (Wire.Decode "bad response tag")

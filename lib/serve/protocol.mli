@@ -118,9 +118,25 @@ val max_frame_bytes : int
 (** Refusal threshold for a single frame (64 MiB). *)
 
 val request_to_string : request -> string
+
 val request_of_string : string -> (request, string) result
+(** Total: any byte string decodes to [Ok] or [Error] and never raises.
+    Every length and count is bounded by the bytes left, so a crafted body
+    allocates no more than a small multiple of its own size. *)
+
 val response_to_string : response -> string
+
 val response_of_string : string -> (response, string) result
+(** Total, like {!request_of_string}. *)
+
+(** {2 Matrix codec}
+
+    Shared with the [.tccm] model files ({!Model_store}). *)
+
+val add_mat : Buffer.t -> Mat.t -> unit
+
+val get_mat : Checkpoint.Wire.cursor -> Mat.t
+(** Raises [Checkpoint.Wire.Decode] on a malformed or truncated matrix. *)
 
 (** {2 Incremental decoding (reactor read path)}
 

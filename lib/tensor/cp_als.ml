@@ -35,10 +35,6 @@ type info = {
   runs : run list;
 }
 
-(* The dense kernel lives in Op_tensor (shared with the factored operator);
-   this alias keeps the historical entry point for tests and benches. *)
-let mttkrp (x : Tensor.t) us k = Op_tensor.mttkrp (Op_tensor.Dense x) us k
-
 (* Solve U Γ = V for U with Γ symmetric PSD: Cholesky when possible (the
    generic case), spectral pseudo-inverse as the rank-deficient fallback. *)
 let solve_against_gram v gamma =
@@ -339,7 +335,7 @@ let outcome_of_state (rs : Checkpoint.run_state) =
 
 let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ?checkpoint
     ~rank op =
-  if rank < 1 then invalid_arg "Cp_als.decompose: rank must be >= 1";
+  if rank < 1 then invalid_arg "Cp_als.decompose_op: rank must be >= 1";
   let checkpoint =
     (* A warm init is the live model's factors — there is no recipe a
        snapshot could replay to recreate it, so resuming such a solve could
@@ -471,6 +467,3 @@ let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ?chec
       failure = best.o_run.run_failure;
       deadline = !deadline;
       runs = List.map (fun o -> o.o_run) ordered } )
-
-let decompose ?options ?budget ?checkpoint ~rank x =
-  decompose_op ?options ?budget ?checkpoint ~rank (Op_tensor.Dense x)

@@ -6,7 +6,9 @@
     Each sweep solves, for every mode k, the linear least-squares problem
     [min ‖X₍ₖ₎ − Uₖ diag(λ) Zₖᵀ‖] with [Zₖ] the Khatri–Rao product of the
     other factors, via the normal equations
-    [Uₖ ← X₍ₖ₎ Zₖ (⊛_{q≠k} UqᵀUq)⁺].
+    [Uₖ ← X₍ₖ₎ Zₖ (⊛_{q≠k} UqᵀUq)⁺].  The one entry point, {!decompose_op},
+    takes the tensor as an [Op_tensor.t], so a materialized tensor
+    ([Op_tensor.Dense]) and a factored operator run the same solver.
 
     {2 Robustness}
 
@@ -100,16 +102,6 @@ type info = {
                                the first run was clean. *)
 }
 
-val decompose :
-  ?options:options ->
-  ?budget:Budget.t ->
-  ?checkpoint:Checkpoint.config ->
-  rank:int ->
-  Tensor.t ->
-  Kruskal.t * info
-(** Raises [Invalid_argument] if [rank < 1].  Equivalent to [decompose_op]
-    on [Op_tensor.Dense]. *)
-
 val decompose_op :
   ?options:options ->
   ?budget:Budget.t ->
@@ -120,9 +112,5 @@ val decompose_op :
 (** The generic solver: every sweep touches the tensor only through
     [Op_tensor.mttkrp] / [norm2] / [mode_gram], so a [Factored] operator is
     decomposed in O(n · Σₚ dₚ · r) per sweep without the ∏ₚ dₚ entries ever
-    existing.  On [Dense] this is bit-for-bit the historical dense solver. *)
-
-val mttkrp : Tensor.t -> Mat.t array -> int -> Mat.t
-(** [mttkrp x us k = X₍ₖ₎ · (⊙_{q≠k} U_q)] — the matricized-tensor times
-    Khatri–Rao product, the hot kernel of a sweep (exposed for benches).
-    Delegates to [Op_tensor.mttkrp] on the dense operator. *)
+    existing.  On [Dense] this is bit-for-bit the historical dense solver.
+    Raises [Invalid_argument] if [rank < 1]. *)

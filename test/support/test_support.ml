@@ -78,18 +78,91 @@ let with_pool size f =
       Parallel.set_sequential_cutoff c0)
     f
 
-(* Run [f] with the GEMM implementation pinned to [impl] and the
-   small-product cutoff at [small_cutoff] (default 0, so the microkernel
-   runs even on tiny shapes); both are restored afterwards. *)
+(* Run [f] with every dense product pinned to one route through the
+   small-product cutoff: [`Naive] sets it to [max_int], so [Mat]'s plain
+   loops run on every shape; [`Microkernel] sets it to [small_cutoff]
+   (default 0, so the packed microkernel runs even on tiny shapes).  The
+   previous cutoff is restored afterwards. *)
 let with_impl ?(small_cutoff = 0) impl f =
   let cutoff = Gemm.small_cutoff () in
-  Gemm.set_impl impl;
-  Gemm.set_small_cutoff small_cutoff;
-  Fun.protect
-    ~finally:(fun () ->
-      Gemm.reset_impl ();
-      Gemm.set_small_cutoff cutoff)
-    f
+  Gemm.set_small_cutoff
+    (match impl with `Naive -> max_int | `Microkernel -> small_cutoff);
+  Fun.protect ~finally:(fun () -> Gemm.set_small_cutoff cutoff) f
+
+(* ------------------------------------------------------------------ *)
+(* Reference eigensolver: cyclic Jacobi.  O(d³) per sweep × 6–10 sweeps,
+   but unconditionally stable and rotation-exact, and it shares no
+   arithmetic with [Eigen.decompose]'s tridiagonal QL — the oracle that
+   solver is property-tested against.  [info.sweeps] counts Jacobi sweeps
+   and [info.residual] is the off-diagonal Frobenius norm of the full
+   rotated matrix. *)
+
+let off_diagonal_norm a =
+  let n, _ = Mat.dims a in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let v = Mat.get a i j in
+      acc := !acc +. (2. *. v *. v)
+    done
+  done;
+  sqrt !acc
+
+let jacobi_eigen ?(max_sweeps = 64) ?(eps = 1e-12) a0 =
+  let n, _ = Mat.dims a0 in
+  (* Work on a symmetrized copy so tiny asymmetries from accumulation don't
+     bias the rotations. *)
+  let a = Mat.init n n (fun i j -> 0.5 *. (Mat.get a0 i j +. Mat.get a0 j i)) in
+  let v = Mat.identity n in
+  let scale = Float.max (Mat.max_abs a) 1e-300 in
+  let threshold = eps *. scale *. float_of_int n in
+  let sweep = ref 0 in
+  let residual = ref (off_diagonal_norm a) in
+  while !residual > threshold && !sweep < max_sweeps do
+    incr sweep;
+    for p = 0 to n - 2 do
+      for q = p + 1 to n - 1 do
+        let apq = Mat.get a p q in
+        if Float.abs apq > eps *. scale /. 1e3 then begin
+          let app = Mat.get a p p and aqq = Mat.get a q q in
+          (* Stable rotation computation (Golub & Van Loan §8.4). *)
+          let theta = (aqq -. app) /. (2. *. apq) in
+          let t =
+            let sign = if theta >= 0. then 1. else -1. in
+            sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.))
+          in
+          let c = 1. /. sqrt ((t *. t) +. 1.) in
+          let s = t *. c in
+          (* A <- Jᵀ A J on rows/cols p,q. *)
+          for k = 0 to n - 1 do
+            let akp = Mat.get a k p and akq = Mat.get a k q in
+            Mat.set a k p ((c *. akp) -. (s *. akq));
+            Mat.set a k q ((s *. akp) +. (c *. akq))
+          done;
+          for k = 0 to n - 1 do
+            let apk = Mat.get a p k and aqk = Mat.get a q k in
+            Mat.set a p k ((c *. apk) -. (s *. aqk));
+            Mat.set a q k ((s *. apk) +. (c *. aqk))
+          done;
+          for k = 0 to n - 1 do
+            let vkp = Mat.get v k p and vkq = Mat.get v k q in
+            Mat.set v k p ((c *. vkp) -. (s *. vkq));
+            Mat.set v k q ((s *. vkp) +. (c *. vkq))
+          done
+        end
+      done
+    done;
+    residual := off_diagonal_norm a
+  done;
+  (* Sort descending by eigenvalue, permuting eigenvector columns along. *)
+  let diag = Mat.diag a in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun i j -> compare diag.(j) diag.(i)) order;
+  (* [<=] (not [<]) so a NaN residual — non-finite input — reads as not
+     converged rather than silently fine. *)
+  ( { Eigen.values = Array.map (fun i -> diag.(i)) order;
+      vectors = Mat.select_cols v order },
+    { Eigen.sweeps = !sweep; residual = !residual; converged = !residual <= threshold } )
 
 (* The historical factored Op_tensor formulas, N×N Hadamards of tgrams:
    the bitwise oracle for the streamed Gram pass. *)

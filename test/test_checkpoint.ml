@@ -378,22 +378,24 @@ let test_resume_mid_restart () =
   (* First run dies at sweep 1 (injected NaN is deterministic per sweep, so
      restarts fail too — giving a 3-run trace to compare). *)
   let uninterrupted =
-    Robust.Inject.(with_stage Als_nan (fun () -> snd (Cp_als.decompose ~options ~rank:2 t)))
+    Robust.Inject.(
+      with_stage Als_nan (fun () ->
+          snd (Cp_als.decompose_op ~options ~rank:2 (Op_tensor.Dense t))))
   in
   let path = tmp_ckpt () in
   Robust.Inject.(with_stage Als_nan (fun () ->
       (* Budget of 2 total sweeps: run 1 dies at sweep 1, restart 1 starts and
          is interrupted by the budget at its own sweep 1 boundary. *)
       ignore
-        (Cp_als.decompose ~options
+        (Cp_als.decompose_op ~options
            ~budget:(Budget.create ~sweeps:2 ())
            ~checkpoint:(Checkpoint.config ~resume:false path)
-           ~rank:2 t)));
+           ~rank:2 (Op_tensor.Dense t))));
   let _, resumed =
     Robust.Inject.(with_stage Als_nan (fun () ->
-        Cp_als.decompose ~options
+        Cp_als.decompose_op ~options
           ~checkpoint:(Checkpoint.config ~resume:true path)
-          ~rank:2 t))
+          ~rank:2 (Op_tensor.Dense t)))
   in
   Sys.remove path;
   check_true "same run count"

@@ -12,14 +12,14 @@ let test_exact_recovery_rank1 () =
   let r = rng () in
   let xs = [| Vec.normalize (random_vec r 4); Vec.normalize (random_vec r 3); Vec.normalize (random_vec r 5) |] in
   let t = Tensor.scale 3. (Tensor.outer xs) in
-  let k, info = Cp_als.decompose ~rank:1 t in
+  let k, info = Cp_als.decompose_op ~rank:1 (Op_tensor.Dense t) in
   check_float ~eps:1e-6 "fit = 1" 1. info.Cp_als.fit;
   check_float ~eps:1e-6 "weight = 3" 3. (Float.abs k.Kruskal.weights.(0))
 
 let test_exact_recovery_rank2 () =
   let truth = separated_rank2 () in
   let t = Kruskal.to_tensor truth in
-  let k, info = Cp_als.decompose ~rank:2 t in
+  let k, info = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
   check_true "converged" info.Cp_als.converged;
   check_float ~eps:1e-6 "fit = 1" 1. (Kruskal.fit k t);
   check_float ~eps:1e-5 "weights recovered" 5. (Float.abs k.Kruskal.weights.(0));
@@ -34,7 +34,7 @@ let test_mttkrp_matches_reference () =
     let reference = Mat.mul (Unfold.unfold t k) (Khatri_rao.chain_excluding us k) in
     check_mat ~eps:1e-8
       (Printf.sprintf "mode %d" k)
-      reference (Cp_als.mttkrp t us k)
+      reference (Op_tensor.mttkrp (Op_tensor.Dense t) us k)
   done
 
 let test_fit_monotone_nondecreasing () =
@@ -42,7 +42,10 @@ let test_fit_monotone_nondecreasing () =
      couple of sweeps — ALS is a monotone algorithm on the residual. *)
   let r = rng () in
   let t = random_tensor r [| 5; 4; 3 |] in
-  let _, info = Cp_als.decompose ~options:{ Cp_als.default_options with max_iter = 30 } ~rank:2 t in
+  let _, info =
+    Cp_als.decompose_op ~options:{ Cp_als.default_options with max_iter = 30 } ~rank:2
+      (Op_tensor.Dense t)
+  in
   let rec check_monotone = function
     | a :: (b :: _ as rest) ->
       check_true "non-decreasing fit" (b >= a -. 1e-8);
@@ -55,7 +58,7 @@ let test_random_init () =
   let r = rng () in
   let t = random_tensor r [| 4; 4; 4 |] in
   let options = { Cp_als.default_options with init = Cp_als.Random 5 } in
-  let k, _ = Cp_als.decompose ~options ~rank:2 t in
+  let k, _ = Cp_als.decompose_op ~options ~rank:2 (Op_tensor.Dense t) in
   Alcotest.(check int) "rank" 2 (Kruskal.rank k)
 
 let test_noisy_recovery () =
@@ -64,7 +67,7 @@ let test_noisy_recovery () =
   let truth = separated_rank2 () in
   let noise = Tensor.scale 0.05 (random_tensor r [| 3; 4; 2 |]) in
   let t = Tensor.add (Kruskal.to_tensor truth) noise in
-  let k, _ = Cp_als.decompose ~rank:2 t in
+  let k, _ = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
   (* Leading component should align with the weight-5 factor columns. *)
   let recovered = Kruskal.component k 0 in
   let truth0 = Kruskal.component truth 0 in
@@ -79,7 +82,10 @@ let test_rank_greater_than_dim () =
   (* Rank above a mode's dimension: random-padded HOSVD init must still work. *)
   let r = rng () in
   let t = random_tensor r [| 2; 5; 4 |] in
-  let k, _ = Cp_als.decompose ~options:{ Cp_als.default_options with max_iter = 20 } ~rank:4 t in
+  let k, _ =
+    Cp_als.decompose_op ~options:{ Cp_als.default_options with max_iter = 20 } ~rank:4
+      (Op_tensor.Dense t)
+  in
   Alcotest.(check int) "rank kept" 4 (Kruskal.rank k)
 
 let test_pool_size_determinism () =
@@ -94,7 +100,7 @@ let test_pool_size_determinism () =
       ~finally:(fun () ->
         Parallel.set_num_domains 1;
         Parallel.set_sequential_cutoff Parallel.default_cutoff)
-      (fun () -> Cp_als.decompose ~options ~rank:3 t)
+      (fun () -> Cp_als.decompose_op ~options ~rank:3 (Op_tensor.Dense t))
   in
   let bits v = Array.map Int64.bits_of_float v in
   let k1, info1 = run 1 in
@@ -124,7 +130,7 @@ let test_degenerate_columns_zeroed () =
   let r = rng () in
   let t = Tensor.scale 1e-305 (random_tensor r [| 3; 4; 2 |]) in
   let options = { Cp_als.default_options with init = Cp_als.Random 11; max_iter = 3 } in
-  let k, _ = Cp_als.decompose ~options ~rank:2 t in
+  let k, _ = Cp_als.decompose_op ~options ~rank:2 (Op_tensor.Dense t) in
   Array.iter (fun w -> check_float "zero weight" 0. w) k.Kruskal.weights;
   Array.iter
     (fun u -> Array.iter (fun v -> check_float "zeroed factor entry" 0. v) u.Mat.data)
@@ -132,14 +138,17 @@ let test_degenerate_columns_zeroed () =
 
 let test_invalid_rank () =
   let t = Tensor.create [| 2; 2 |] in
-  Alcotest.check_raises "rank 0" (Invalid_argument "Cp_als.decompose: rank must be >= 1")
-    (fun () -> ignore (Cp_als.decompose ~rank:0 t))
+  Alcotest.check_raises "rank 0" (Invalid_argument "Cp_als.decompose_op: rank must be >= 1")
+    (fun () -> ignore (Cp_als.decompose_op ~rank:0 (Op_tensor.Dense t)))
 
 let test_higher_rank_fits_better () =
   let r = rng () in
   let t = random_tensor r [| 4; 4; 4 |] in
   let fit rank =
-    (snd (Cp_als.decompose ~options:{ Cp_als.default_options with max_iter = 60 } ~rank t)).Cp_als.fit
+    (snd
+       (Cp_als.decompose_op ~options:{ Cp_als.default_options with max_iter = 60 } ~rank
+          (Op_tensor.Dense t)))
+      .Cp_als.fit
   in
   check_true "rank 4 >= rank 1" (fit 4 >= fit 1 -. 0.02)
 

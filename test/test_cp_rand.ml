@@ -38,7 +38,7 @@ let test_agrees_with_full_als () =
   let truth = separated_rank2 () in
   let noise = Tensor.scale 0.02 (random_tensor r [| 3; 4; 2 |]) in
   let t = Tensor.add (Kruskal.to_tensor truth) noise in
-  let k_full, _ = Cp_als.decompose ~rank:2 t in
+  let k_full, _ = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
   let k_rand, _ = Cp_rand.decompose ~rank:2 t in
   let lead k = Kruskal.component k 0 in
   Array.iteri

@@ -83,10 +83,10 @@ let test_1x1 () =
   check_vec "value" [| 5. |] values;
   check_float "vector" 1. (Float.abs (Mat.get vectors 0 0))
 
-(* --- Method equivalence: the two-stage tridiagonal fast path against the
-   cyclic-Jacobi oracle.  The methods share no arithmetic, so agreement on
-   eigenvalues plus each side's own orthogonality/reconstruction residuals
-   is strong evidence both are right. --- *)
+(* --- Reference agreement: the two-stage tridiagonal solver against the
+   cyclic-Jacobi oracle in Test_support.  The two share no arithmetic, so
+   agreement on eigenvalues plus the solver's own orthogonality and
+   eigen-equation residuals is strong evidence it is right. --- *)
 
 let gen_symmetric =
   QCheck2.Gen.(
@@ -109,8 +109,8 @@ let gen_near_degenerate =
     Mat.mul_nt scaled q)
 
 let eigenvalues_agree a =
-  let va = (Eigen.decompose ~method_:`Tridiagonal a).Eigen.values in
-  let vb = (Eigen.decompose ~method_:`Jacobi a).Eigen.values in
+  let va = (Eigen.decompose a).Eigen.values in
+  let vb = (fst (jacobi_eigen a)).Eigen.values in
   let scale = Array.fold_left (fun acc l -> Float.max acc (Float.abs l)) 1. vb in
   Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-8 *. scale) va vb
 
@@ -127,40 +127,29 @@ let prop_methods_agree_degenerate =
 
 let prop_tridiagonal_orthogonal =
   qtest ~count:80 "tridiagonal ‖QᵀQ−I‖ small" gen_symmetric (fun a ->
-      let { Eigen.vectors; _ } = Eigen.decompose ~method_:`Tridiagonal a in
+      let { Eigen.vectors; _ } = Eigen.decompose a in
       let n, _ = Mat.dims a in
       Mat.frobenius (Mat.sub (Mat.tgram vectors) (Mat.identity n)) <= 1e-10 *. float_of_int n)
 
 let prop_tridiagonal_eigen_equation =
   qtest ~count:80 "tridiagonal ‖AQ−QΛ‖ small" gen_symmetric (fun a ->
-      let { Eigen.values; vectors } = Eigen.decompose ~method_:`Tridiagonal a in
+      let { Eigen.values; vectors } = Eigen.decompose a in
       let n, _ = Mat.dims a in
       let aq = Mat.mul a vectors in
       let ql = Mat.init n n (fun i j -> Mat.get vectors i j *. values.(j)) in
       Mat.frobenius (Mat.sub aq ql) <= 1e-8 *. (1. +. Mat.frobenius a))
 
-let test_method_of_env () =
-  let is_jacobi = function `Jacobi -> true | `Tridiagonal -> false in
-  check_true "unset -> tridiagonal" (not (is_jacobi (Eigen.method_of_env None)));
-  check_true "jacobi" (is_jacobi (Eigen.method_of_env (Some "jacobi")));
-  check_true "case/space-insensitive" (is_jacobi (Eigen.method_of_env (Some " JaCoBi ")));
-  check_true "tridiagonal" (not (is_jacobi (Eigen.method_of_env (Some "tridiagonal"))));
-  check_true "garbage -> tridiagonal" (not (is_jacobi (Eigen.method_of_env (Some "qr"))))
-
-(* The iteration cap must surface structurally for BOTH methods — a
-   regression here would let a non-converged spectrum whiten a view
-   silently.  [Sweep_cap] forces a 0-iteration cap. *)
+(* The iteration cap must surface structurally — a regression here would
+   let a non-converged spectrum whiten a view silently.  [Sweep_cap] forces
+   a 0-iteration cap. *)
 let test_sweep_cap_surfaced () =
   let r = rng () in
   let a = random_spd r 6 in
-  List.iter
-    (fun (name, method_) ->
-      Robust.Inject.with_stage Robust.Inject.Sweep_cap (fun () ->
-          let _, info = Eigen.decompose_info ~method_ a in
-          check_true (name ^ ": converged=false under cap") (not info.Eigen.converged);
-          Alcotest.(check int) (name ^ ": zero iterations") 0 info.Eigen.sweeps;
-          check_true (name ^ ": residual positive") (info.Eigen.residual > 0.)))
-    [ ("tridiagonal", `Tridiagonal); ("jacobi", `Jacobi) ]
+  Robust.Inject.with_stage Robust.Inject.Sweep_cap (fun () ->
+      let _, info = Eigen.decompose_info a in
+      check_true "converged=false under cap" (not info.Eigen.converged);
+      Alcotest.(check int) "zero iterations" 0 info.Eigen.sweeps;
+      check_true "residual positive" (info.Eigen.residual > 0.))
 
 (* Bitwise pool-size determinism: the banded tred2/QL loops own disjoint
    rows/columns and accumulate in a fixed order, so results must be
@@ -178,9 +167,9 @@ let test_pool_determinism () =
     (fun () ->
       Parallel.set_sequential_cutoff 0;
       Parallel.set_num_domains 1;
-      let e1 = Eigen.decompose ~method_:`Tridiagonal a in
+      let e1 = Eigen.decompose a in
       Parallel.set_num_domains 4;
-      let e4 = Eigen.decompose ~method_:`Tridiagonal a in
+      let e4 = Eigen.decompose a in
       let bits x = Int64.bits_of_float x in
       check_true "values bitwise equal"
         (Array.for_all2 (fun x y -> bits x = bits y) e1.Eigen.values e4.Eigen.values);
@@ -228,9 +217,7 @@ let () =
       ( "properties",
         [ prop_psd_eigenvalues_nonneg; prop_values_sorted; prop_frobenius_invariant ] );
       ( "methods",
-        [ Alcotest.test_case "TCCA_EIG parsing" `Quick test_method_of_env;
-          Alcotest.test_case "sweep cap surfaced (both methods)" `Quick
-            test_sweep_cap_surfaced;
+        [ Alcotest.test_case "sweep cap surfaced" `Quick test_sweep_cap_surfaced;
           Alcotest.test_case "pool-size determinism" `Quick test_pool_determinism;
           prop_methods_agree_spd;
           prop_methods_agree_symmetric;

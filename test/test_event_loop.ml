@@ -151,7 +151,7 @@ let write_all fd s =
    bodies in arrival order. *)
 let run_pipelined t reqs =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let th = Thread.create (fun () -> Event_loop.serve_connection t server) () in
+  let th = Thread.create (fun () -> Event_loop.serve_fds t [ server ]) () in
   let bodies =
     Fun.protect
       ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())

@@ -160,7 +160,7 @@ let prop_gram_psd_diag =
    products taken in ascending inner index, from +0., with no zero skips —
    so [Mat]'s pool-partitioned implementations must agree *bitwise* — not
    approximately — at every pool size, including the TCCA_DOMAINS=1
-   sequential fallback, and under both TCCA_GEMM implementations.  Shapes
+   sequential fallback, and on both GEMM routes.  Shapes
    include empty (0×n) and degenerate (1×n) matrices. *)
 
 let ref_mul a b =
@@ -274,15 +274,16 @@ let prop_parallel_gram_bitwise =
       && agree_at_all_pool_sizes (fun () -> ref_tgram m) (fun () -> Mat.tgram m))
 
 (* ------------------------------------------------------------------ *)
-(* Microkernel vs. naive oracle.
+(* Microkernel vs. the small-product loops.
 
-   The packed microkernel must agree bitwise with the straightforward
-   loops on every shape — the accumulation contract says blocking only
-   reorders which cells are in flight, never the terms within a cell.
-   [with_impl] pins the implementation and forces [small_cutoff] to 0 so
-   the microkernel genuinely runs even on shapes far below the dispatch
-   threshold (a 1×k×1 product would otherwise always take the naive
-   route).  Dimensions are chosen adversarially for a 4×4 register tile:
+   The packed microkernel must agree bitwise with [Mat]'s plain loops on
+   every shape — the accumulation contract says blocking only reorders
+   which cells are in flight, never the terms within a cell.  [with_impl]
+   pins the route through the small-product cutoff: [`Naive] runs the
+   loops on every shape, [`Microkernel] forces the cutoff to 0 so the
+   microkernel genuinely runs even on shapes far below the dispatch
+   threshold (a 1×k×1 product would otherwise always take the loops).
+   Dimensions are chosen adversarially for a 4×4 register tile:
    degenerate (0, 1×k×1), below one tile, exactly one tile, straddling
    tile and panel boundaries, and primes that never divide evenly. *)
 
@@ -308,7 +309,7 @@ let gen_adversarial_mat =
     array_size (return (r * c)) gen_entry >|= fun data ->
     Mat.unsafe_of_flat ~rows:r ~cols:c data)
 
-(* Naive oracle once, then the microkernel at pool sizes 1 and 4. *)
+(* The loops once, then the microkernel at pool sizes 1 and 4. *)
 let micro_matches_naive compute =
   let expected = with_impl `Naive compute in
   List.for_all
@@ -351,7 +352,7 @@ let prop_transpose_consistency =
     gen_adversarial_case (fun (a, b) -> transpose_consistent a b)
 
 (* [mul_nt_into] overwrites whatever the buffer held with the bits of
-   [mul_nt], under either implementation. *)
+   [mul_nt], on either route. *)
 let prop_into_overwrites =
   qtest ~count:100 "mul_nt_into on a dirty buffer ≡ mul_nt (bitwise)" gen_adversarial_case
     (fun (a, b) ->

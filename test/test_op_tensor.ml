@@ -31,7 +31,11 @@ let prop_mttkrp =
       let op, x, us, _ = build shape in
       let ok = ref true in
       for k = 0 to Tensor.order x - 1 do
-        if not (Mat.equal ~eps:1e-10 (Cp_als.mttkrp x us k) (Op_tensor.mttkrp op us k))
+        if
+          not
+            (Mat.equal ~eps:1e-10
+               (Op_tensor.mttkrp (Op_tensor.Dense x) us k)
+               (Op_tensor.mttkrp op us k))
         then ok := false
       done;
       !ok)
@@ -134,8 +138,8 @@ let test_gram_pass_allocation () =
    rank-1 slab loop, bit for bit: m ∈ 1..5, dims that include 1, last modes
    below the 4-wide register tile, component counts whose block height
    leaves a tail block, exact zeros, pools 1 and 4, and every GEMM route
-   (naive, microkernel forced on every shape, microkernel above the default
-   small-product cutoff). *)
+   (plain loops on every shape, microkernel forced on every shape,
+   microkernel above the default small-product cutoff). *)
 
 let gemm_routes =
   let default_cutoff = Gemm.small_cutoff () in
@@ -262,7 +266,7 @@ let test_decompose_op_recovery () =
   let op = Op_tensor.factored ~weight:1. [| z1; u2; u3 |] in
   let dense = Op_tensor.to_tensor op in
   let kf, inf_f = Cp_als.decompose_op ~rank:2 op in
-  let kd, inf_d = Cp_als.decompose ~rank:2 dense in
+  let kd, inf_d = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense dense) in
   check_true "factored converged" inf_f.Cp_als.converged;
   check_true "dense converged" inf_d.Cp_als.converged;
   check_float ~eps:1e-6 "weight 5" 5. (Float.abs kf.Kruskal.weights.(0));

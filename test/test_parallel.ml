@@ -140,7 +140,7 @@ let test_mttkrp_deterministic () =
   for k = 0 to 2 do
     across_pools
       (Printf.sprintf "mttkrp mode %d" k)
-      (fun () -> Cp_als.mttkrp t us k)
+      (fun () -> Op_tensor.mttkrp (Op_tensor.Dense t) us k)
       mat_bits_equal
   done
 

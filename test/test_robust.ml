@@ -226,7 +226,7 @@ let test_inv_sqrt_rank_report () =
 let test_cp_als_healthy_single_run () =
   let r = rng () in
   let t = random_tensor r [| 4; 5; 3 |] in
-  let _, info = Cp_als.decompose ~rank:2 t in
+  let _, info = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
   check_true "no failure" (info.Cp_als.failure = None);
   Alcotest.(check int) "single run" 1 (List.length info.Cp_als.runs)
 
@@ -235,7 +235,7 @@ let test_cp_als_nan_fit_stops_immediately () =
      |fit − prev| < tol is false for NaN.  Now every run stops at sweep 1. *)
   let r = rng () in
   let t = Tensor.map (fun v -> v +. nan) (random_tensor r [| 3; 4; 3 |]) in
-  let _, info = Cp_als.decompose ~rank:2 t in
+  let _, info = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
   check_true "not converged" (not info.Cp_als.converged);
   Alcotest.(check int) "stopped at first sweep" 1 info.Cp_als.iterations;
   (match info.Cp_als.failure with
@@ -253,7 +253,8 @@ let test_cp_als_injection_deterministic () =
   let r = rng () in
   let t = random_tensor r [| 4; 4; 4 |] in
   let solve () =
-    Robust.Inject.(with_stage Als_nan (fun () -> snd (Cp_als.decompose ~rank:2 t)))
+    Robust.Inject.(
+      with_stage Als_nan (fun () -> snd (Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t))))
   in
   let a = solve () and b = solve () in
   check_true "failure injected" (a.Cp_als.failure <> None);
@@ -267,7 +268,7 @@ let test_cp_als_no_restart_on_plain_cap () =
   let r = rng () in
   let t = random_tensor r [| 5; 5; 5 |] in
   let options = { Cp_als.default_options with max_iter = 2; init = Cp_als.Random 3 } in
-  let _, info = Cp_als.decompose ~options ~rank:3 t in
+  let _, info = Cp_als.decompose_op ~options ~rank:3 (Op_tensor.Dense t) in
   check_true "no failure on cap" (info.Cp_als.failure = None);
   Alcotest.(check int) "no restarts" 1 (List.length info.Cp_als.runs)
 
@@ -301,7 +302,7 @@ let test_tcca_sweep_cap () =
   Robust.Inject.(with_stage Sweep_cap (fun () ->
       match Tcca.fit_checked ~r:2 views with
       | Error (Robust.Not_converged _) -> ()
-      | Ok _ -> Alcotest.fail "capped Jacobi produced a model"
+      | Ok _ -> Alcotest.fail "capped eigensolver produced a model"
       | Error e -> Alcotest.failf "wrong failure: %s" (Robust.failure_to_string e)))
 
 let test_tcca_als_nan () =
@@ -407,7 +408,7 @@ let prop_indefinite_kernels =
 let prop_subnormal_tensors =
   qtest ~count:30 "subnormal-scale tensors" Test_support.gen_tensor3 (fun t ->
       let t = Tensor.scale 1e-310 t in
-      let kruskal, info = Cp_als.decompose ~rank:2 t in
+      let kruskal, info = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
       match info.Cp_als.failure with
       | Some _ -> true
       | None ->

@@ -1,6 +1,6 @@
 (* The serving daemon's chaos suite: every robustness invariant of
    [lib/serve] proven in-process (Server.handle) and over real sockets
-   (socketpair + serve_connection threads).  The headline guarantees:
+   (socketpair + serve_fds threads).  The headline guarantees:
 
    - no request hangs past its deadline (typed [R_deadline] instead);
    - queue overflow sheds typed replies while the daemon keeps serving;
@@ -247,13 +247,148 @@ let test_wire_compat_decodes_legacy () =
   | Ok (Protocol.Drain { model_id = "" }) -> ()
   | _ -> Alcotest.fail "legacy drain must be daemon-wide")
 
+(* ------------------------------------------------------------------ *)
+(* Decoder totality.  Crafted bodies that once escaped the decoder as
+   exceptions — through the reactor, a crash of the whole daemon — or
+   decoded as a phantom matrix.  Each must come back as a typed [Error]. *)
+
+let test_decoder_probes_refused () =
+  let body fields =
+    let b = Buffer.create 64 in
+    List.iter
+      (function
+        | `I v -> Checkpoint.Wire.add_int b v
+        | `F v -> Checkpoint.Wire.add_f64 b v)
+      fields;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, fields) ->
+      match Protocol.request_of_string (body fields) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: decoded Ok" name
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [ ("Model_health string length max_int-2", [ `I 9; `I (max_int - 2) ]);
+      ("Transform f-array length 2^60", [ `I 2; `I (-1); `I 1; `I 1; `I 1; `I (1 lsl 60) ]);
+      ( "view count 2^40 before one valid 1x1 matrix",
+        [ `I 2; `I (-1); `I (1 lsl 40); `I 1; `I 1; `I 1; `F 1. ] );
+      ( "2^32 x 2^31 matrix with no data",
+        [ `I 2; `I (-1); `I 1; `I (1 lsl 32); `I (1 lsl 31); `I 0 ] ) ]
+
+(* Every request and response kind, encoded validly, then damaged one way:
+   truncated, one bit flipped, or 8 bytes at any offset — so every length
+   field among them — overwritten with a hostile value.  Decoding must
+   return [Ok] or [Error], never raise. *)
+let gen_small_mat =
+  QCheck2.Gen.(
+    pair (int_range 0 3) (int_range 0 3) >>= fun (r, c) ->
+    array_size (return (r * c)) (float_range (-1e3) 1e3) >|= fun d ->
+    Mat.unsafe_of_flat ~rows:r ~cols:c d)
+
+let gen_views = QCheck2.Gen.(array_size (int_range 0 3) gen_small_mat)
+let gen_id = QCheck2.Gen.(string_size ~gen:printable (int_range 0 8))
+let gen_nat = QCheck2.Gen.int_range 0 1000
+let gen_dims = QCheck2.Gen.(array_size (int_range 0 4) gen_nat)
+
+let gen_request =
+  let open QCheck2.Gen in
+  oneof
+    [ return Protocol.Health;
+      map3
+        (fun deadline_ms views model_id -> Protocol.Transform { deadline_ms; views; model_id })
+        int gen_views gen_id;
+      map3
+        (fun deadline_ms views model_id -> Protocol.Predict { deadline_ms; views; model_id })
+        int gen_views gen_id;
+      map2 (fun views model_id -> Protocol.Ingest { views; model_id }) gen_views gen_id;
+      map2 (fun deadline_ms model_id -> Protocol.Refit { deadline_ms; model_id }) int gen_id;
+      map2 (fun path model_id -> Protocol.Swap { path; model_id }) gen_id gen_id;
+      map (fun model_id -> Protocol.Drain { model_id }) gen_id;
+      return Protocol.List_models;
+      map (fun model_id -> Protocol.Model_health { model_id }) gen_id ]
+
+let gen_response =
+  let open QCheck2.Gen in
+  let info =
+    map2
+      (fun mi_id mi_r ->
+        { Protocol.mi_id; mi_version = 3; mi_r; mi_breaker = "closed"; mi_draining = false })
+      gen_id gen_nat
+  in
+  oneof
+    [ map2
+        (fun version dims ->
+          Protocol.R_health
+            { version; r = 2; dims; queue_depth = 1; queue_capacity = 8; workers = 2;
+              ingested = 40; since_fit = 0; draining = false })
+        int gen_dims;
+      map (fun m -> Protocol.R_matrix m) gen_small_mat;
+      map (fun s -> Protocol.R_scores s) (array_size (int_range 0 4) float);
+      map2 (fun version note -> Protocol.R_ok { version; note }) int gen_id;
+      map2 (fun depth capacity -> Protocol.R_shed { depth; capacity }) gen_nat gen_nat;
+      map2 (fun stage elapsed_ms -> Protocol.R_deadline { stage; elapsed_ms }) gen_id int;
+      map2 (fun code message -> Protocol.R_error { code; message }) gen_id gen_id;
+      map2
+        (fun model_id retry_after_ms -> Protocol.R_unavailable { model_id; retry_after_ms })
+        gen_id gen_nat;
+      map (fun infos -> Protocol.R_models infos) (array_size (int_range 0 3) info);
+      map2
+        (fun mh_id mh_dims ->
+          Protocol.R_model_health
+            { Protocol.mh_id; mh_version = 2; mh_r = 2; mh_dims; mh_queue_depth = 1;
+              mh_queue_capacity = 8; mh_workers = 2; mh_breaker = "half-open";
+              mh_retry_after_ms = 0; mh_failures = 0; mh_respawns = 1; mh_ingested = 40;
+              mh_since_fit = 0; mh_last_refit = "installed v2"; mh_draining = false })
+        gen_id gen_dims ]
+
+let hostile_lengths = [ 0; -1; 1 lsl 32; 1 lsl 60; max_int ]
+
+let gen_damaged encoded =
+  let open QCheck2.Gen in
+  encoded >>= fun s ->
+  let len = String.length s in
+  let truncate = map (fun n -> String.sub s 0 n) (int_range 0 (len - 1)) in
+  let flip =
+    map
+      (fun bit ->
+        let b = Bytes.of_string s in
+        Bytes.set b (bit / 8) (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
+        Bytes.to_string b)
+      (int_range 0 ((8 * len) - 1))
+  in
+  let overwrite =
+    map2
+      (fun off v ->
+        let b = Bytes.of_string s in
+        Bytes.set_int64_le b off (Int64.of_int v);
+        Bytes.to_string b)
+      (int_range 0 (len - 8))
+      (oneofl hostile_lengths)
+  in
+  oneof [ truncate; flip; overwrite ]
+
+let decodes_totally decode body =
+  match decode body with Ok _ | Error _ -> true | exception _ -> false
+
+let prop_request_decoder_total =
+  QCheck2.Test.make ~count:2000 ~name:"request decoder total on damaged frames"
+    ~print:String.escaped
+    (gen_damaged (QCheck2.Gen.map Protocol.request_to_string gen_request))
+    (decodes_totally Protocol.request_of_string)
+
+let prop_response_decoder_total =
+  QCheck2.Test.make ~count:2000 ~name:"response decoder total on damaged frames"
+    ~print:String.escaped
+    (gen_damaged (QCheck2.Gen.map Protocol.response_to_string gen_response))
+    (decodes_totally Protocol.response_of_string)
+
 let test_wire_compat_legacy_client_served () =
   (* End to end: a byte-for-byte PR-8 client frame over a real socket is
      served by the multi-model daemon from "default". *)
   let m = fit_model () in
   with_server ~model:m (cfg ()) (fun t ->
       let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let th = Thread.create (fun () -> Event_loop.serve_connection t server) () in
+      let th = Thread.create (fun () -> Event_loop.serve_fds t [ server ]) () in
       let x = synth_views ~views:3 ~dim:6 ~n:5 ~seed:9 in
       Protocol.write_frame client
         (legacy_body (fun b ->
@@ -1022,7 +1157,7 @@ let test_recovery_corrupt_one_inject () =
 
 let with_connection t f =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let th = Thread.create (fun () -> Event_loop.serve_connection t server) () in
+  let th = Thread.create (fun () -> Event_loop.serve_fds t [ server ]) () in
   let out =
     Fun.protect
       ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())
@@ -1058,7 +1193,7 @@ let test_slow_client_dropped_not_wedged () =
   with_server ~model:m (cfg ()) (fun t ->
       Robust.Inject.with_stage Robust.Inject.Slow_client (fun () ->
           let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          let th = Thread.create (fun () -> Event_loop.serve_connection t server) () in
+          let th = Thread.create (fun () -> Event_loop.serve_fds t [ server ]) () in
           (* The connection thread reports Timeout immediately and drops the
              connection — joining here means no thread was wedged. *)
           Thread.join th;
@@ -1179,7 +1314,11 @@ let () =
             test_wire_compat_decodes_legacy;
           Alcotest.test_case "legacy client served end-to-end" `Quick
             test_wire_compat_legacy_client_served;
-          Alcotest.test_case "garbage over socket" `Quick test_socket_garbage_gets_typed_error ] );
+          Alcotest.test_case "garbage over socket" `Quick test_socket_garbage_gets_typed_error;
+          Alcotest.test_case "crafted decoder probes refused" `Quick
+            test_decoder_probes_refused;
+          QCheck_alcotest.to_alcotest prop_request_decoder_total;
+          QCheck_alcotest.to_alcotest prop_response_decoder_total ] );
       ( "model-store",
         [ Alcotest.test_case "roundtrip" `Quick test_model_store_roundtrip;
           Alcotest.test_case "rejects damage" `Quick test_model_store_rejects_damage;

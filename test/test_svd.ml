@@ -75,8 +75,8 @@ let test_nuclear_norm () =
   let a = Mat.diag_of_vec [| 2.; 3. |] in
   check_float ~eps:1e-10 "nuclear" 5. (Svd.nuclear_norm (Svd.decompose a))
 
-(* --- Tall-matrix QR + eig route (forced with ~method_ so these hold no
-   matter what TCCA_EIG picked for the process). --- *)
+(* --- Tall-matrix QR + eig route (forced with ~method_ so these hold
+   whatever shape `Auto would route where). --- *)
 
 let test_tall_reconstruction () =
   let r = rng () in
