@@ -11,10 +11,8 @@
 (* ------------------------------------------------------------------ *)
 (* Blocking parameters.
 
-   mr×nr = 4×4 register tile: 16 float accumulators plus 8 operand loads
-   per depth step fit the 16 SSE2 registers of amd64 without spilling —
-   measured fastest among 4×4 / 2×8 / unrolled variants on the target
-   Xeon (~5 GFLOP/s, at the machine's scalar mul+add issue ceiling).
+   mr×nr = 4×2 register tile, sized so the depth loop never spills (see
+   [kern]); measured GF/s on the fits' shapes are in DESIGN.md §10.
 
    kc: depth of one packed slab — an mr-wide A panel (kc·mr·8 = 8 KB) plus
    an nr-wide B panel stream stays L1-resident through the tile loop.
@@ -23,16 +21,17 @@
    the scratch footprint of one band.  mc and nc are multiples of mr/nr so
    register tiles never straddle a cache block. *)
 let mr = 4
-let nr = 4
+let nr = 2
 let kc = 256
 let mc = 128
 let nc = 1024
 
-(* Below this many flops (2·m·n·k) the packing walk costs more than it
-   saves; Mat routes such products to its plain loops (bitwise-identical by
-   the accumulation contract, so the switch is invisible).  Crossover
-   measured on the CP-ALS factor shapes (r≈8): tiny d×r products lose,
-   d≈32³ products already win. *)
+(* Products below this many flops (2·m·n·k) take Mat's plain loops instead
+   of paying for packing (bitwise-identical by the accumulation contract,
+   so the switch is invisible).  Measured on square and CP-ALS factor
+   shapes (r≈8), the microkernel overtakes the loops at about 3 000 flops
+   for mul/mul_tn/mul_nt and 8 000 for gram/tgram; the cutoff sits above
+   both, with margin. *)
 let default_small_cutoff = 16_384
 let small_cutoff_v = ref default_small_cutoff
 let small_cutoff () = !small_cutoff_v
@@ -163,43 +162,102 @@ let pack_b ~tb ~ldb ~b ~j0 ~nlen ~p0 ~klen bp =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The 4×4 register microkernel: load the C tile, accumulate klen depth
-   steps into 16 register-resident accumulators, store back.  Interior
-   tiles load/store rows directly; edge tiles and diagonal-straddling
-   [up] tiles stage through the mr×nr [tile] buffer so inactive cells
-   (padding, or strictly-lower cells of a syrk) are never touched. *)
+(* The 4×2 register microkernel: load one C tile (rows co, co + ldc, …),
+   accumulate klen depth steps into 8 accumulators, store it back.
 
-let kern ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
-  let full = vr = mr && vc = nr && ((not up) || j0 >= i0 + (mr - 1)) in
-  let c00 = ref 0. and c01 = ref 0. and c02 = ref 0. and c03 = ref 0. in
-  let c10 = ref 0. and c11 = ref 0. and c12 = ref 0. and c13 = ref 0. in
-  let c20 = ref 0. and c21 = ref 0. and c22 = ref 0. and c23 = ref 0. in
-  let c30 = ref 0. and c31 = ref 0. and c32 = ref 0. and c33 = ref 0. in
+   The tile is sized to amd64's 16 XMM registers: 8 accumulators, 4 A and
+   2 B operands and 1 product temporary make 15, so nothing spills inside
+   the depth loop; a 4×4 tile's 16 accumulators alone fill the file, so
+   it reloads and re-stores them through the stack on every step.  The
+   kernel takes only its C array, offset and stride, so the integers live
+   across the loop fit the integer registers too.  Check with
+   [ocamlfind ocamlopt -S]: the depth loop has no (%rsp) operand.  The
+   loop is unrolled by two; both halves reuse the same six operand
+   registers, and an odd klen ends in one single step. *)
+
+let kern ap abase bp bbase klen c co ldc first =
+  let c00 = ref 0. and c01 = ref 0. in
+  let c10 = ref 0. and c11 = ref 0. in
+  let c20 = ref 0. and c21 = ref 0. in
+  let c30 = ref 0. and c31 = ref 0. in
   (* On the first depth slab the accumulators start at the contract's +0.
-     directly — c is still all +0. there, so skipping the load pass is
-     bitwise identical and saves a full traversal of c. *)
-  if first then ()
-  else if full then begin
-    let r0 = (i0 * ldc) + j0 in
-    let r1 = r0 + ldc and r2 = r0 + (2 * ldc) and r3 = r0 + (3 * ldc) in
-    c00 := Array.unsafe_get c r0;
-    c01 := Array.unsafe_get c (r0 + 1);
-    c02 := Array.unsafe_get c (r0 + 2);
-    c03 := Array.unsafe_get c (r0 + 3);
+     directly, and the store below overwrites every cell of the tile, so C
+     is never read there: callers need not clear it. *)
+  if not first then begin
+    let r1 = co + ldc and r2 = co + (2 * ldc) and r3 = co + (3 * ldc) in
+    c00 := Array.unsafe_get c co;
+    c01 := Array.unsafe_get c (co + 1);
     c10 := Array.unsafe_get c r1;
     c11 := Array.unsafe_get c (r1 + 1);
-    c12 := Array.unsafe_get c (r1 + 2);
-    c13 := Array.unsafe_get c (r1 + 3);
     c20 := Array.unsafe_get c r2;
     c21 := Array.unsafe_get c (r2 + 1);
-    c22 := Array.unsafe_get c (r2 + 2);
-    c23 := Array.unsafe_get c (r2 + 3);
     c30 := Array.unsafe_get c r3;
-    c31 := Array.unsafe_get c (r3 + 1);
-    c32 := Array.unsafe_get c (r3 + 2);
-    c33 := Array.unsafe_get c (r3 + 3)
-  end
-  else begin
+    c31 := Array.unsafe_get c (r3 + 1)
+  end;
+  for h = 0 to (klen / 2) - 1 do
+    let ao = abase + (h * (2 * mr)) and bo = bbase + (h * (2 * nr)) in
+    let a0 = Array.unsafe_get ap ao in
+    let a1 = Array.unsafe_get ap (ao + 1) in
+    let a2 = Array.unsafe_get ap (ao + 2) in
+    let a3 = Array.unsafe_get ap (ao + 3) in
+    let b0 = Array.unsafe_get bp bo in
+    let b1 = Array.unsafe_get bp (bo + 1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1);
+    let a0 = Array.unsafe_get ap (ao + 4) in
+    let a1 = Array.unsafe_get ap (ao + 5) in
+    let a2 = Array.unsafe_get ap (ao + 6) in
+    let a3 = Array.unsafe_get ap (ao + 7) in
+    let b0 = Array.unsafe_get bp (bo + 2) in
+    let b1 = Array.unsafe_get bp (bo + 3) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1)
+  done;
+  if klen land 1 = 1 then begin
+    let ao = abase + ((klen - 1) * mr) and bo = bbase + ((klen - 1) * nr) in
+    let a0 = Array.unsafe_get ap ao in
+    let a1 = Array.unsafe_get ap (ao + 1) in
+    let a2 = Array.unsafe_get ap (ao + 2) in
+    let a3 = Array.unsafe_get ap (ao + 3) in
+    let b0 = Array.unsafe_get bp bo in
+    let b1 = Array.unsafe_get bp (bo + 1) in
+    c00 := !c00 +. (a0 *. b0);
+    c01 := !c01 +. (a0 *. b1);
+    c10 := !c10 +. (a1 *. b0);
+    c11 := !c11 +. (a1 *. b1);
+    c20 := !c20 +. (a2 *. b0);
+    c21 := !c21 +. (a2 *. b1);
+    c30 := !c30 +. (a3 *. b0);
+    c31 := !c31 +. (a3 *. b1)
+  end;
+  let r1 = co + ldc and r2 = co + (2 * ldc) and r3 = co + (3 * ldc) in
+  Array.unsafe_set c co !c00;
+  Array.unsafe_set c (co + 1) !c01;
+  Array.unsafe_set c r1 !c10;
+  Array.unsafe_set c (r1 + 1) !c11;
+  Array.unsafe_set c r2 !c20;
+  Array.unsafe_set c (r2 + 1) !c21;
+  Array.unsafe_set c r3 !c30;
+  Array.unsafe_set c (r3 + 1) !c31
+
+(* Edge tiles and diagonal-straddling [up] tiles run the kernel on the
+   mr×nr [tile] buffer instead, copying only their active cells in and
+   out, so inactive cells (padding, or strictly-lower cells of a syrk) are
+   never touched. *)
+let kern_staged ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
+  if not first then begin
     Array.fill tile 0 (mr * nr) 0.;
     for r = 0 to vr - 1 do
       let crow = ((i0 + r) * ldc) + j0 in
@@ -207,96 +265,16 @@ let kern ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
         if (not up) || j0 + q >= i0 + r then
           Array.unsafe_set tile ((r * nr) + q) (Array.unsafe_get c (crow + q))
       done
-    done;
-    c00 := Array.unsafe_get tile 0;
-    c01 := Array.unsafe_get tile 1;
-    c02 := Array.unsafe_get tile 2;
-    c03 := Array.unsafe_get tile 3;
-    c10 := Array.unsafe_get tile 4;
-    c11 := Array.unsafe_get tile 5;
-    c12 := Array.unsafe_get tile 6;
-    c13 := Array.unsafe_get tile 7;
-    c20 := Array.unsafe_get tile 8;
-    c21 := Array.unsafe_get tile 9;
-    c22 := Array.unsafe_get tile 10;
-    c23 := Array.unsafe_get tile 11;
-    c30 := Array.unsafe_get tile 12;
-    c31 := Array.unsafe_get tile 13;
-    c32 := Array.unsafe_get tile 14;
-    c33 := Array.unsafe_get tile 15
-  end;
-  for l = 0 to klen - 1 do
-    let ao = abase + (l * mr) and bo = bbase + (l * nr) in
-    let a0 = Array.unsafe_get ap ao in
-    let a1 = Array.unsafe_get ap (ao + 1) in
-    let a2 = Array.unsafe_get ap (ao + 2) in
-    let a3 = Array.unsafe_get ap (ao + 3) in
-    let b0 = Array.unsafe_get bp bo in
-    let b1 = Array.unsafe_get bp (bo + 1) in
-    let b2 = Array.unsafe_get bp (bo + 2) in
-    let b3 = Array.unsafe_get bp (bo + 3) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c22 := !c22 +. (a2 *. b2);
-    c23 := !c23 +. (a2 *. b3);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1);
-    c32 := !c32 +. (a3 *. b2);
-    c33 := !c33 +. (a3 *. b3)
-  done;
-  if full then begin
-    let r0 = (i0 * ldc) + j0 in
-    let r1 = r0 + ldc and r2 = r0 + (2 * ldc) and r3 = r0 + (3 * ldc) in
-    Array.unsafe_set c r0 !c00;
-    Array.unsafe_set c (r0 + 1) !c01;
-    Array.unsafe_set c (r0 + 2) !c02;
-    Array.unsafe_set c (r0 + 3) !c03;
-    Array.unsafe_set c r1 !c10;
-    Array.unsafe_set c (r1 + 1) !c11;
-    Array.unsafe_set c (r1 + 2) !c12;
-    Array.unsafe_set c (r1 + 3) !c13;
-    Array.unsafe_set c r2 !c20;
-    Array.unsafe_set c (r2 + 1) !c21;
-    Array.unsafe_set c (r2 + 2) !c22;
-    Array.unsafe_set c (r2 + 3) !c23;
-    Array.unsafe_set c r3 !c30;
-    Array.unsafe_set c (r3 + 1) !c31;
-    Array.unsafe_set c (r3 + 2) !c32;
-    Array.unsafe_set c (r3 + 3) !c33
-  end
-  else begin
-    Array.unsafe_set tile 0 !c00;
-    Array.unsafe_set tile 1 !c01;
-    Array.unsafe_set tile 2 !c02;
-    Array.unsafe_set tile 3 !c03;
-    Array.unsafe_set tile 4 !c10;
-    Array.unsafe_set tile 5 !c11;
-    Array.unsafe_set tile 6 !c12;
-    Array.unsafe_set tile 7 !c13;
-    Array.unsafe_set tile 8 !c20;
-    Array.unsafe_set tile 9 !c21;
-    Array.unsafe_set tile 10 !c22;
-    Array.unsafe_set tile 11 !c23;
-    Array.unsafe_set tile 12 !c30;
-    Array.unsafe_set tile 13 !c31;
-    Array.unsafe_set tile 14 !c32;
-    Array.unsafe_set tile 15 !c33;
-    for r = 0 to vr - 1 do
-      let crow = ((i0 + r) * ldc) + j0 in
-      for q = 0 to vc - 1 do
-        if (not up) || j0 + q >= i0 + r then
-          Array.unsafe_set c (crow + q) (Array.unsafe_get tile ((r * nr) + q))
-      done
     done
-  end
+  end;
+  kern ap abase bp bbase klen tile 0 nr first;
+  for r = 0 to vr - 1 do
+    let crow = ((i0 + r) * ldc) + j0 in
+    for q = 0 to vc - 1 do
+      if (not up) || j0 + q >= i0 + r then
+        Array.unsafe_set c (crow + q) (Array.unsafe_get tile ((r * nr) + q))
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* One pool chunk: rows [r0, r1) of the output.  BLIS-style loop nest —
@@ -339,10 +317,13 @@ let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
             for jp = 0 to npan - 1 do
               let jb = j0 + (jp * nr) in
               let vc = min nr (j0 + nlen - jb) in
+              let bbase = jp * (klen * nr) and first = p0 = 0 in
               (* Tiles with no cell on or above the diagonal are skipped
                  outright in the syrk case. *)
-              if (not up) || jb + vc - 1 >= ib then
-                kern ap abase bp (jp * (klen * nr)) klen c n ib jb vr vc up (p0 = 0) tile
+              if vr = mr && vc = nr && ((not up) || jb >= ib + (mr - 1)) then
+                kern ap abase bp bbase klen c ((ib * n) + jb) n first
+              else if (not up) || jb + vc - 1 >= ib then
+                kern_staged ap abase bp bbase klen c n ib jb vr vc up first tile
             done
           done;
           ic := i0 + mlen

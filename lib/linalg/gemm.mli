@@ -4,9 +4,12 @@
     [gram], [tgram], and therefore whitening, the covariance tensor, MTTKRP,
     the factored [Op_tensor] path, kernels and the learners — funnels into
     the two entry points below.  A and B panels are repacked into contiguous
-    tile-ordered scratch buffers, and the inner loop computes an [mr]×[nr]
+    tile-ordered scratch buffers, and the inner loop computes a 4×2
     register tile with cache-level mc/kc/nc blocking; transposed operands
-    pay a different packing walk instead of strided inner loops.
+    pay a different packing walk instead of strided inner loops.  The tile
+    keeps its 8 accumulators, 6 operands and 1 product temporary in 15 of
+    amd64's 16 XMM registers, so its depth loop (unrolled by two) touches
+    memory only to load packed operands.
 
     Each pool chunk checks its scratch out of a mutex-guarded free list and
     returns it when done, so concurrent products never share a buffer —
@@ -47,10 +50,11 @@ val set_small_cutoff : int -> unit
 
 (** {2 Kernels}
 
-    Both kernels add into [c], which callers pass zero-filled; both
-    partition output rows across the {!Parallel} pool in the fixed
-    contiguous-band scheme (chunk boundaries never affect cell values, so
-    any pool size is bitwise identical). *)
+    Both kernels overwrite the cells they compute and never read what [c]
+    held before, so [c] needs no clearing; with [k = 0] they write
+    nothing.  Both partition output rows across the {!Parallel} pool in
+    the fixed contiguous-band scheme (chunk boundaries never affect cell
+    values, so any pool size is bitwise identical). *)
 
 val gemm :
   ta:bool -> tb:bool -> m:int -> n:int -> k:int ->

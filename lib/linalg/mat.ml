@@ -303,8 +303,11 @@ let mul_nt_into a b c =
   if a.cols <> b.cols || c.rows <> a.rows || c.cols <> b.rows then
     invalid_arg "Mat.mul_nt: dimension mismatch";
   let m = a.rows and n = b.rows and k = a.cols in
-  (* The small-product loops add into [c]. *)
-  Array.fill c.data 0 (m * n) 0.;
+  (* Both routes overwrite every cell when k > 0: the small loops assign
+     each dot product, and the microkernel's first depth slab stores
+     without reading [c].  A k = 0 product, all +0., is the one case the
+     microkernel route leaves unwritten. *)
+  if k = 0 then Array.fill c.data 0 (m * n) 0.;
   if use_microkernel ~flops:(2 * m * n * k) then
     Gemm.gemm ~ta:false ~tb:true ~m ~n ~k ~a:a.data ~b:b.data c.data
   else small_mul_nt_into a b c.data

@@ -283,9 +283,18 @@ let prop_parallel_gram_bitwise =
    loops on every shape, [`Microkernel] forces the cutoff to 0 so the
    microkernel genuinely runs even on shapes far below the dispatch
    threshold (a 1×k×1 product would otherwise always take the loops).
-   Dimensions are chosen adversarially for a 4×4 register tile:
-   degenerate (0, 1×k×1), below one tile, exactly one tile, straddling
-   tile and panel boundaries, and primes that never divide evenly. *)
+   Dimensions are chosen adversarially for the 4×2 register tile and its
+   depth loop unrolled by two: degenerate (0, 1×k×1), below one tile,
+   exactly one tile, straddling tile and panel boundaries, odd and even
+   depths, and primes that never divide evenly.
+
+   One case in five instead puts a single dimension at or just past a
+   cache-block edge, with the others small so the plain-loop oracle stays
+   cheap: k crosses kc = 256 (a second depth slab, which reloads C, and a
+   one-step odd tail), m crosses mc = 128 (a second row block) and n
+   crosses nc = 1024 (a second column block).  Gram and tgram get the
+   same edges as output sizes, so a second row or column block starts
+   with a tile that straddles the diagonal, and as depths. *)
 
 let gen_adversarial_dim =
   QCheck2.Gen.(
@@ -295,17 +304,36 @@ let gen_adversarial_dim =
         (2, oneofl [ 7; 11; 13; 17 ]);
         (1, oneofl [ 16; 31; 33 ]) ])
 
+let gen_small_dim = QCheck2.Gen.int_range 1 9
+let gen_block_depth = QCheck2.Gen.oneofl [ 255; 256; 257; 513 ]
+
+let gen_block_case_dims =
+  QCheck2.Gen.(
+    oneof
+      [ triple gen_small_dim gen_block_depth gen_small_dim;
+        triple (oneofl [ 127; 128; 129 ]) gen_small_dim gen_small_dim;
+        triple gen_small_dim gen_small_dim (oneofl [ 1023; 1025 ]) ])
+
 let gen_adversarial_case =
   QCheck2.Gen.(
-    triple gen_adversarial_dim gen_adversarial_dim gen_adversarial_dim
+    frequency
+      [ (4, triple gen_adversarial_dim gen_adversarial_dim gen_adversarial_dim);
+        (1, gen_block_case_dims) ]
     >>= fun (m, k, n) ->
     pair (array_size (return (m * k)) gen_entry) (array_size (return (k * n)) gen_entry)
     >|= fun (x, y) ->
     (Mat.unsafe_of_flat ~rows:m ~cols:k x, Mat.unsafe_of_flat ~rows:k ~cols:n y))
 
+(* r×c: gram is r×r over depth c, tgram c×c over depth r. *)
 let gen_adversarial_mat =
   QCheck2.Gen.(
-    pair gen_adversarial_dim gen_adversarial_dim >>= fun (r, c) ->
+    frequency
+      [ (4, pair gen_adversarial_dim gen_adversarial_dim);
+        ( 1,
+          oneof
+            [ pair (oneofl [ 127; 128; 129; 1023; 1025 ]) gen_small_dim;
+              pair gen_small_dim gen_block_depth ] ) ]
+    >>= fun (r, c) ->
     array_size (return (r * c)) gen_entry >|= fun data ->
     Mat.unsafe_of_flat ~rows:r ~cols:c data)
 
