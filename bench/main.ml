@@ -324,8 +324,15 @@ let micro_tests () =
   let op_us = Array.init 4 (fun _ -> op_mat 30 8) in
   let mk_views m d n = Array.init m (fun _ -> op_mat d n) in
   let bench_als = Tcca.Als { Cp_als.default_options with max_iter = 20 } in
-  let tcca_dense_p = Tcca.prepare ~eps:1e-2 ~materialize:true (mk_views 3 30 300) in
-  let tcca_fact_p = Tcca.prepare ~eps:1e-2 ~materialize:false (mk_views 3 30 300) in
+  let pinned route views =
+    let saved = Op_tensor.pinned_route () in
+    Op_tensor.pin_route (Some route);
+    Fun.protect
+      ~finally:(fun () -> Op_tensor.pin_route saved)
+      (fun () -> Tcca.prepare ~eps:1e-2 views)
+  in
+  let tcca_dense_p = pinned `Dense (mk_views 3 30 300) in
+  let tcca_fact_p = pinned `Factored (mk_views 3 30 300) in
   let tcca_many_p = Tcca.prepare ~eps:1e-2 (mk_views 5 40 200) in
   assert (not (Tcca.materialized tcca_many_p));
   (* Sketched scaling path (PR "sketched scaling path"): the partial-Cholesky

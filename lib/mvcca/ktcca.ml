@@ -23,8 +23,6 @@ type t = {
   factors : Mat.t array; (* whitened-space Bₚ, retained for warm refits *)
 }
 
-let max_instances = 600
-
 let center_cross ~train_col_means ~train_total cross =
   let n, q = Mat.dims cross in
   let cross_col_means = Array.init q (fun j -> Vec.mean (Mat.col cross j)) in
@@ -64,10 +62,7 @@ let sketch_info prepared =
 let model_sketch_info t = t.t_sketch
 
 type raw_rep =
-  | Raw_exact of {
-      rx_kernels : Mat.t array; (* centered *)
-      rx_tensor : Tensor.t option; (* K₁₂…ₘ, materialized only on the dense path *)
-    }
+  | Raw_exact of Mat.t array (* the centered kernels *)
   | Raw_nystrom of {
       rn_factors : Mat.t array; (* centered Fₚ *)
       rn_info : sketch_info;
@@ -80,7 +75,7 @@ type raw = {
   raw_centered : bool;
 }
 
-let prepare_raw_exact ?(center = true) ?materialize kernels_raw =
+let prepare_raw_exact ?(center = true) kernels_raw =
   let m = Array.length kernels_raw in
   if m < 2 then invalid_arg "Ktcca.fit: need at least two views";
   let n, m1 = Mat.dims kernels_raw.(0) in
@@ -88,17 +83,6 @@ let prepare_raw_exact ?(center = true) ?materialize kernels_raw =
   Array.iter
     (fun k -> if Mat.dims k <> (n, n) then invalid_arg "Ktcca.fit: kernel size mismatch")
     kernels_raw;
-  let dense =
-    match materialize with
-    | Some b -> b
-    | None -> float_of_int n ** float_of_int m <= float_of_int Tcca.materialize_threshold
-  in
-  (* The Nᵐ guard only protects the dense path; the factored operator holds
-     nothing bigger than the m N×N kernels themselves. *)
-  if dense && n > max_instances then
-    invalid_arg
-      (Printf.sprintf "Ktcca.fit: N=%d exceeds max_instances=%d (the tensor S is N^m dense)"
-         n max_instances);
   let raw_col_means =
     Array.map (fun k -> Array.init n (fun i -> Vec.mean (Mat.row k i))) kernels_raw
   in
@@ -108,12 +92,8 @@ let prepare_raw_exact ?(center = true) ?materialize kernels_raw =
   in
   (* K₁₂…ₘ = (1/N) Σₙ k₁ₙ ∘ … ∘ kₘₙ (Theorem 3): exactly the covariance
      tensor of the Gram matrices viewed as N-dimensional features — i.e. the
-     centered kernels ARE its Kruskal factors, so the factored path needs no
-     accumulation at all. *)
-  { raw_rep =
-      Raw_exact
-        { rx_kernels = kernels;
-          rx_tensor = (if dense then Some (Tcca.covariance_tensor kernels) else None) };
+     centered kernels ARE its Kruskal factors, so nothing is accumulated. *)
+  { raw_rep = Raw_exact kernels;
     raw_cms = raw_col_means;
     raw_tms = raw_total_means;
     raw_centered = center }
@@ -168,16 +148,16 @@ let nystrom_raw_checked ~center ~rank ~tol oracles =
         raw_centered = center }
   with Robust.Error e -> Error e
 
-let prepare_raw_checked ?center ?materialize ?(approx = Exact) kernels_raw =
+let prepare_raw_checked ?center ?(approx = Exact) kernels_raw =
   match approx with
-  | Exact -> Ok (prepare_raw_exact ?center ?materialize kernels_raw)
+  | Exact -> Ok (prepare_raw_exact ?center kernels_raw)
   | Nystrom { rank; tol } ->
     let oracles = Array.map Pchol.oracle_of_mat kernels_raw in
     let center = match center with Some c -> c | None -> true in
     nystrom_raw_checked ~center ~rank ~tol oracles
 
-let prepare_raw ?center ?materialize ?approx kernels_raw =
-  match prepare_raw_checked ?center ?materialize ?approx kernels_raw with
+let prepare_raw ?center ?approx kernels_raw =
+  match prepare_raw_checked ?center ?approx kernels_raw with
   | Ok raw -> raw
   | Error e -> Robust.fail e
 
@@ -236,110 +216,77 @@ let whiten_nystrom ~eps ~view f =
   in
   attempt 0
 
-let prepare_of_raw_checked ?materialize ~eps raw =
+(* Whiten every view with [f], stopping at the first failure. *)
+let whiten_views f xs =
+  try
+    Ok
+      (Array.mapi
+         (fun p x -> match f ~view:p x with Ok w -> w | Error e -> raise (Robust.Error e))
+         xs)
+  with Robust.Error e -> Error e
+
+let prepare_of_raw_checked ~eps raw =
+  (* S = (1/N) Σₙ ∘ₚ zₚₙ over the whitened factors Zₚ, checked finite
+     before the route can allocate its ∏ₚ entries: a non-finite factor
+     implies a non-finite tensor. *)
+  let finish rep ~n factors =
+    let op = Op_tensor.factored ~weight:(1. /. float_of_int n) factors in
+    if not (Op_tensor.all_finite op) then
+      Error (Robust.Non_finite { stage = "ktcca.prepare"; where = "whitened kernel operator" })
+    else
+      Ok
+        { p_rep = rep;
+          p_op = Op_tensor.route op;
+          p_raw_col_means = raw.raw_cms;
+          p_raw_total_means = raw.raw_tms;
+          p_centered = raw.raw_centered }
+  in
   match raw.raw_rep with
-  | Raw_exact { rx_kernels; rx_tensor } -> (
-    let chols =
-      try
-        Ok
-          (Array.mapi
-             (fun p k ->
-               match whiten_kernel ~eps ~view:p k with
-               | Ok f -> f
-               | Error e -> raise (Robust.Error e))
-             rx_kernels)
-      with Robust.Error e -> Error e
-    in
-    match chols with
+  | Raw_exact kernels -> (
+    match whiten_views (whiten_kernel ~eps) kernels with
     | Error e -> Error e
     | Ok chols ->
       (* S = K ×ₚ (Lₚ⁻¹)ᵀ; with A = GGᵀ and the paper's L = Gᵀ this is
-         (Lₚ⁻¹)ᵀ = Gₚ⁻¹. *)
+         (Lₚ⁻¹)ᵀ = Gₚ⁻¹, so S = (1/N) Σₙ ∘ₚ (Gₚ⁻¹ kₚₙ): factors
+         Zₚ = Gₚ⁻¹ Kₚ. *)
       let inv_lowers = Array.map Cholesky.inverse_lower chols in
-      let op =
-        match rx_tensor with
-        | Some t -> Op_tensor.dense (Tensor.mode_products t inv_lowers)
-        | None ->
-          (* S = (1/N) Σₙ ∘ₚ (Gₚ⁻¹ kₚₙ): factors Zₚ = Gₚ⁻¹ Kₚ, never Nᵐ. *)
-          let n = fst (Mat.dims rx_kernels.(0)) in
-          Op_tensor.factored
-            ~weight:(1. /. float_of_int n)
-            (Array.map2 Mat.mul inv_lowers rx_kernels)
-      in
-      if not (Op_tensor.all_finite op) then
-        Error
-          (Robust.Non_finite { stage = "ktcca.prepare"; where = "whitened kernel operator" })
-      else
-        Ok
-          { p_rep = Exact_rep { e_kernels = rx_kernels; e_chols = chols };
-            p_op = op;
-            p_raw_col_means = raw.raw_cms;
-            p_raw_total_means = raw.raw_tms;
-            p_centered = raw.raw_centered })
+      finish
+        (Exact_rep { e_kernels = kernels; e_chols = chols })
+        ~n:(fst (Mat.dims kernels.(0)))
+        (Array.map2 Mat.mul inv_lowers kernels))
   | Raw_nystrom { rn_factors; rn_info } -> (
-    let chols =
-      try
-        Ok
-          (Array.mapi
-             (fun p f ->
-               match whiten_nystrom ~eps ~view:p f with
-               | Ok g -> g
-               | Error e -> raise (Robust.Error e))
-             rn_factors)
-      with Robust.Error e -> Error e
-    in
-    match chols with
+    match whiten_views (whiten_nystrom ~eps) rn_factors with
     | Error e -> Error e
     | Ok chols ->
       (* With b = Fᵀa and M = FᵀF + εI = GGᵀ, setting c = Gᵀb turns the
          objective into the CP fit of S = (1/N) Σₙ ∘ₚ (Gₚ⁻¹ fₚₙ) over the
          rows fₚₙ of Fₚ: factors Zₚ = Gₚ⁻¹Fₚᵀ, ℓₚ × N.  The operator lives
-         entirely in ℓ-space, so it materializes to the tiny dense ∏ℓₚ
-         tensor by default — that is where ALS is cheapest. *)
-      let n = fst (Mat.dims rn_factors.(0)) in
+         in ℓ-space, so at large N the route materializes the small ∏ℓₚ
+         tensor, which keeps the HOSVD init off the O(N²) Gram pass. *)
       let inv_lowers = Array.map Cholesky.inverse_lower chols in
-      let factors =
-        Array.map2 (fun il f -> Mat.mul il (Mat.transpose f)) inv_lowers rn_factors
-      in
-      let op = Op_tensor.factored ~weight:(1. /. float_of_int n) factors in
-      let ldims = Array.map (fun z -> fst (Mat.dims z)) factors in
-      let dense =
-        match materialize with
-        | Some b -> b
-        | None ->
-          Array.fold_left (fun acc d -> acc *. float_of_int d) 1. ldims
-          <= float_of_int Tcca.materialize_threshold
-      in
-      let op = if dense then Op_tensor.dense (Op_tensor.to_tensor op) else op in
-      if not (Op_tensor.all_finite op) then
-        Error
-          (Robust.Non_finite { stage = "ktcca.prepare"; where = "whitened kernel operator" })
-      else
-        Ok
-          { p_rep = Nystrom_rep { ny_factors = rn_factors; ny_chols = chols; ny_info = rn_info };
-            p_op = op;
-            p_raw_col_means = raw.raw_cms;
-            p_raw_total_means = raw.raw_tms;
-            p_centered = raw.raw_centered })
+      finish
+        (Nystrom_rep { ny_factors = rn_factors; ny_chols = chols; ny_info = rn_info })
+        ~n:(fst (Mat.dims rn_factors.(0)))
+        (Array.map2 (fun il f -> Mat.mul il (Mat.transpose f)) inv_lowers rn_factors))
 
-let prepare_of_raw ?materialize ~eps raw =
-  match prepare_of_raw_checked ?materialize ~eps raw with
+let prepare_of_raw ~eps raw =
+  match prepare_of_raw_checked ~eps raw with
   | Ok p -> p
   | Error e -> Robust.fail e
 
-let prepare ?(eps = 1e-4) ?center ?materialize ?approx kernels_raw =
-  prepare_of_raw ?materialize ~eps (prepare_raw ?center ?materialize ?approx kernels_raw)
+let prepare ?(eps = 1e-4) ?center ?approx kernels_raw =
+  prepare_of_raw ~eps (prepare_raw ?center ?approx kernels_raw)
 
-let prepare_oracles_checked ?(eps = 1e-4) ?(center = true) ?materialize ~approx oracles =
+let prepare_oracles_checked ?(eps = 1e-4) ?(center = true) ~approx oracles =
   let raw =
     match approx with
     | Exact -> invalid_arg "Ktcca.prepare_oracles: oracles require a `Nystrom` approx"
     | Nystrom { rank; tol } -> nystrom_raw_checked ~center ~rank ~tol oracles
   in
-  match raw with Error e -> Error e | Ok raw -> prepare_of_raw_checked ?materialize ~eps raw
+  match raw with Error e -> Error e | Ok raw -> prepare_of_raw_checked ~eps raw
 
-let prepare_oracles ?eps ?center ?materialize ~approx oracles =
-  match prepare_oracles_checked ?eps ?center ?materialize ~approx oracles with
+let prepare_oracles ?eps ?center ~approx oracles =
+  match prepare_oracles_checked ?eps ?center ~approx oracles with
   | Ok p -> p
   | Error e -> Robust.fail e
 
@@ -434,29 +381,24 @@ let fit_prepared ?solver ?budget ?checkpoint ~r prepared =
   | Ok t -> t
   | Error e -> Robust.fail e
 
-let fit_checked ?(eps = 1e-4) ?center ?materialize ?approx ?solver ?budget ?checkpoint ~r
-    kernels_raw =
-  match prepare_raw_checked ?center ?materialize ?approx kernels_raw with
+let fit_checked ?(eps = 1e-4) ?center ?approx ?solver ?budget ?checkpoint ~r kernels_raw =
+  match prepare_raw_checked ?center ?approx kernels_raw with
   | Error e -> Error e
   | Ok raw -> (
-    match prepare_of_raw_checked ?materialize ~eps raw with
+    match prepare_of_raw_checked ~eps raw with
     | Error e -> Error e
     | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared)
 
-let fit ?eps ?center ?materialize ?approx ?solver ?budget ?checkpoint ~r kernels_raw =
-  fit_prepared ?solver ?budget ?checkpoint ~r
-    (prepare ?eps ?center ?materialize ?approx kernels_raw)
+let fit ?eps ?center ?approx ?solver ?budget ?checkpoint ~r kernels_raw =
+  fit_prepared ?solver ?budget ?checkpoint ~r (prepare ?eps ?center ?approx kernels_raw)
 
-let fit_oracles_checked ?eps ?center ?materialize ~approx ?solver ?budget ?checkpoint ~r
-    oracles =
-  match prepare_oracles_checked ?eps ?center ?materialize ~approx oracles with
+let fit_oracles_checked ?eps ?center ~approx ?solver ?budget ?checkpoint ~r oracles =
+  match prepare_oracles_checked ?eps ?center ~approx oracles with
   | Error e -> Error e
   | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared
 
-let fit_oracles ?eps ?center ?materialize ~approx ?solver ?budget ?checkpoint ~r oracles =
-  match fit_oracles_checked ?eps ?center ?materialize ~approx ?solver ?budget ?checkpoint ~r
-          oracles
-  with
+let fit_oracles ?eps ?center ~approx ?solver ?budget ?checkpoint ~r oracles =
+  match fit_oracles_checked ?eps ?center ~approx ?solver ?budget ?checkpoint ~r oracles with
   | Ok t -> t
   | Error e -> Robust.fail e
 

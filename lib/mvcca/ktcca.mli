@@ -11,10 +11,12 @@
 
     Dense, the tensor [S] is Nᵐ and fitting cost scales as O(t·r·Nᵐ)
     (Sec. 4.5).  But [S = (1/N) Σₙ ∘ₚ (Gₚ⁻¹ kₚₙ)] is rank-N by construction,
-    so the default ALS path keeps it as an [Op_tensor.Factored] operator with
-    factors [Gₚ⁻¹ Kₚ] — O(m·N²) memory and O(N²·m·r) per sweep — and the
-    [max_instances] guard applies only when the dense tensor is actually
-    materialized ([~materialize:true] or small Nᵐ).
+    so every fit builds it as an [Op_tensor.Factored] operator with factors
+    [Gₚ⁻¹ Kₚ] — O(m·N²) memory and O(N²·m·r) per sweep — and
+    {!Op_tensor.route} decides from its shape whether to materialize it.
+    With three or more views it never does (the Nᵐ tensor costs more than
+    the factored Gram pass at every N); with two it does for
+    292 ≤ N ≤ 10 000.
 
     {b Sketched scaling path.}  With [~approx:(`Nystrom …)] (see {!approx})
     each kernel is replaced by its Nyström approximation [K̂ₚ = FₚFₚᵀ] from a
@@ -37,14 +39,9 @@ type sketch_info = {
 
 type t
 
-val max_instances : int
-(** Guard against accidentally materializing an Nᵐ tensor that cannot fit
-    (default 600 for three views ≈ 1.7 GB).  Dense exact path only. *)
-
 val fit :
   ?eps:float ->
   ?center:bool ->
-  ?materialize:bool ->
   ?approx:approx ->
   ?solver:Tcca.solver ->
   ?budget:Budget.t ->
@@ -54,10 +51,10 @@ val fit :
   t
 (** [fit ~eps ~r kernels] on training Gram matrices (one per view).
     [center] (default true) double-centers each kernel.  [eps] defaults to
-    1e-4.  [materialize] mirrors {!Tcca.fit}: dense iff Nᵐ ≤
-    [Tcca.materialize_threshold] by default ([Power_deflation] requires the
-    dense tensor); on the Nyström path it controls the ∏ℓₚ tensor instead.
-    [approx] selects the sketched path — the supplied Grams are then only
+    1e-4.  The operator's representation is {!Op_tensor.route}'s choice, as
+    in {!Tcca.fit} (see {!materialized}); [Power_deflation] materializes a
+    factored operator itself and refuses one above
+    {!Op_tensor.dense_entry_cap}.  [approx] selects the sketched path — the supplied Grams are then only
     read column-by-column through {!Pchol.oracle_of_mat} (use
     {!fit_oracles} to avoid forming them at all).  [budget] and
     [checkpoint] mirror {!Tcca.fit}: a budget-expired solve returns its
@@ -68,7 +65,6 @@ val fit :
 val fit_oracles :
   ?eps:float ->
   ?center:bool ->
-  ?materialize:bool ->
   approx:approx ->
   ?solver:Tcca.solver ->
   ?budget:Budget.t ->
@@ -86,17 +82,10 @@ type prepared
     Cholesky factors.  Nyström path: centered factors Fₚ + ℓ-space Cholesky
     factors. *)
 
-val prepare :
-  ?eps:float -> ?center:bool -> ?materialize:bool -> ?approx:approx -> Mat.t array ->
-  prepared
+val prepare : ?eps:float -> ?center:bool -> ?approx:approx -> Mat.t array -> prepared
 
 val prepare_oracles :
-  ?eps:float ->
-  ?center:bool ->
-  ?materialize:bool ->
-  approx:approx ->
-  Pchol.oracle array ->
-  prepared
+  ?eps:float -> ?center:bool -> approx:approx -> Pchol.oracle array -> prepared
 
 val fit_prepared :
   ?solver:Tcca.solver ->
@@ -123,7 +112,6 @@ val fit_prepared :
 val fit_checked :
   ?eps:float ->
   ?center:bool ->
-  ?materialize:bool ->
   ?approx:approx ->
   ?solver:Tcca.solver ->
   ?budget:Budget.t ->
@@ -135,7 +123,6 @@ val fit_checked :
 val fit_oracles_checked :
   ?eps:float ->
   ?center:bool ->
-  ?materialize:bool ->
   approx:approx ->
   ?solver:Tcca.solver ->
   ?budget:Budget.t ->
@@ -145,8 +132,8 @@ val fit_oracles_checked :
   (t, Robust.failure) result
 
 val materialized : prepared -> bool
-(** Whether the prepared operator is a dense tensor (Nᵐ on the exact path,
-    ∏ℓₚ on the Nyström path). *)
+(** Whether {!Op_tensor.route} materialized the prepared operator (Nᵐ on
+    the exact path, ∏ℓₚ on the Nyström path). *)
 
 val sketch_info : prepared -> sketch_info option
 (** Nyström diagnostics — achieved ranks and relative trace residuals;
@@ -156,16 +143,13 @@ val model_sketch_info : t -> sketch_info option
 (** Same diagnostics carried on the fitted model. *)
 
 type raw
-(** The ε-independent work — centered kernels and (dense path only) the Nᵐ
-    kernel covariance tensor, or on the Nyström path the centered partial
-    Cholesky factors — shared by an ε-validation loop (the paper optimizes ε
-    over {10ⁱ} for the kernel experiments).  The partial Cholesky runs once
-    per raw, not once per ε. *)
+(** The ε-independent work — the centered kernels, or on the Nyström path
+    the centered partial Cholesky factors — shared by an ε-validation loop
+    (the paper optimizes ε over {10ⁱ} for the kernel experiments).  The
+    partial Cholesky runs once per raw, not once per ε. *)
 
-val prepare_raw :
-  ?center:bool -> ?materialize:bool -> ?approx:approx -> Mat.t array -> raw
-
-val prepare_of_raw : ?materialize:bool -> eps:float -> raw -> prepared
+val prepare_raw : ?center:bool -> ?approx:approx -> Mat.t array -> raw
+val prepare_of_raw : eps:float -> raw -> prepared
 
 val r : t -> int
 val n_views : t -> int

@@ -28,15 +28,6 @@ let covariance_tensor views =
      views, materialized as one blocked GEMM. *)
   Op_tensor.to_tensor (Op_tensor.factored ~weight:(1. /. float_of_int n) views)
 
-let whiteners ~eps views =
-  let n = check_views "Tcca.whiteners" views in
-  let nf = float_of_int n in
-  Array.map
-    (fun x ->
-      let cov = Mat.add_scaled_identity eps (Mat.scale (1. /. nf) (Mat.gram x)) in
-      Matfun.inv_sqrt_psd cov)
-    views
-
 (* Whitening ladder.  Attempt 0 is bit-for-bit the historical
    [inv_sqrt_psd (cov + eps·I)]; an eigensolver iteration cap escalates the
    ridge geometrically (eps·10ᵏ) — a better-conditioned target — before
@@ -159,25 +150,6 @@ let whiten_view_randomized ~eps ~view ~sketch ~rho centered =
     end
   end
 
-let whitened_tensor ?(eps = 1e-2) views =
-  let means = Array.map Mat.row_means views in
-  let centered = Array.map2 Mat.sub_col_vec views means in
-  let c = covariance_tensor centered in
-  Tensor.mode_products c (whiteners ~eps centered)
-
-(* Below this many logical entries the dense path wins: its per-sweep cost
-   O(∏dₚ·r) beats the factored O(N·Σdₚ·r) once the one-off O(N·∏dₚ)
-   accumulation is amortized, and the dense tensor is small anyway. *)
-let materialize_threshold = 262_144
-
-let should_materialize ?materialize dims =
-  match materialize with
-  | Some b -> b
-  | None ->
-    (* Float product: ∏dₚ can overflow an int for many-view shapes. *)
-    Array.fold_left (fun acc d -> acc *. float_of_int d) 1. dims
-    <= float_of_int materialize_threshold
-
 type prepared = {
   p_means : Vec.t array;
   p_whiteners : Mat.t array;
@@ -191,13 +163,13 @@ let materialized prepared =
   match prepared.p_op with Op_tensor.Dense _ -> true | Op_tensor.Factored _ -> false
 
 type raw_stats =
-  | Raw_tensor of Tensor.t (* C₁₂…ₘ of the centered views, materialized *)
+  | Raw_tensor of Tensor.t (* C₁₂…ₘ, from the Builder, which keeps no instances *)
   | Raw_views of Mat.t array (* the centered views themselves (dₚ × N each) *)
 
 (* [r_cov_stats] carries (shrunk covariances, intensities ρ, shifts ρ·μ).
-   On the materialized path it is forced eagerly (the centered views are
-   dropped); on the factored path it stays lazy so a sketched whitening run
-   never pays the O(dₚ²·N) Gram it exists to avoid. *)
+   The Builder's is forced eagerly; [prepare_raw]'s stays lazy so a
+   sketched whitening run never pays the O(dₚ²·N) Gram it exists to
+   avoid. *)
 type raw = {
   r_means : Vec.t array;
   r_cov_stats : (Mat.t array * float array * float array) Lazy.t;
@@ -211,7 +183,7 @@ let shrink_view ~n ~shrinkage x =
   let c = Mat.scale (1. /. nf) (Mat.gram x) in
   Shrink.apply ~x ~n shrinkage c
 
-let prepare_raw ?materialize ?(shrinkage = (`None : Shrink.t)) views =
+let prepare_raw ?(shrinkage = (`None : Shrink.t)) views =
   let n = check_views "Tcca.prepare" views in
   let means = Array.map Mat.row_means views in
   let centered = Array.map2 Mat.sub_col_vec views means in
@@ -223,25 +195,18 @@ let prepare_raw ?materialize ?(shrinkage = (`None : Shrink.t)) views =
       Mat.set v i 0 0.
     done
   end;
-  let dims = Array.map (fun v -> fst (Mat.dims v)) views in
-  let compute () =
-    let applied = Array.map (fun x -> shrink_view ~n ~shrinkage x) centered in
-    ( Array.map (fun a -> a.Shrink.cov) applied,
-      Array.map (fun a -> a.Shrink.intensity) applied,
-      Array.map (fun a -> a.Shrink.intensity *. a.Shrink.target) applied )
+  let cov_stats =
+    lazy
+      (let applied = Array.map (fun x -> shrink_view ~n ~shrinkage x) centered in
+       ( Array.map (fun a -> a.Shrink.cov) applied,
+         Array.map (fun a -> a.Shrink.intensity) applied,
+         Array.map (fun a -> a.Shrink.intensity *. a.Shrink.target) applied ))
   in
-  if should_materialize ?materialize dims then
-    { r_means = means;
-      r_cov_stats = Lazy.from_val (compute ());
-      r_stats = Raw_tensor (covariance_tensor centered);
-      r_shrink = shrinkage;
-      r_n = n }
-  else
-    { r_means = means;
-      r_cov_stats = lazy (compute ());
-      r_stats = Raw_views centered;
-      r_shrink = shrinkage;
-      r_n = n }
+  { r_means = means;
+    r_cov_stats = cov_stats;
+    r_stats = Raw_views centered;
+    r_shrink = shrinkage;
+    r_n = n }
 
 let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
   (* The sketched whitener needs the centered views (to sketch from) and a
@@ -321,20 +286,30 @@ let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
       | Raw_tensor t -> Op_tensor.dense (Tensor.mode_products t ws)
       | Raw_views centered ->
         (* M = (1/N) Σᵢ ∘ₚ (Wₚ x̄ₚᵢ): the whitened views ARE the Kruskal
-           factors of M — nothing of size ∏dₚ is ever allocated. *)
-        let n = snd (Mat.dims centered.(0)) in
-        Op_tensor.factored ~weight:(1. /. float_of_int n) (Array.map2 Mat.mul ws centered)
+           factors of M. *)
+        Op_tensor.factored
+          ~weight:(1. /. float_of_int raw.r_n)
+          (Array.map2 Mat.mul ws centered)
     in
+    (* Checked before the route can allocate ∏dₚ entries: a non-finite
+       factor implies a non-finite tensor. *)
     if not (Op_tensor.all_finite op) then
       Error
         (Robust.Non_finite { stage = "tcca.prepare"; where = "whitened covariance operator" })
-    else Ok { p_means = raw.r_means; p_whiteners = ws; p_shrink = intens; p_op = op }
+    else
+      Ok
+        { p_means = raw.r_means;
+          p_whiteners = ws;
+          p_shrink = intens;
+          p_op = Op_tensor.route op }
 
 let prepare_of_raw ?whiten ~eps raw =
   match prepare_of_raw_checked ?whiten ~eps raw with Ok p -> p | Error e -> Robust.fail e
 
-let prepare ?(eps = 1e-2) ?materialize ?shrinkage ?whiten views =
-  prepare_of_raw ?whiten ~eps (prepare_raw ?materialize ?shrinkage views)
+let prepare ?(eps = 1e-2) ?shrinkage ?whiten views =
+  prepare_of_raw ?whiten ~eps (prepare_raw ?shrinkage views)
+
+let whitened_tensor ?eps views = Op_tensor.to_tensor (prepare ?eps views).p_op
 
 module Builder = struct
   (* Raw (uncentered) moments, exactly centered at [finalize] time by
@@ -483,8 +458,8 @@ module Builder = struct
 end
 
 (* Power_deflation walks raw tensor entries, so a factored operator must be
-   materialized for it; refuse when that allocation is itself infeasible
-   rather than letting it OOM. *)
+   materialized for it; refuse above the route's cap rather than letting
+   the allocation OOM. *)
 let materialize_for_solver name op =
   (match op with
   | Op_tensor.Dense _ -> ()
@@ -492,7 +467,7 @@ let materialize_for_solver name op =
     let entries =
       Array.fold_left (fun acc d -> acc *. float_of_int d) 1. (Op_tensor.dims op)
     in
-    if entries > 1e8 then
+    if entries > float_of_int Op_tensor.dense_entry_cap then
       invalid_arg
         (Printf.sprintf
            "%s: this solver needs the dense tensor (%.0f entries); use the Als solver for \
@@ -580,14 +555,13 @@ let fit_prepared ?solver ?budget ?checkpoint ~r prepared =
   | Ok t -> t
   | Error e -> Robust.fail e
 
-let fit_checked ?(eps = 1e-2) ?materialize ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r
-    views =
-  match prepare_of_raw_checked ?whiten ~eps (prepare_raw ?materialize ?shrinkage views) with
+let fit_checked ?(eps = 1e-2) ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r views =
+  match prepare_of_raw_checked ?whiten ~eps (prepare_raw ?shrinkage views) with
   | Error e -> Error e
   | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared
 
-let fit ?(eps = 1e-2) ?materialize ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r views =
-  fit_prepared ?solver ?budget ?checkpoint ~r (prepare ~eps ?materialize ?shrinkage ?whiten views)
+let fit ?(eps = 1e-2) ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r views =
+  fit_prepared ?solver ?budget ?checkpoint ~r (prepare ~eps ?shrinkage ?whiten views)
 
 let r t = Array.length t.correlations
 let n_views t = Array.length t.projections

@@ -9,9 +9,13 @@
     De Lathauwer 2000b), and the rank-r solution is its CP decomposition,
     computed with ALS (default), HOPM-deflation or the tensor power method.
 
-    The covariance tensor is accumulated streaming over instances, so memory
-    is O(Πdₚ) and fit time is independent of N after the single O(N·Πdₚ)
-    accumulation pass — the scalability property of Sec. 4.5. *)
+    [M] is the rank-N sum [(1/N) Σₙ ∘ₚ (C̃ₚₚ^{−1/2} x̄ₚₙ)], so every fit
+    builds it as an {!Op_tensor.Factored} operator over the whitened views
+    and {!Op_tensor.route} decides from its shape whether to materialize
+    it.  At the paper's shapes and large N it does: one O(N·∏dₚ) GEMM pass,
+    after which the CP solve is independent of N — the scalability property
+    of Sec. 4.5.  At small N, or when ∏dₚ is too large to hold, the solve
+    runs on the factored operator at O(N·Σdₚ) memory. *)
 
 type solver =
   | Als of Cp_als.options     (** The paper's choice (Sec. 4.3). *)
@@ -30,17 +34,19 @@ type whiten = [ `Auto | `Eig | `Randomized of int ]
     eig ladder).  [`Randomized k] sketches the top-[k] covariance eigenpairs
     with {!Svd.randomized} straight from the centered view — O(dₚ·N·k)
     instead of O(dₚ²·N + dₚ³) — and flattens the unexplored tail onto the
-    identity mass [ρμ + ε]; it needs the retained centered views (factored
-    path) and a data-independent shrinkage ([`None]/[`Fixed]), degrading to
-    [`Eig] with a warning otherwise.  [`Auto] (default) picks the sketch
-    (rank 256) per view for tall views ([dₚ ≥ 512]) and stays bit-identical
-    to [`Eig] below the threshold. *)
+    identity mass [ρμ + ε]; it needs the retained centered views (every
+    path except {!Builder}, which keeps no instances) and a
+    data-independent shrinkage ([`None]/[`Fixed]), degrading to [`Eig]
+    with a warning otherwise.  [`Auto] (default) picks the sketch (rank
+    256) per view for tall views ([dₚ ≥ 512]) and stays bit-identical to
+    [`Eig] below the threshold.  It does so on either operator route, so a
+    tall view whose operator is then materialized is still sketched (no
+    paper-scale dataset has one: the largest dₚ is 120). *)
 
 type t
 
 val fit :
   ?eps:float ->
-  ?materialize:bool ->
   ?shrinkage:Shrink.t ->
   ?whiten:whiten ->
   ?solver:solver ->
@@ -56,14 +62,14 @@ val fit :
     counts, and [Robust.Error] when {!fit_checked} would return [Error] —
     a numerically degraded fit never comes back as a silent NaN model.
 
-    [materialize] selects the covariance-tensor representation:
-    [Some true] builds the dense ∏dₚ tensor (required by the
-    [Power_deflation] solver), [Some false] keeps it implicit as the rank-N
-    factored operator [M = (1/N) Σᵢ ∘ₚ (C̃ₚₚ^{−1/2} x̄ₚᵢ)] — O(N·Σdₚ) memory
-    and O(N·Σdₚ·r) per ALS sweep, which is what makes many-view shapes
-    (e.g. 5 views at dₚ = 40 ≈ 10⁸ dense entries) fit at all.  The default
-    picks dense iff ∏dₚ ≤ [materialize_threshold].  Both paths compute the
-    same M; projections agree to solver roundoff.
+    The representation of [M] is not an option: {!Op_tensor.route} picks
+    it from the shape (see {!materialized}).  Dense costs one O(N·∏dₚ)
+    pass and then O(∏dₚ·r) per ALS sweep; factored keeps O(N·Σdₚ) memory
+    and O(N·Σdₚ·r) per sweep after an O(N²·Σdₚ) Gram pass, and is the only
+    route for shapes above {!Op_tensor.dense_entry_cap} (5 views at
+    dₚ = 40 is ≈ 10⁸ entries).  Both compute the same M; projections agree
+    to solver roundoff.  [Power_deflation] materializes a factored operator
+    itself and refuses one above the cap.
 
     [shrinkage] (default [`None], bit-identical to the historical ridge-only
     path) replaces the whitening ladder's first rung: each per-view
@@ -86,25 +92,21 @@ val fit :
     snapshot degrades to a cold start with a typed warning; it never crashes
     the fit and never yields a silently wrong model. *)
 
-val materialize_threshold : int
-(** The ∏dₚ cutoff of the default heuristic (262 144 entries = 2 MB). *)
-
 val materialize_for_solver : string -> Op_tensor.t -> Tensor.t
 (** [materialize_for_solver name op] is the dense tensor a raw-entry solver
     ([Power_deflation]) needs: [Op_tensor.to_tensor op], refused with
     [Invalid_argument] (prefixed by [name]) when a factored operator has
-    more than 10⁸ entries, rather than letting the allocation OOM. *)
+    more than {!Op_tensor.dense_entry_cap} entries, rather than letting the
+    allocation OOM. *)
 
 type prepared
-(** The N-dependent work of a fit — centering, whitening, covariance-tensor
-    accumulation (or its factored stand-in) — frozen so that several ranks
-    can be decomposed from the same operator.  This is what makes dimension
+(** The N-dependent work of a fit — centering, whitening and the whitened
+    operator, materialized or not — frozen so that several ranks can be
+    decomposed from the same operator.  This is what makes dimension
     sweeps cheap: everything up to the CP decomposition is rank-independent
     (Sec. 4.5). *)
 
-val prepare :
-  ?eps:float -> ?materialize:bool -> ?shrinkage:Shrink.t -> ?whiten:whiten -> Mat.t array ->
-  prepared
+val prepare : ?eps:float -> ?shrinkage:Shrink.t -> ?whiten:whiten -> Mat.t array -> prepared
 
 val fit_prepared :
   ?solver:solver -> ?budget:Budget.t -> ?checkpoint:Checkpoint.config -> r:int -> prepared -> t
@@ -134,7 +136,6 @@ val fit_prepared_checked :
 
 val fit_checked :
   ?eps:float ->
-  ?materialize:bool ->
   ?shrinkage:Shrink.t ->
   ?whiten:whiten ->
   ?solver:solver ->
@@ -145,8 +146,9 @@ val fit_checked :
   (t, Robust.failure) result
 
 val materialized : prepared -> bool
-(** Whether the prepared operator is the dense tensor (exposed so tests and
-    benches can pin which path the heuristic chose). *)
+(** Whether {!Op_tensor.route} materialized the prepared operator (exposed
+    so tests and benches can see which route a fit took; tests pin one with
+    {!Op_tensor.pin_route}). *)
 
 val shrinkage_intensities : prepared -> float array
 (** Per-view shrinkage intensity ρ actually applied while whitening —
@@ -154,11 +156,14 @@ val shrinkage_intensities : prepared -> float array
 
 type raw
 (** Only the ε-independent work: means, per-view covariance matrices and the
-    covariance statistics (dense tensor or retained centered views).  Lets an
-    ε-validation loop (the paper tunes ε over {10ⁱ} for the image
-    experiments) reuse the single accumulation pass. *)
+    centered views ({!Builder.finalize}: the centered covariance tensor
+    instead).  Lets an ε-validation loop (the paper tunes ε over {10ⁱ} for
+    the image experiments) reuse the centering and covariances.  Whitening
+    depends on ε, so each {!prepare_of_raw} builds and routes the operator
+    again: O(N·Σdₚ²) for the whitened views, plus O(N·∏dₚ) GEMM flops when
+    the route materializes. *)
 
-val prepare_raw : ?materialize:bool -> ?shrinkage:Shrink.t -> Mat.t array -> raw
+val prepare_raw : ?shrinkage:Shrink.t -> Mat.t array -> raw
 val prepare_of_raw : ?whiten:whiten -> eps:float -> raw -> prepared
 
 val prepare_of_raw_checked :
@@ -168,8 +173,15 @@ val r : t -> int
 val n_views : t -> int
 
 val correlations : t -> Vec.t
-(** CP weights [λ⁽ᵏ⁾] — the high-order canonical correlations, by
-    descending magnitude. *)
+(** The CP weights [λ] of the rank-r model of [M], by descending magnitude.
+    At [r = 1] the weight is the high-order canonical correlation
+    [ρ = C₁₂…ₘ ×₁ h₁ᵀ … ×ₘ hₘᵀ] of Eq. 4.7.  At [r > 1] it is not the
+    per-component correlation: that is
+    [cₖ = (1/N) Σₙ ∏ₚ zₚₖₙ] over the projected training views
+    ({!transform_view}), and ALS's last-mode normal equation gives
+    [c = (⊛ₚ UₚᵀUₚ) λ] with [Uₚ] the whitened-space factors
+    ([pt_factors]), so [c] and [λ] agree only as far as the [Uₚ] are
+    orthogonal. *)
 
 val transform_view : t -> int -> Mat.t -> Mat.t
 (** [Zₚ = (C̃pp^{−1/2} Uₚ)ᵀ (Xₚ − μₚ)], [r × N] (Eq. 4.11, transposed
@@ -232,8 +244,11 @@ val covariance_tensor : Mat.t array -> Tensor.t
     Batches are pushed one at a time; the builder keeps only O(Πdₚ + Σdₚ²)
     state: raw sums for the means, per-view second-moment matrices and the
     raw third-moment tensor.  [finalize] converts the raw moments into the
-    centered statistics and returns the same [raw] value
-    [prepare_raw] would produce on the concatenation of all batches. *)
+    centered statistics: a [raw] that holds the centered covariance tensor
+    itself, which {!prepare_of_raw} whitens with m mode products — the one
+    dense route that is not {!Op_tensor.route}'s, because no instances are
+    kept.  Its fit equals [prepare_raw]'s on the concatenation of all
+    batches up to roundoff. *)
 module Builder : sig
   type t
 
@@ -257,5 +272,5 @@ module Builder : sig
 end
 
 val whitened_tensor : ?eps:float -> Mat.t array -> Tensor.t
-(** [M] of Eq. 4.9 for raw views (centers internally) — exposed for the
-    solver-ablation bench. *)
+(** [M] of Eq. 4.9 for raw views: [Op_tensor.to_tensor] of {!prepare}'s
+    operator, whatever its route — exposed for the solver-ablation bench. *)

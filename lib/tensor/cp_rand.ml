@@ -51,7 +51,8 @@ let op_entry op idx =
     weight *. !acc
 
 (* Mode-k fiber of the operator at [idx] (idx.(k) is ignored), written into
-   [out].  Factored: out = w · Zₖ · c with cⱼ = ∏_{q≠k} Z_q[idx_q, j]. *)
+   the first dₖ cells of [out].  Factored: w · Zₖ · c with
+   cⱼ = ∏_{q≠k} Z_q[idx_q, j]. *)
 let op_fiber op k idx out =
   match op with
   | Op_tensor.Dense x ->
@@ -73,7 +74,7 @@ let op_fiber op k idx out =
           done)
       factors;
     let v = Mat.mul_vec factors.(k) c in
-    for i = 0 to Array.length out - 1 do
+    for i = 0 to Array.length v - 1 do
       out.(i) <- weight *. v.(i)
     done
 

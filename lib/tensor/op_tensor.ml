@@ -371,3 +371,36 @@ let materialize ~weight factors =
 let to_tensor = function
   | Dense x -> x
   | Factored { weight; factors } -> materialize ~weight factors
+
+(* ------------------------------------------------------------------ *)
+(* The route: which representation a fit solves on, from the shape alone.
+   Dense pays one to_tensor pass, 2·n·∏dₚ GEMM flops, and then the dense
+   norm, HOSVD mode Grams and ALS sweeps, about κ flops per entry;
+   factored pays the streamed Gram pass, ≈ 4·n²·Σdₚ.  κ was fitted on
+   measured fits (DESIGN.md, "Materialization-free operator layer"). *)
+
+let dense_entry_cap = 100_000_000
+let kappa = 1750.
+
+let pinned = ref None
+let pinned_route () = !pinned
+let pin_route route = pinned := route
+
+let materializes ~dims ~n =
+  (* Floats: ∏dₚ overflows an int on many-view shapes. *)
+  let fdims = Array.map float_of_int dims and nf = float_of_int n in
+  let entries = Array.fold_left ( *. ) 1. fdims in
+  entries <= float_of_int dense_entry_cap
+  &&
+  match !pinned with
+  | Some `Dense -> true
+  | Some `Factored -> false
+  | None ->
+    entries *. ((2. *. nf) +. kappa)
+    < 4. *. nf *. nf *. Array.fold_left ( +. ) 0. fdims
+
+let route = function
+  | Dense _ as op -> op
+  | Factored { factors; _ } as op ->
+    if materializes ~dims:(dims op) ~n:(snd (Mat.dims factors.(0))) then Dense (to_tensor op)
+    else op

@@ -114,3 +114,38 @@ val to_tensor_block_rows : int -> int
 (** KR rows per full block of the factored {!to_tensor} for [n] components:
     a fixed 4 MiB budget divided by the 8·n bytes of one row, at least 1.
     The last block of each domain's run may be shorter. *)
+
+(** {1 Route}
+
+    Every TCCA and KTCCA fit builds its whitened operator [Factored];
+    {!route} then decides, from the shape alone, whether the solver runs on
+    that or on its {!to_tensor}.  This is the only place the representation
+    is chosen. *)
+
+val dense_entry_cap : int
+(** 10⁸ entries (800 MB): no fit materializes a larger tensor — neither
+    {!route} nor the dense-only [Power_deflation] solver, which refuses a
+    factored operator above it. *)
+
+val materializes : dims:int array -> n:int -> bool
+(** Whether {!route} materializes a factored operator with mode sizes
+    [dims] and [n] components: never above {!dense_entry_cap}; below it,
+    as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 4n²·Σdₚ] — one
+    {!to_tensor} pass plus the dense solve costs less than the factored
+    Gram pass of {!norm2_and_mode_grams}.  κ = 1 750 is the dense norm,
+    HOSVD mode Grams and ALS sweeps of a fit in GEMM flops per entry,
+    fitted on measured fits of the paper's shapes (DESIGN.md).  Dense wins
+    at large [n] (the Gram pass is quadratic in [n], the dense solve
+    independent of it), factored at small [n] or huge ∏dₚ. *)
+
+val route : t -> t
+(** [Dense (to_tensor op)] for a factored [op] that {!materializes}, else
+    [op] itself.  Callers check {!all_finite} first, on the factored form:
+    it is cheaper, and a non-finite factor implies a non-finite tensor. *)
+
+val pin_route : [ `Dense | `Factored ] option -> unit
+(** The only route hook, for tests and the bench micros: [Some `Dense]
+    materializes every factored operator under the cap, [Some `Factored]
+    none, [None] (the default) restores the cost model. *)
+
+val pinned_route : unit -> [ `Dense | `Factored ] option

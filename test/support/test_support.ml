@@ -89,6 +89,14 @@ let with_impl ?(small_cutoff = 0) impl f =
     (match impl with `Naive -> max_int | `Microkernel -> small_cutoff);
   Fun.protect ~finally:(fun () -> Gemm.set_small_cutoff cutoff) f
 
+(* Run [f] with every whitened operator pinned to one representation
+   ([`Dense] or [`Factored]) through [Op_tensor.pin_route]; the previous pin
+   is restored afterwards, also when [f] raises. *)
+let with_route route f =
+  let saved = Op_tensor.pinned_route () in
+  Op_tensor.pin_route (Some route);
+  Fun.protect ~finally:(fun () -> Op_tensor.pin_route saved) f
+
 (* ------------------------------------------------------------------ *)
 (* Reference eigensolver: cyclic Jacobi.  O(d³) per sweep × 6–10 sweeps,
    but unconditionally stable and rotation-exact, and it shares no

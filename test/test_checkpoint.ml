@@ -317,13 +317,13 @@ let models_identical a b =
   && Array.for_all2 (Mat.equal ~eps:0.) pa pb
   && Vec.equal ~eps:0. (Tcca.correlations a) (Tcca.correlations b)
 
-let resume_identity ~materialize ~k seed =
+let resume_identity ~route ~k seed =
   let r = Rng.create seed in
   let views = tcca_views r in
   let fit ?budget ?checkpoint () =
-    expect_ok
-      (Tcca.fit_checked ~materialize ~solver:(Tcca.Als als_options) ?budget ?checkpoint
-         ~r:2 views)
+    with_route route (fun () ->
+        expect_ok
+          (Tcca.fit_checked ~solver:(Tcca.Als als_options) ?budget ?checkpoint ~r:2 views))
   in
   let reference = fit () in
   let path = tmp_ckpt () in
@@ -341,7 +341,8 @@ let resume_identity ~materialize ~k seed =
 let prop_resume_bit_identical =
   qtest ~count:8 "interrupt+resume == uninterrupted (dense & factored)"
     QCheck2.Gen.(triple (int_range 1 20) bool (int_range 0 1000))
-    (fun (k, materialize, seed) -> resume_identity ~materialize ~k seed)
+    (fun (k, dense, seed) ->
+      resume_identity ~route:(if dense then `Dense else `Factored) ~k seed)
 
 let test_resume_across_pool_sizes () =
   (* Snapshot under a 1-domain pool, resume under 4 domains: the kernels are

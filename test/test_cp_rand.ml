@@ -72,6 +72,17 @@ let test_sample_override () =
   let k, _ = Cp_rand.decompose ~options ~rank:2 t in
   Alcotest.(check int) "rank kept" 2 (Kruskal.rank k)
 
+let test_factored_unequal_dims () =
+  (* The mode fibers of a factored operator with dₖ below the largest mode
+     fill only dₖ cells of the shared fiber buffer. *)
+  let truth = separated_rank2 () in
+  let f = truth.Kruskal.factors in
+  let scaled = Mat.mul f.(0) (Mat.of_cols [| [| 5.; 0. |]; [| 0.; 2. |] |]) in
+  let op = Op_tensor.factored ~weight:1. [| scaled; f.(1); f.(2) |] in
+  let k, _ = Cp_rand.decompose_op ~rank:2 op in
+  check_float ~eps:1e-6 "recovers the factored tensor" 1.
+    (Kruskal.fit k (Op_tensor.to_tensor op))
+
 let () =
   Alcotest.run "cp_rand"
     [ ( "recovery",
@@ -82,4 +93,5 @@ let () =
       ( "interface",
         [ Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "invalid rank" `Quick test_invalid_rank;
-          Alcotest.test_case "sample override" `Quick test_sample_override ] ) ]
+          Alcotest.test_case "sample override" `Quick test_sample_override;
+          Alcotest.test_case "factored, unequal dims" `Quick test_factored_unequal_dims ] ) ]

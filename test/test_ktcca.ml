@@ -66,23 +66,36 @@ let test_prepare_consistency () =
   check_mat ~eps:1e-12 "same embedding" (Ktcca.transform_train direct)
     (Ktcca.transform_train prepared)
 
-let test_max_instances_guard () =
-  (* The Nᵐ guard now protects only the dense path: materializing must still
-     refuse, while the default (factored above the threshold) must not. *)
-  let k = Mat.identity 1000 in
-  Alcotest.check_raises "guard"
-    (Invalid_argument "Ktcca.fit: N=1000 exceeds max_instances=600 (the tensor S is N^m dense)")
-    (fun () -> ignore (Ktcca.fit ~materialize:true ~r:1 [| k; k; k |]));
-  check_true "factored raw prepares fine"
-    (Ktcca.prepare_raw [| k; k; k |] |> fun _ -> true)
+let test_power_deflation_refuses_above_cap () =
+  (* Five Nyström views at ℓₚ = 40 make a 40⁵ ≈ 1.02·10⁸-entry S, above
+     Op_tensor.dense_entry_cap: the route keeps it factored, and the
+     dense-only solver refuses it before allocating anything. *)
+  let r = rng () in
+  let n = 50 in
+  let oracles =
+    Array.init 5 (fun _ ->
+        Kernel.oracle (Kernel.fit ~precompute:false (Kernel.Rbf 0.05) (random_mat r 8 n)))
+  in
+  let p =
+    Ktcca.prepare_oracles ~eps:1e-2 ~approx:(Ktcca.Nystrom { rank = 40; tol = 0. }) oracles
+  in
+  (match Ktcca.sketch_info p with
+  | Some info -> Array.iter (Alcotest.(check int) "ℓₚ" 40) info.Ktcca.achieved_ranks
+  | None -> Alcotest.fail "expected sketch diagnostics");
+  check_true "above the cap stays factored" (not (Ktcca.materialized p));
+  Alcotest.check_raises "refused"
+    (Invalid_argument
+       "Ktcca.fit_prepared: this solver needs the dense tensor (102400000 entries); use the \
+        Als solver for factored operators")
+    (fun () -> ignore (Ktcca.fit_prepared ~solver:Tcca.Power_deflation ~r:1 p))
 
 let test_factored_matches_dense () =
-  (* N=40, m=3 is dense-feasible (64 000 entries): both representations of S
-     must give the same model. *)
+  (* N=40, m=3 (64 000 entries): both representations of S must give the
+     same model. *)
   let r = rng () in
   let kernels, _, _, _ = three_view_grams r ~n:40 in
-  let dense_p = Ktcca.prepare ~eps:1e-2 ~materialize:true kernels in
-  let fact_p = Ktcca.prepare ~eps:1e-2 ~materialize:false kernels in
+  let dense_p = with_route `Dense (fun () -> Ktcca.prepare ~eps:1e-2 kernels) in
+  let fact_p = with_route `Factored (fun () -> Ktcca.prepare ~eps:1e-2 kernels) in
   check_true "dense is dense" (Ktcca.materialized dense_p);
   check_true "factored is factored" (not (Ktcca.materialized fact_p));
   let zd = Ktcca.transform_train (Ktcca.fit_prepared ~r:2 dense_p) in
@@ -194,7 +207,8 @@ let () =
       ( "interface",
         [ Alcotest.test_case "shapes" `Quick test_shapes;
           Alcotest.test_case "prepare" `Quick test_prepare_consistency;
-          Alcotest.test_case "guard" `Quick test_max_instances_guard;
+          Alcotest.test_case "power deflation above the cap" `Quick
+            test_power_deflation_refuses_above_cap;
           Alcotest.test_case "errors" `Quick test_errors ] );
       ( "nystrom",
         [ Alcotest.test_case "full rank = exact" `Quick test_nystrom_full_rank_matches_exact;

@@ -310,8 +310,8 @@ let tight_als =
 let test_tcca_factored_matches_dense () =
   let r = rng () in
   let views = shared_views r ~n:500 ~noise:0.4 in
-  let pd = Tcca.prepare ~eps:1e-2 ~materialize:true views in
-  let pf = Tcca.prepare ~eps:1e-2 ~materialize:false views in
+  let pd = with_route `Dense (fun () -> Tcca.prepare ~eps:1e-2 views) in
+  let pf = with_route `Factored (fun () -> Tcca.prepare ~eps:1e-2 views) in
   check_true "dense path is dense" (Tcca.materialized pd);
   check_true "factored path is factored" (not (Tcca.materialized pf));
   let md = Tcca.fit_prepared ~solver:tight_als ~r:2 pd in
@@ -331,6 +331,45 @@ let test_tcca_factored_matches_dense () =
   check_mat ~eps:1e-7 "embeddings match"
     (Mat.map Float.abs (Tcca.transform md views))
     (Mat.map Float.abs (Tcca.transform mf views))
+
+(* The route function on named shapes: the paper's SecStr views (3 × 105)
+   flip from factored to dense between N = 2 000 and 3 000; the ℓ-space
+   Nyström operator of fit-nystrom (64³, N = 10 000) and SecStr quick
+   (3 × 60, N = 1 200) are dense; 5 × 40 is above the cap. *)
+let route_table =
+  let secstr = [| 105; 105; 105 |] in
+  [ ("SecStr paper, N = 1 000", secstr, 1000, false);
+    ("SecStr paper, N = 2 000", secstr, 2000, false);
+    ("SecStr paper, N = 3 000", secstr, 3000, true);
+    ("SecStr paper, N = 4 000", secstr, 4000, true);
+    ("SecStr paper, N = 8 000", secstr, 8000, true);
+    ("Nyström ℓ-space 64³, N = 10 000", [| 64; 64; 64 |], 10_000, true);
+    ("SecStr quick, N = 1 200", [| 60; 60; 60 |], 1200, true);
+    (* The model alone would materialize this one. *)
+    ("5 views at d = 40, N = 10⁶ (above the cap)", Array.make 5 40, 1_000_000, false) ]
+
+let test_route_table () =
+  List.iter
+    (fun (name, dims, n, dense) ->
+      Alcotest.(check bool) name dense (Op_tensor.materializes ~dims ~n))
+    route_table;
+  (* The hook pins the model's choice, never past the cap. *)
+  let secstr = [| 105; 105; 105 |] in
+  with_route `Dense (fun () ->
+      check_true "pinned dense" (Op_tensor.materializes ~dims:secstr ~n:1000);
+      check_true "cap holds when pinned"
+        (not (Op_tensor.materializes ~dims:(Array.make 5 40) ~n:50)));
+  with_route `Factored (fun () ->
+      check_true "pinned factored" (not (Op_tensor.materializes ~dims:secstr ~n:8000)));
+  (* A fit at the paper's SecStr shape and N = 2 000 stays factored. *)
+  let r = rng () in
+  let views = Array.init 3 (fun _ -> random_mat r 105 2000) in
+  check_true "Tcca at 3 × 105, N = 2 000 is factored"
+    (not (Tcca.materialized (Tcca.prepare views)))
+
+let test_route_hook_restored () =
+  (try with_route `Dense (fun () -> raise Exit) with Exit -> ());
+  check_true "pin restored after a raise" (Op_tensor.pinned_route () = None)
 
 let qsuite name tests = (name, tests)
 
@@ -353,6 +392,9 @@ let () =
       qsuite "tcca"
         [ Alcotest.test_case "fit factored = fit dense" `Quick
             test_tcca_factored_matches_dense ];
+      qsuite "route"
+        [ Alcotest.test_case "route table" `Quick test_route_table;
+          Alcotest.test_case "hook restored on raise" `Quick test_route_hook_restored ];
       qsuite "errors"
         [ Alcotest.test_case "validation" `Quick test_factored_validation;
           Alcotest.test_case "mttkrp arity" `Quick test_mttkrp_arity ] ]

@@ -338,14 +338,18 @@ let test_tcca_nan_input () =
   | Error e -> Alcotest.failf "wrong failure: %s" (Robust.failure_to_string e)
 
 let test_tcca_both_paths_guarded () =
-  (* The factored (materialize:false) path must take the same guardrails. *)
+  (* Both operator routes must take the same guardrails. *)
   let r = rng () in
   let views = tcca_views r in
-  Robust.Inject.(with_stage Covariance_nan (fun () ->
-      match Tcca.fit_checked ~materialize:false ~r:2 views with
-      | Error (Robust.Non_finite _) -> ()
-      | Ok _ -> Alcotest.fail "factored path missed the poisoned covariance"
-      | Error e -> Alcotest.failf "wrong failure: %s" (Robust.failure_to_string e)))
+  List.iter
+    (fun (route, name) ->
+      with_route route (fun () ->
+          Robust.Inject.(with_stage Covariance_nan (fun () ->
+              match Tcca.fit_checked ~r:2 views with
+              | Error (Robust.Non_finite _) -> ()
+              | Ok _ -> Alcotest.failf "%s route missed the poisoned covariance" name
+              | Error e -> Alcotest.failf "wrong failure: %s" (Robust.failure_to_string e)))))
+    [ (`Dense, "dense"); (`Factored, "factored") ]
 
 let ktcca_kernels r n =
   Array.init 3 (fun _ ->

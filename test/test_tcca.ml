@@ -252,6 +252,104 @@ let test_randomized_whiten_matches_eig () =
       (Float.abs (Stats.pearson (Mat.row ze i) (Mat.row zr i)) > 0.999)
   done
 
+(* --- What [correlations] returns, on both routes at pools 1 and 4. --- *)
+
+(* Per-component correlation of the projected training views,
+   cₖ = (1/N) Σₙ ∏ₚ zₚₖₙ. *)
+let component_correlations model views =
+  let zs = Array.mapi (Tcca.transform_view model) views in
+  let r, n = Mat.dims zs.(0) in
+  Array.init r (fun k ->
+      let acc = ref 0. in
+      for i = 0 to n - 1 do
+        acc := !acc +. Array.fold_left (fun prod z -> prod *. Mat.get z k i) 1. zs
+      done;
+      !acc /. float_of_int n)
+
+(* (⊛ₚ UₚᵀUₚ) λ over the whitened-space factors. *)
+let gram_weighted_correlations model =
+  let parts = Tcca.to_parts model in
+  let r = Array.length parts.Tcca.pt_correlations in
+  let gram =
+    Array.fold_left
+      (fun acc u -> Mat.map2 ( *. ) acc (Mat.tgram u))
+      (Mat.make r r 1.) parts.Tcca.pt_factors
+  in
+  Mat.mul_vec gram parts.Tcca.pt_correlations
+
+(* Worst |hᵀC̃ₚₚh − 1| over the canonical vectors, C̃ₚₚ = (1/N) X̄ₚX̄ₚᵀ + εI. *)
+let normalization_error ~eps model views =
+  let centered = fst (Preprocess.center_views views) in
+  let worst = ref 0. in
+  Array.iteri
+    (fun p h ->
+      let x = centered.(p) in
+      let cov =
+        Mat.add_scaled_identity eps (Mat.scale (1. /. float_of_int (snd (Mat.dims x))) (Mat.gram x))
+      in
+      let g = Mat.mul_tn h (Mat.mul cov h) in
+      for k = 0 to snd (Mat.dims h) - 1 do
+        worst := Float.max !worst (Float.abs (Mat.get g k k -. 1.))
+      done)
+    (Tcca.canonical_vectors model);
+  !worst
+
+let max_abs_diff a b =
+  Array.fold_left Float.max 0. (Array.map2 (fun x y -> Float.abs (x -. y)) a b)
+
+(* [check model] on a fit of both routes at pools 1 and 4. *)
+let on_every_route ~r views check =
+  List.for_all
+    (fun route ->
+      List.for_all
+        (fun size ->
+          with_pool size (fun () ->
+              with_route route (fun () -> check (Tcca.fit ~eps:1e-2 ~r views))))
+        [ 1; 4 ])
+    [ `Dense; `Factored ]
+
+let gen_fit_case = QCheck2.Gen.(triple (int_range 1 4) (int_range 100 200) (int_bound 1_000_000))
+
+let prop_rank1_weight_is_correlation =
+  qtest ~count:4 "r = 1: λ is the projected views' correlation (both routes, pools 1 and 4)"
+    gen_fit_case (fun (_, n, seed) ->
+      let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
+      on_every_route ~r:1 views (fun model ->
+          max_abs_diff (component_correlations model views) (Tcca.correlations model)
+          <= 1e-12))
+
+let prop_correlations_normal_equation =
+  qtest ~count:6 "c = (⊛ₚ UₚᵀUₚ) λ at every r (both routes, pools 1 and 4)" gen_fit_case
+    (fun (r, n, seed) ->
+      let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
+      on_every_route ~r views (fun model ->
+          let c = component_correlations model views in
+          let scale = Array.fold_left (fun acc l -> Float.max acc (Float.abs l)) 1. c in
+          max_abs_diff c (gram_weighted_correlations model) <= 1e-12 *. scale))
+
+let prop_canonical_vectors_normalized =
+  qtest ~count:4 "hₚᵀC̃ₚₚhₚ = 1 (both routes, pools 1 and 4)" gen_fit_case
+    (fun (r, n, seed) ->
+      let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
+      on_every_route ~r views (fun model -> normalization_error ~eps:1e-2 model views <= 1e-9))
+
+let test_auto_sketches_tall_view_on_dense_route () =
+  (* [`Auto] sketches a view with dₚ ≥ 512 whichever route the operator
+     takes; this shape is dense.  With no sweep, each projection is its
+     view's whitener times the same seeded factor, so view 0's projection
+     pins the whitener [`Auto] picked: the forced sketch, bit for bit. *)
+  let r = rng () in
+  let views = [| random_mat r 512 80; random_mat r 3 80; random_mat r 3 80 |] in
+  Robust.clear_warnings ();
+  let auto = Tcca.prepare ~eps:1e-2 views in
+  let sketched = Tcca.prepare ~eps:1e-2 ~whiten:(`Randomized 256) views in
+  check_true "dense route" (Tcca.materialized auto);
+  check_true "no fallback warning" (Robust.recent_warnings () = []);
+  let solver = Tcca.Als { Cp_als.default_options with init = Cp_als.Random 7; max_iter = 0 } in
+  let view0 p = (Tcca.projections (Tcca.fit_prepared ~solver ~r:2 p)).(0) in
+  check_true "`Auto = `Randomized 256 on the tall view, bitwise"
+    (bits_equal (view0 auto) (view0 sketched))
+
 let test_builder_errors () =
   Alcotest.check_raises "one view" (Invalid_argument "Tcca.Builder.create: need at least two views")
     (fun () -> ignore (Tcca.Builder.create ~dims:[| 3 |]));
@@ -294,5 +392,10 @@ let () =
             test_fixed_zero_shrinkage_is_historical;
           Alcotest.test_case "shrinkage intensities" `Quick test_shrinkage_intensities_recorded;
           Alcotest.test_case "builder shrinkage" `Quick test_builder_finalize_shrinkage;
-          Alcotest.test_case "randomized whitening" `Quick test_randomized_whiten_matches_eig ]
-      ) ]
+          Alcotest.test_case "randomized whitening" `Quick test_randomized_whiten_matches_eig;
+          Alcotest.test_case "`Auto sketches a tall view on the dense route" `Quick
+            test_auto_sketches_tall_view_on_dense_route ] );
+      ( "correlations",
+        [ prop_rank1_weight_is_correlation;
+          prop_correlations_normal_equation;
+          prop_canonical_vectors_normalized ] ) ]
