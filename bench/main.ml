@@ -335,6 +335,14 @@ let micro_tests () =
   let tcca_fact_p = pinned `Factored (mk_views 3 30 300) in
   let tcca_many_p = Tcca.prepare ~eps:1e-2 (mk_views 5 40 200) in
   assert (not (Tcca.materialized tcca_many_p));
+  (* The factored Gram pass, the kernel that dominates a factored fit: ‖M‖²
+     and all three HOSVD mode Grams of 3 views at dₚ = 60, N = 1 000.  Its
+     own generator leaves the fixtures above unchanged. *)
+  let gram_pass_op =
+    let r = Rng.create 1000 in
+    Op_tensor.factored ~weight:1e-3
+      (Array.init 3 (fun _ -> Mat.init 60 1000 (fun _ _ -> Rng.gaussian r)))
+  in
   (* Sketched scaling path (PR "sketched scaling path"): the partial-Cholesky
      Nyström pipeline at sizes where the N×N Gram would be prohibitive.  The
      oracles are RBF over synthetic features, so fitting needs no bandwidth
@@ -384,6 +392,8 @@ let micro_tests () =
       (Staged.stage (fun () -> Op_tensor.mttkrp (Op_tensor.Dense op_dense) op_us 0));
     Test.make ~name:"op/mttkrp-factored"
       (Staged.stage (fun () -> Op_tensor.mttkrp op_factored op_us 0));
+    Test.make ~name:"op/gram-pass-factored"
+      (Staged.stage (fun () -> Op_tensor.norm2_and_mode_grams gram_pass_op));
     (* End-to-end fit on a dense-feasible shape, both representations … *)
     Test.make ~name:"tcca/fit-dense"
       (Staged.stage (fun () -> Tcca.fit_prepared ~solver:bench_als ~r:8 tcca_dense_p));
@@ -525,8 +535,10 @@ let micro_tests () =
    the symmetric kernels compute the upper triangle and mirror the rest,
    counted as n·(n+1)·k; the MTTKRP pair follows the operation counts in
    DESIGN.md §7 (the factored count is the three side GEMMs, the Hadamard
-   combine, and the final projection).  Kernels without a closed-form count
-   report null. *)
+   combine, and the final projection).  The Gram pass counts its nominal
+   3·N²·Σdₚ (the upper half of each view Gram, then two products per mode
+   into Pₖ) plus the final Pₖ·Zₖᵀ of each mode.  Kernels without a
+   closed-form count report null. *)
 let flops_of_kernel =
   let mulf m k n = 2 * m * k * n in
   let syrkf n k = n * (n + 1) * k in
@@ -538,6 +550,7 @@ let flops_of_kernel =
   | "fig7/covariance-tensor" -> Some (2 * 400 * 60 * 60 * 60)
   | "op/mttkrp-dense" -> Some (2 * 8 * 810_000)
   | "op/mttkrp-factored" -> Some ((3 * mulf 200 30 8) + (3 * 200 * 8) + mulf 30 200 8)
+  | "op/gram-pass-factored" -> Some ((3 * 1000 * 1000 * (3 * 60)) + (3 * mulf 60 1000 60))
   (* Randomized SVD: six m×n×k GEMM passes (sketch, 2×2 power-iteration
      half-steps, final B = QᵀA) at k = rank + oversample = 40; the small
      k-space eig is not counted. *)

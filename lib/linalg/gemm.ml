@@ -6,7 +6,9 @@
    Packing, register tiling, cache blocking and pool partitioning only
    reorder which *cells* are computed when — never the order of terms
    within a cell — so any blocking parameters and any pool size produce
-   bitwise-identical results. *)
+   bitwise-identical results.  An accumulating call only changes where a
+   cell's sum starts: from the value C already holds instead of +0., with
+   the new terms still added in ascending k. *)
 
 (* ------------------------------------------------------------------ *)
 (* Blocking parameters.
@@ -87,18 +89,18 @@ let grown buf len = if Array.length buf >= len then buf else Array.make len 0.
    padded cells and the store discards them, which keeps edge tiles exact.
    B panels mirror this with nr-wide column panels. *)
 
-let pack_a ~ta ~lda ~a ~i0 ~mlen ~p0 ~klen ap =
+let pack_a ~ta ~a ~aoff ~lda ~i0 ~mlen ~p0 ~klen ap =
   let mpan = (mlen + mr - 1) / mr in
   for ip = 0 to mpan - 1 do
     let ib = i0 + (ip * mr) in
     let vr = min mr (i0 + mlen - ib) in
     let dst0 = ip * (klen * mr) in
     if not ta then
-      (* A[i,l] = a.(i·lda + l): each source row is contiguous in l. *)
+      (* A[i,l] = a.(aoff + i·lda + l): each source row is contiguous in l. *)
       for r = 0 to mr - 1 do
         let dst = ref (dst0 + r) in
         if r < vr then begin
-          let src = ((ib + r) * lda) + p0 in
+          let src = aoff + ((ib + r) * lda) + p0 in
           for l = 0 to klen - 1 do
             Array.unsafe_set ap !dst (Array.unsafe_get a (src + l));
             dst := !dst + mr
@@ -111,9 +113,9 @@ let pack_a ~ta ~lda ~a ~i0 ~mlen ~p0 ~klen ap =
           done
       done
     else
-      (* A[i,l] = a.(l·lda + i): each depth step is contiguous in i. *)
+      (* A[i,l] = a.(aoff + l·lda + i): each depth step is contiguous in i. *)
       for l = 0 to klen - 1 do
-        let src = ((p0 + l) * lda) + ib in
+        let src = aoff + ((p0 + l) * lda) + ib in
         let dst = dst0 + (l * mr) in
         for r = 0 to vr - 1 do
           Array.unsafe_set ap (dst + r) (Array.unsafe_get a (src + r))
@@ -124,16 +126,16 @@ let pack_a ~ta ~lda ~a ~i0 ~mlen ~p0 ~klen ap =
       done
   done
 
-let pack_b ~tb ~ldb ~b ~j0 ~nlen ~p0 ~klen bp =
+let pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen bp =
   let npan = (nlen + nr - 1) / nr in
   for jp = 0 to npan - 1 do
     let jb = j0 + (jp * nr) in
     let vc = min nr (j0 + nlen - jb) in
     let dst0 = jp * (klen * nr) in
     if not tb then
-      (* B[l,j] = b.(l·ldb + j): each depth step is contiguous in j. *)
+      (* B[l,j] = b.(boff + l·ldb + j): each depth step is contiguous in j. *)
       for l = 0 to klen - 1 do
-        let src = ((p0 + l) * ldb) + jb in
+        let src = boff + ((p0 + l) * ldb) + jb in
         let dst = dst0 + (l * nr) in
         for q = 0 to vc - 1 do
           Array.unsafe_set bp (dst + q) (Array.unsafe_get b (src + q))
@@ -143,11 +145,11 @@ let pack_b ~tb ~ldb ~b ~j0 ~nlen ~p0 ~klen bp =
         done
       done
     else
-      (* B[l,j] = b.(j·ldb + l): each source column is contiguous in l. *)
+      (* B[l,j] = b.(boff + j·ldb + l): each source column is contiguous in l. *)
       for q = 0 to nr - 1 do
         let dst = ref (dst0 + q) in
         if q < vc then begin
-          let src = ((jb + q) * ldb) + p0 in
+          let src = boff + ((jb + q) * ldb) + p0 in
           for l = 0 to klen - 1 do
             Array.unsafe_set bp !dst (Array.unsafe_get b (src + l));
             dst := !dst + nr
@@ -180,9 +182,11 @@ let kern ap abase bp bbase klen c co ldc first =
   let c10 = ref 0. and c11 = ref 0. in
   let c20 = ref 0. and c21 = ref 0. in
   let c30 = ref 0. and c31 = ref 0. in
-  (* On the first depth slab the accumulators start at the contract's +0.
-     directly, and the store below overwrites every cell of the tile, so C
-     is never read there: callers need not clear it. *)
+  (* On the first depth slab of an overwriting product the accumulators
+     start at the contract's +0. directly, and the store below overwrites
+     every cell of the tile, so C is never read there: callers need not
+     clear it.  Every other slab, and every slab of an accumulating
+     product, continues from the sum C holds. *)
   if not first then begin
     let r1 = co + ldc and r2 = co + (2 * ldc) and r3 = co + (3 * ldc) in
     c00 := Array.unsafe_get c co;
@@ -254,24 +258,25 @@ let kern ap abase bp bbase klen c co ldc first =
 
 (* Edge tiles and diagonal-straddling [up] tiles run the kernel on the
    mr×nr [tile] buffer instead, copying only their active cells in and
-   out, so inactive cells (padding, or strictly-lower cells of a syrk) are
-   never touched. *)
-let kern_staged ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
+   out, so inactive cells (padding, cells of C outside the block, or
+   strictly-lower cells of a syrk) are never touched.  [co] is the offset
+   of the tile's top-left cell (ib, jb) in [c]. *)
+let kern_staged ap abase bp bbase klen c co ldc ib jb vr vc up first tile =
   if not first then begin
     Array.fill tile 0 (mr * nr) 0.;
     for r = 0 to vr - 1 do
-      let crow = ((i0 + r) * ldc) + j0 in
+      let crow = co + (r * ldc) in
       for q = 0 to vc - 1 do
-        if (not up) || j0 + q >= i0 + r then
+        if (not up) || jb + q >= ib + r then
           Array.unsafe_set tile ((r * nr) + q) (Array.unsafe_get c (crow + q))
       done
     done
   end;
   kern ap abase bp bbase klen tile 0 nr first;
   for r = 0 to vr - 1 do
-    let crow = ((i0 + r) * ldc) + j0 in
+    let crow = co + (r * ldc) in
     for q = 0 to vc - 1 do
-      if (not up) || j0 + q >= i0 + r then
+      if (not up) || jb + q >= ib + r then
         Array.unsafe_set c (crow + q) (Array.unsafe_get tile ((r * nr) + q))
     done
   done
@@ -282,9 +287,10 @@ let kern_staged ap abase bp bbase klen c ldc i0 j0 vr vc up first tile =
    accumulates its terms in ascending-k order across slabs) → ic (mc row
    blocks) → register tiles.  Each chunk packs into its own checked-out
    scratch; B is repacked per chunk, which duplicates O(k·n) copy work but
-   keeps the partitioning embarrassingly deterministic. *)
+   keeps the partitioning embarrassingly deterministic.  Row i, column j of
+   the output is c.(coff + i·ldc + j). *)
 
-let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
+let band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 =
   if r1 > r0 && n > 0 && k > 0 then begin
     let klen_max = min kc k in
     let npan_cap = (min nc n + nr - 1) / nr in
@@ -303,13 +309,13 @@ let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
       while !pc < k do
         let p0 = !pc in
         let klen = min kc (k - p0) in
-        pack_b ~tb ~ldb ~b ~j0 ~nlen ~p0 ~klen bp;
+        pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen bp;
         let ic = ref r0 in
         while !ic < r1 do
           let i0 = !ic in
           let mlen = min mc (r1 - i0) in
           let mpan = (mlen + mr - 1) / mr in
-          pack_a ~ta ~lda ~a ~i0 ~mlen ~p0 ~klen ap;
+          pack_a ~ta ~a ~aoff ~lda ~i0 ~mlen ~p0 ~klen ap;
           for ip = 0 to mpan - 1 do
             let ib = i0 + (ip * mr) in
             let vr = min mr (i0 + mlen - ib) in
@@ -317,13 +323,14 @@ let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
             for jp = 0 to npan - 1 do
               let jb = j0 + (jp * nr) in
               let vc = min nr (j0 + nlen - jb) in
-              let bbase = jp * (klen * nr) and first = p0 = 0 in
+              let bbase = jp * (klen * nr) and first = p0 = 0 && not acc in
+              let co = coff + (ib * ldc) + jb in
               (* Tiles with no cell on or above the diagonal are skipped
                  outright in the syrk case. *)
               if vr = mr && vc = nr && ((not up) || jb >= ib + (mr - 1)) then
-                kern ap abase bp bbase klen c ((ib * n) + jb) n first
+                kern ap abase bp bbase klen c co ldc first
               else if (not up) || jb + vc - 1 >= ib then
-                kern_staged ap abase bp bbase klen c n ib jb vr vc up first tile
+                kern_staged ap abase bp bbase klen c co ldc ib jb vr vc up first tile
             done
           done;
           ic := i0 + mlen
@@ -334,31 +341,51 @@ let band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
     done
   end
 
-let band ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 =
+let band ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 =
   let s = checkout () in
-  match band_with s ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up c r0 r1 with
+  match band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 with
   | () -> release s
   | exception e ->
     release s;
     raise e
 
 (* ------------------------------------------------------------------ *)
+(* Operand checks.  The kernels read and write through [unsafe_get] and
+   [unsafe_set], so every block must be known to lie inside its array
+   before the first access. *)
 
-let gemm ~ta ~tb ~m ~n ~k ~a ~b c =
-  if Array.length c <> m * n then invalid_arg "Gemm.gemm: bad output length";
-  if m > 0 && n > 0 && k > 0 then begin
-    let lda = if ta then m else k in
-    let ldb = if tb then k else n in
+(* The [rows × cols] block at [off] with row stride [ld] lies inside [v]. *)
+let check_block fn name v ~off ~ld ~rows ~cols =
+  if
+    off < 0 || ld < cols
+    || (rows > 0 && cols > 0 && off + ((rows - 1) * ld) + cols > Array.length v)
+  then invalid_arg (Printf.sprintf "Gemm.%s: %s block out of bounds" fn name)
+
+let gemm ?(accumulate = false) ?(a_off = 0) ?lda ?(b_off = 0) ?ldb ?(c_off = 0) ?ldc ~ta
+    ~tb ~m ~n ~k ~a ~b c =
+  if m < 0 || n < 0 || k < 0 then invalid_arg "Gemm.gemm: negative dimension";
+  (* A is stored m×k, or k×m when ta; B k×n, or n×k when tb. *)
+  let a_rows, a_cols = if ta then (k, m) else (m, k) in
+  let b_rows, b_cols = if tb then (n, k) else (k, n) in
+  let lda = Option.value lda ~default:a_cols
+  and ldb = Option.value ldb ~default:b_cols
+  and ldc = Option.value ldc ~default:n in
+  check_block "gemm" "a" a ~off:a_off ~ld:lda ~rows:a_rows ~cols:a_cols;
+  check_block "gemm" "b" b ~off:b_off ~ld:ldb ~rows:b_rows ~cols:b_cols;
+  check_block "gemm" "c" c ~off:c_off ~ld:ldc ~rows:m ~cols:n;
+  if m > 0 && n > 0 && k > 0 then
     Parallel.parallel_for ~cost:(m * n * k) ~n:m (fun r0 r1 ->
-        band ~ta ~tb ~n ~k ~lda ~ldb ~a ~b ~up:false c r0 r1)
-  end
+        band ~ta ~tb ~n ~k ~a ~aoff:a_off ~lda ~b ~boff:b_off ~ldb ~coff:c_off ~ldc ~up:false
+          ~acc:accumulate c r0 r1)
 
 let syrk ~ta ~n ~k ~a c =
+  if n < 0 || k < 0 then invalid_arg "Gemm.syrk: negative dimension";
   if Array.length c <> n * n then invalid_arg "Gemm.syrk: bad output length";
-  if n > 0 && k > 0 then begin
-    (* op(A)·op(A)ᵀ: the B operand is the same array read with the opposite
-       transposition, so both strides collapse to the one storage width. *)
-    let ld = if ta then n else k in
+  (* op(A)·op(A)ᵀ: the B operand is the same array read with the opposite
+     transposition, so both strides collapse to the one storage width. *)
+  let ld = if ta then n else k in
+  check_block "syrk" "a" a ~off:0 ~ld ~rows:(if ta then k else n) ~cols:ld;
+  if n > 0 && k > 0 then
     Parallel.parallel_for ~cost:((n * n * k / 2) + 1) ~n (fun r0 r1 ->
-        band ~ta ~tb:(not ta) ~n ~k ~lda:ld ~ldb:ld ~a ~b:a ~up:true c r0 r1)
-  end
+        band ~ta ~tb:(not ta) ~n ~k ~a ~aoff:0 ~lda:ld ~b:a ~boff:0 ~ldb:ld ~coff:0 ~ldc:n
+          ~up:true ~acc:false c r0 r1)

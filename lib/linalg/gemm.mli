@@ -27,7 +27,10 @@
     terms within a cell — so the result is bitwise identical for any
     blocking parameters, any pool size (including the sequential fallback),
     and bitwise identical to the plain loops [Mat] runs for products below
-    {!small_cutoff}.  See DESIGN.md §10. *)
+    {!small_cutoff}.  An accumulating {!gemm} starts each cell from the
+    value already in [c] instead of [+0.] and keeps the ascending order, so
+    a product split along its depth into ascending pieces, accumulated one
+    after the other, is bitwise the one product.  See DESIGN.md §10. *)
 
 (** {2 Blocking parameters} *)
 
@@ -50,24 +53,51 @@ val set_small_cutoff : int -> unit
 
 (** {2 Kernels}
 
-    Both kernels overwrite the cells they compute and never read what [c]
-    held before, so [c] needs no clearing; with [k = 0] they write
-    nothing.  Both partition output rows across the {!Parallel} pool in
-    the fixed contiguous-band scheme (chunk boundaries never affect cell
-    values, so any pool size is bitwise identical). *)
+    Both kernels partition output rows across the {!Parallel} pool in the
+    fixed contiguous-band scheme (chunk boundaries never affect cell
+    values, so any pool size is bitwise identical).  Both check, before
+    any unchecked access, that every operand's array covers the last cell
+    the product reads or writes, and raise [Invalid_argument] otherwise. *)
 
 val gemm :
+  ?accumulate:bool ->
+  ?a_off:int -> ?lda:int -> ?b_off:int -> ?ldb:int -> ?c_off:int -> ?ldc:int ->
   ta:bool -> tb:bool -> m:int -> n:int -> k:int ->
   a:float array -> b:float array -> float array -> unit
 (** [gemm ~ta ~tb ~m ~n ~k ~a ~b c] computes [C = op(A)·op(B)] into the
     row-major [m×n] array [c].  [a] stores [op(A)] row-major as [m×k] when
     [ta = false] and as its transpose [k×m] when [ta = true]; likewise [b]
-    is [k×n] ([tb = false]) or [n×k] ([tb = true]).  Raises
-    [Invalid_argument] if [c] has the wrong length. *)
+    is [k×n] ([tb = false]) or [n×k] ([tb = true]).
+
+    {b Sub-blocks.}  Each operand may be a block of a larger row-major
+    array: row [i], column [j] of the stored [a] is
+    [a.(a_off + i·lda + j)], and likewise [b] with [b_off]/[ldb] and [c]
+    with [c_off]/[ldc].  The offsets default to 0 and each stride to its
+    block's width, so the plain call reads whole arrays.  A stride must be
+    at least its block's width; cells of [c] outside the block are never
+    read or written.
+
+    {b Overwrite or accumulate.}  By default the product overwrites the
+    block of [c] without reading it, so [c] needs no clearing; with
+    [k = 0] nothing is written.  With [~accumulate:true] it computes
+    [C += op(A)·op(B)]: each cell's sum starts from the value [c] holds
+    instead of [+0.], and the [k] new terms are still added one at a time
+    in ascending order.  So if [c] holds the product over the depth
+    prefix [0 … k₁−1], itself accumulated from [+0.], adding the product
+    over [k₁ … k₁+k₂−1] gives, bit for bit, the one product over
+    [0 … k₁+k₂−1], and any ascending split of the depth into several
+    accumulating calls onto a [c] cleared to [+0.] equals the single
+    call.
+
+    Raises [Invalid_argument] on a negative dimension, a stride narrower
+    than its block, a negative offset, or a block that runs past the end
+    of its array. *)
 
 val syrk : ta:bool -> n:int -> k:int -> a:float array -> float array -> unit
 (** [syrk ~ta ~n ~k ~a c] fills the upper triangle (diagonal included) of
     [C = op(A)·op(A)ᵀ] into the row-major [n×n] array [c], where [a] stores
     [op(A)] as [n×k] ([ta = false], the [Mat.gram] case) or [k×n]
     ([ta = true], the [Mat.tgram] case).  Tiles strictly below the diagonal
-    are skipped; the caller mirrors the strict lower triangle. *)
+    are skipped; the caller mirrors the strict lower triangle.  It never
+    reads [c] and writes nothing when [k = 0].  Raises [Invalid_argument]
+    if [c] is not [n×n] or [a] is shorter than [n·k]. *)

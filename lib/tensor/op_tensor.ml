@@ -141,36 +141,41 @@ let mttkrp op us k =
 
 (* ------------------------------------------------------------------ *)
 (* The factored Gram pass: ‖M‖² = w²·1ᵀ(⊛ₚGₚ)1 (⟨M, M⟩ = w²Σᵢⱼ∏ₚ⟨zₚᵢ, zₚⱼ⟩)
-   and the mode Grams w²·Zₖ(⊛_{q≠k}G_q)Zₖᵀ (M₍ₖ₎ = w·Zₖ(⊙_{q≠k}Z_q)ᵀ), with
-   Gₚ = ZₚᵀZₚ the N×N view Grams, from one stream over blocks of
-   [gram_block_rows] rows.  Per block [i₀, i₀+b) it
-   forms each needed Gₚ[i₀:i₀+b, :] with one GEMM, adds the block's ⊛ₚGₚ
-   cells to the norm, and for each requested mode k multiplies Zₖ by the
-   block's ⊛_{q≠k}G_q (transposed), which fills columns i₀..i₀+b of
-   Pₖ = Zₖ·(⊛_{q≠k}G_q).  Memory is O(m·b·N); no N×N array exists.
+   and the mode Grams w²·PₖZₖᵀ with Pₖ = Zₖ·Hₖ, Hₖ = ⊛_{q≠k}G_q
+   (M₍ₖ₎ = w·Zₖ(⊙_{q≠k}Z_q)ᵀ), where Gₚ = ZₚᵀZₚ are the N×N view Grams.
+   Every Gₚ and every Hₖ is symmetric, so the pass only ever forms the
+   upper block row of each.  It streams over blocks I = [i₀, i₀+b) of
+   [gram_block_rows] rows; per block:
+   - one GEMM per needed view forms Gₚ[I, i₀:] = Zₚ[:, I]ᵀ·Zₚ[:, i₀:],
+     reading both operands straight from Zₚ as sub-blocks (b·(N−i₀)·dₚ
+     multiply-adds);
+   - the norm adds the block's upper-triangle cells of ⊛ₚGₚ;
+   - per requested mode k, the chain Hₖ[I, i₀:] and two accumulating GEMMs
+     into Pₖ: columns I from every j ≥ i₀, Pₖ[:, I] += Zₖ[:, i₀:]·Hₖ[I, i₀:]ᵀ,
+     then the columns after I from j ∈ I,
+     Pₖ[:, i₀+b:] += Zₖ[:, I]·Hₖ[I, i₀+b:].
+   Summed over blocks that is N²·dₚ multiply-adds per Gram and 2·N²·dₖ per
+   mode: 3·N²·Σdₚ flops for the joint pass, N²·Σdₚ for the norm alone.
+   Memory is m + 1 buffers of b·N plus the Pₖ; no N×N array exists.
 
-   The result is bitwise the historical N×N formula (kept in the tests as
-   the oracle):
-   - a block cell Gₚ[i, j], formed from rows of Zₚᵀ, is the ascending-l
-     sum Σₗ Zₚ[l,i]·Zₚ[l,j] that tgram computes for i ≤ j; for i > j
-     tgram mirrors cell (j, i), whose products are the commuted ones, so
-     the bits agree;
+   The mode Grams are bitwise the historical N×N formula (kept in the
+   tests as the oracle):
+   - a cell Gₚ[i, j] is the ascending-l sum Σₗ Zₚ[l,i]·Zₚ[l,j] from +0.,
+     which is what tgram computes for i ≤ j; for i > j tgram mirrors cell
+     (j, i), whose products are the commuted ones, so the bits agree;
    - the Hadamard chain starts from 1 and multiplies the views in ascending
-     order, as [Mat.make n n 1.] folded with [Mat.map2 ( *. )] did;
-   - the norm adds the cells in row-major order from +0., one block after
-     the other, in one sequential accumulation;
-   - ⊛_{q≠k}G_q is bitwise symmetric, so Zₖ times its row block transposed
-     equals the same columns of Zₖ·(⊛_{q≠k}G_q) cell for cell, and the
-     final Pₖ·Zₖᵀ is the historical product. *)
+     order, as [Mat.make n n 1.] folded with [Mat.map2 ( *. )] did, so
+     Hₖ[i, j] and Hₖ[j, i] carry the same bits;
+   - a column c ∈ J of Pₖ receives j ∈ I from each earlier block I, in
+     ascending order of I, then j ≥ c₀ from block J itself: all N terms in
+     ascending j onto a Pₖ cleared to +0., which by the GEMM's accumulation
+     contract is bitwise the one product Zₖ·Hₖ; the final Pₖ·Zₖᵀ is the
+     historical product.
+   The norm is one sequential accumulation from +0. over the blocks, then
+   their rows, in ascending order; row i adds c[i,i], then 2·c[i,j] for
+   j = i+1 … N−1 ascending, with c = ⊛ₚGₚ. *)
 
 let gram_block_rows = 128
-
-(* One block's buffers, reused from block to block. *)
-type block = {
-  grams : Mat.t array; (* Gₚ[i₀:i₀+b, :] *)
-  chain : Mat.t; (* one Hadamard chain over the block *)
-  cols : Mat.t array; (* Pₖ[:, i₀:i₀+b], one per requested mode *)
-}
 
 (* The Hadamard chain (…((1·g_{q₀})·g_{q₁})…) of cell t over the views
    q ≠ skip. *)
@@ -185,53 +190,54 @@ let[@inline] chain_cell (gs : float array array) ~skip t =
    when [norm] is false. *)
 let gram_pass ~weight factors ~norm ~modes =
   let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
-  let dim q = fst (Mat.dims factors.(q)) in
+  let dim q = fst (Mat.dims factors.(q)) and z q = (factors.(q) : Mat.t).Mat.data in
   (* Gₚ is needed for the norm and for every mode other than p. *)
   let needed q = norm || Array.exists (fun k -> k <> q) modes in
-  let per_view f = Array.mapi (fun q z -> if needed q then f z else Mat.create 0 0) factors in
-  let zts = per_view Mat.transpose in
-  let buffers rows =
-    { grams = per_view (fun _ -> Mat.create rows n);
-      chain = Mat.create rows n;
-      cols = Array.map (fun k -> Mat.create (dim k) rows) modes }
-  in
+  let b = min gram_block_rows n in
+  (* Block rows of the Gₚ and of one chain, stored at the block's width
+     N − i₀; sized for the first, widest block and reused. *)
+  let gs = Array.init m (fun q -> if needed q then Array.make (b * n) 0. else [||]) in
+  let chain = Array.make (b * n) 0. in
   let ps = Array.map (fun k -> Mat.create (dim k) n) modes in
   let total = ref 0. in
-  let block i0 blk =
-    let rows = blk.chain.Mat.rows in
+  for blk = 0 to ((n + b - 1) / b) - 1 do
+    let i0 = blk * b in
+    let rows = min b (n - i0) and width = n - i0 in
+    (* Gₚ[I, i₀:] = Zₚ[:, I]ᵀ·Zₚ[:, i₀:], both operands read in place. *)
     Array.iteri
-      (fun q zt ->
-        if needed q then Mat.mul_nt_into (Mat.sub_rows zt i0 rows) zt blk.grams.(q))
-      zts;
-    let gs = Array.map (fun (g : Mat.t) -> g.Mat.data) blk.grams in
+      (fun q g ->
+        if needed q then
+          Gemm.gemm ~ta:true ~tb:false ~m:rows ~n:width ~k:(dim q) ~a:(z q) ~a_off:i0 ~lda:n
+            ~b:(z q) ~b_off:i0 ~ldb:n g)
+      gs;
+    (* The block's upper-triangle cells of ⊛ₚGₚ: the diagonal once, the
+       rest twice. *)
     if norm then begin
       let acc = ref !total in
-      for t = 0 to (rows * n) - 1 do
-        acc := !acc +. chain_cell gs ~skip:(-1) t
+      for r = 0 to rows - 1 do
+        let diag = (r * width) + r in
+        acc := !acc +. chain_cell gs ~skip:(-1) diag;
+        for t = diag + 1 to ((r + 1) * width) - 1 do
+          acc := !acc +. (2. *. chain_cell gs ~skip:(-1) t)
+        done
       done;
       total := !acc
     end;
     Array.iteri
       (fun i k ->
-        let h = blk.chain.Mat.data in
-        Parallel.parallel_for ~cost:(rows * n * m) ~n:rows (fun lo hi ->
-            for t = lo * n to (hi * n) - 1 do
-              Array.unsafe_set h t (chain_cell gs ~skip:k t)
+        Parallel.parallel_for ~cost:(rows * width * m) ~n:rows (fun lo hi ->
+            for t = lo * width to (hi * width) - 1 do
+              Array.unsafe_set chain t (chain_cell gs ~skip:k t)
             done);
-        let c = blk.cols.(i) in
-        Mat.mul_nt_into factors.(k) blk.chain c;
-        for a = 0 to dim k - 1 do
-          Array.blit c.Mat.data (a * rows) ps.(i).Mat.data ((a * n) + i0) rows
-        done)
+        let p = ps.(i).Mat.data in
+        (* Columns I from every j ≥ i₀: Pₖ[:, I] += Zₖ[:, i₀:]·Hₖ[I, i₀:]ᵀ. *)
+        Gemm.gemm ~accumulate:true ~ta:false ~tb:true ~m:(dim k) ~n:rows ~k:width ~a:(z k)
+          ~a_off:i0 ~lda:n ~b:chain ~c_off:i0 ~ldc:n p;
+        (* Columns after I from j ∈ I: Pₖ[:, i₀+b:] += Zₖ[:, I]·Hₖ[I, i₀+b:]. *)
+        Gemm.gemm ~accumulate:true ~ta:false ~tb:false ~m:(dim k) ~n:(width - rows) ~k:rows
+          ~a:(z k) ~a_off:i0 ~lda:n ~b:chain ~b_off:rows ~ldb:width ~c_off:(i0 + rows)
+          ~ldc:n p)
       modes
-  in
-  let b = min gram_block_rows n in
-  let full = buffers b and tail = lazy (buffers (n mod b)) in
-  let i0 = ref 0 in
-  while !i0 < n do
-    let rows = min b (n - !i0) in
-    block !i0 (if rows = b then full else Lazy.force tail);
-    i0 := !i0 + rows
   done;
   let w2 = weight *. weight in
   (w2 *. !total, Array.mapi (fun i k -> Mat.scale w2 (Mat.mul_nt ps.(i) factors.(k))) modes)
@@ -376,7 +382,9 @@ let to_tensor = function
 (* The route: which representation a fit solves on, from the shape alone.
    Dense pays one to_tensor pass, 2·n·∏dₚ GEMM flops, and then the dense
    norm, HOSVD mode Grams and ALS sweeps, about κ flops per entry;
-   factored pays the streamed Gram pass, ≈ 4·n²·Σdₚ.  κ was fitted on
+   factored pays the streamed Gram pass, modelled as 4·n²·Σdₚ, its cost
+   before it formed only the upper half of each view Gram (3·n²·Σdₚ now;
+   the term is kept so that no shape changes route).  κ was fitted on
    measured fits (DESIGN.md, "Materialization-free operator layer"). *)
 
 let dense_entry_cap = 100_000_000

@@ -58,8 +58,13 @@ val mttkrp : t -> Mat.t array -> int -> Mat.t
 
 val norm2 : t -> float
 (** [⟨X, X⟩ = ‖X‖²_F].  Factored: [w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1] by the streamed Gram
-    pass of {!norm2_and_mode_grams}, O(n² · Σₚ dₚ) time, O(m · b · n)
-    memory. *)
+    pass of {!norm2_and_mode_grams} without its mode products:
+    n²·Σₚ dₚ flops, O(m · b · n) memory.  The sum runs over the upper
+    triangle of the symmetric [c = ⊛ₚ ZₚᵀZₚ] as one accumulation from
+    [+0.] over the rows in ascending order: row i adds [c[i,i]], then
+    [2·c[i,j]] for j = i+1 … n−1 ascending; the total is then multiplied
+    by [w²].  (Equal in exact arithmetic to a row-major sum over all n²
+    cells; within rounding of it in floating point.) *)
 
 val inner_kruskal : t -> Vec.t -> Mat.t array -> float
 (** [inner_kruskal op λ us = ⟨X, ⟦λ; U₁…Uₘ⟧⟩] — the cross term of the fit
@@ -75,10 +80,16 @@ val norm2_and_mode_grams : t -> float * Mat.t array
 (** [(norm2 op, [| mode_gram op k | k = 0 … m−1 |])] from one pass, each
     bitwise equal to the separate call — what a CP-ALS solve with HOSVD
     initialization needs.  Dense: the separate calls.  Factored: one stream
-    over row blocks of height [b = min gram_block_rows n] of the view Grams
-    ZₚᵀZₚ; per block, 2m GEMMs form the block of each Gram and multiply
-    each mode's Hadamard chain by Zₖ.  O(n² · Σₚ dₚ) time, O(m · b · n)
-    memory: no n × n temporary is ever allocated. *)
+    over row blocks I = [i₀, i₀+b), [b = min gram_block_rows n], of the
+    symmetric view Grams Gₚ = ZₚᵀZₚ, forming only their upper block rows.
+    Per block, one GEMM per view forms Gₚ[I, i₀:] straight from Zₚ, and
+    two accumulating GEMMs per mode k add the products of its Hadamard
+    chain Hₖ = ⊛_{q≠k}G_q into Pₖ = Zₖ·Hₖ: columns I from every j ≥ i₀,
+    then the columns after I from j ∈ I.  Every Pₖ cell so adds its n
+    terms in ascending j from [+0.], and each mode Gram [w²·PₖZₖᵀ] is
+    bitwise the N×N formula [w²·Zₖ(⊛_{q≠k}ZqᵀZq)Zₖᵀ].  3·n²·Σₚ dₚ flops
+    (n²·Σₚ dₚ for the Grams, 2·n²·Σₚ dₚ for the Pₖ) plus the final
+    Pₖ·Zₖᵀ; O(m · b · n) memory: no n × n temporary is ever allocated. *)
 
 val gram_block_rows : int
 (** Row height of the blocks of the factored Gram pass. *)
@@ -136,7 +147,11 @@ val materializes : dims:int array -> n:int -> bool
     HOSVD mode Grams and ALS sweeps of a fit in GEMM flops per entry,
     fitted on measured fits of the paper's shapes (DESIGN.md).  Dense wins
     at large [n] (the Gram pass is quadratic in [n], the dense solve
-    independent of it), factored at small [n] or huge ∏dₚ. *)
+    independent of it), factored at small [n] or huge ∏dₚ.  The factored
+    term is the pass's cost when it formed whole view Grams; the pass now
+    costs 3n²·Σdₚ, so the term overestimates it by 4/3.  It is kept as
+    is, so no shape changes route (DESIGN.md has the measured
+    crossover). *)
 
 val route : t -> t
 (** [Dense (to_tensor op)] for a factored [op] that {!materializes}, else

@@ -180,8 +180,25 @@ let hadamard_of_tgrams factors ~skip =
   Array.iteri (fun q z -> if q <> skip then acc := Mat.map2 ( *. ) !acc (Mat.tgram z)) factors;
   !acc
 
-(* w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1, summed row-major. *)
+(* w² · 1ᵀ(⊛ₚ ZₚᵀZₚ)1 over the upper triangle of the symmetric
+   c = ⊛ₚ ZₚᵀZₚ, in the streamed pass's order: one accumulation from +0.
+   over the rows in ascending order, row i adding c[i,i] and then 2·c[i,j]
+   for j = i+1 … N−1 ascending. *)
 let oracle_norm2 ~weight factors =
+  let g = hadamard_of_tgrams factors ~skip:(-1) in
+  let n = g.Mat.rows in
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. Mat.get g i i;
+    for j = i + 1 to n - 1 do
+      total := !total +. (2. *. Mat.get g i j)
+    done
+  done;
+  weight *. weight *. !total
+
+(* The same norm summed row-major over all N² cells: equal to
+   [oracle_norm2] in exact arithmetic, within rounding in floating point. *)
+let row_major_norm2 ~weight factors =
   let g = hadamard_of_tgrams factors ~skip:(-1) in
   let total = ref 0. in
   Array.iter (fun v -> total := !total +. v) g.Mat.data;

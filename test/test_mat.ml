@@ -394,6 +394,117 @@ let prop_into_overwrites =
               bits_equal (Mat.mul_nt a bt) c))
         [ `Naive; `Microkernel ])
 
+(* ------------------------------------------------------------------ *)
+(* The accumulating sub-block product.  A depth k split into ascending
+   pieces k₁ + k₂ (+ k₃), each accumulated with [~accumulate:true] onto a
+   C block that starts at +0., must equal one overwriting product over the
+   whole depth bit for bit.  Every operand is a block of a larger array:
+   A and B at an offset with a row stride wider than the block, C at an
+   offset in an array whose other cells hold a sentinel that must survive.
+   m and n sit off the 4×2 tile (1–9, and 127–129 across the mc = 128 row
+   block), k across the kc = 256 depth slab, at pool sizes 1 and 4. *)
+
+(* ((ta, tb), (m, n, k), (cut₁, cut₂), seed) — operands come from the seed. *)
+let gen_accumulate_case =
+  QCheck2.Gen.(
+    let side = frequency [ (4, int_range 1 9); (1, int_range 127 129) ] in
+    let depth = frequency [ (3, int_range 0 9); (1, int_range 255 257) ] in
+    pair bool bool >>= fun flags ->
+    triple side side depth >>= fun (m, n, k) ->
+    pair (int_range 0 k) (int_range 0 k) >>= fun (c1, c2) ->
+    int_bound 1_000_000 >|= fun seed -> (flags, (m, n, k), (min c1 c2, max c1 c2), seed))
+
+(* A [rows × cols] block with row stride [cols + pad] at offset [off] in a
+   larger array, its padding and the cells around it NaN. *)
+let embed r ~rows ~cols ~off ~pad =
+  let ld = cols + pad in
+  let v = Array.make (off + (rows * ld) + 3) Float.nan in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      v.(off + (i * ld) + j) <- (if Rng.uniform r < 0.2 then 0. else Rng.gaussian r)
+    done
+  done;
+  (v, ld)
+
+let prop_accumulate_split =
+  qtest ~count:100 "accumulated depth pieces ≡ one product (bitwise, sub-blocks, pools 1 and 4)"
+    gen_accumulate_case (fun ((ta, tb), (m, n, k), (c1, c2), seed) ->
+      let r = Rng.create seed in
+      let a_rows, a_cols = if ta then (k, m) else (m, k) in
+      let b_rows, b_cols = if tb then (n, k) else (k, n) in
+      let a, lda = embed r ~rows:a_rows ~cols:a_cols ~off:5 ~pad:3 in
+      let b, ldb = embed r ~rows:b_rows ~cols:b_cols ~off:2 ~pad:1 in
+      let c_off = 7 and ldc = n + 4 in
+      let sentinel = -1234.5 in
+      (* Offsets of depth index l in A and B. *)
+      let a_at l = 5 + if ta then l * lda else l in
+      let b_at l = 2 + if tb then l else l * ldb in
+      let check () =
+        (* An overwriting product with k = 0 writes nothing: the empty sum
+           is the +0. the pieces start from. *)
+        let whole = Array.make (m * n) (if k = 0 then 0. else Float.nan) in
+        Gemm.gemm ~ta ~tb ~m ~n ~k ~a ~a_off:5 ~lda ~b ~b_off:2 ~ldb whole;
+        let c = Array.make (c_off + (m * ldc) + 5) sentinel in
+        for i = 0 to m - 1 do
+          Array.fill c (c_off + (i * ldc)) n 0.
+        done;
+        List.iter
+          (fun (lo, hi) ->
+            Gemm.gemm ~accumulate:true ~ta ~tb ~m ~n ~k:(hi - lo) ~a ~a_off:(a_at lo) ~lda ~b
+              ~b_off:(b_at lo) ~ldb ~c_off ~ldc c)
+          [ (0, c1); (c1, c2); (c2, k) ];
+        let ok = ref true in
+        Array.iteri
+          (fun t v ->
+            let i = (t - c_off) / ldc and j = (t - c_off) mod ldc in
+            let inside = t >= c_off && i < m && j < n in
+            let expected = if inside then whole.((i * n) + j) else sentinel in
+            if not (same_bits expected v) then ok := false)
+          c;
+        !ok
+      in
+      List.for_all (fun size -> with_pool size check) [ 1; 4 ])
+
+(* Every operand is checked against the last cell the product touches
+   before any unchecked access: short operands, offsets past the end,
+   negative offsets and strides narrower than their block raise
+   [Invalid_argument] and leave C as it was. *)
+let test_gemm_bounds () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  let full = Array.make (64 * 64) 1. and short = Array.make 10 1. in
+  let c = Array.make (64 * 64) 7. in
+  let gemm ?a_off ?lda ?b_off ?ldb ?c_off ?ldc ?(ta = false) ?(tb = false) ?(a = full)
+      ?(b = full) ?(c = c) () =
+    Gemm.gemm ?a_off ?lda ?b_off ?ldb ?c_off ?ldc ~ta ~tb ~m:64 ~n:64 ~k:64 ~a ~b c
+  in
+  List.iter
+    (fun (ta, tb) ->
+      raises "short a" (gemm ~ta ~tb ~a:short);
+      raises "short b" (gemm ~ta ~tb ~b:short))
+    [ (false, false); (true, false); (false, true); (true, true) ];
+  raises "short c" (gemm ~c:short);
+  raises "a offset past the end" (gemm ~a_off:1);
+  raises "b offset past the end" (gemm ~b_off:1);
+  raises "c offset past the end" (gemm ~c_off:1);
+  raises "negative offset" (gemm ~a_off:(-1));
+  raises "stride past the end" (gemm ~ldb:65);
+  raises "stride narrower than the block" (gemm ~lda:63);
+  raises "c stride narrower than the block" (gemm ~ldc:63);
+  raises "negative dimension" (fun () ->
+      Gemm.gemm ~ta:false ~tb:false ~m:(-1) ~n:(-1) ~k:1 ~a:full ~b:full [||]);
+  raises "short syrk" (fun () -> Gemm.syrk ~ta:false ~n:64 ~k:64 ~a:short c);
+  raises "short syrk (ta)" (fun () -> Gemm.syrk ~ta:true ~n:64 ~k:64 ~a:short c);
+  raises "syrk output" (fun () -> Gemm.syrk ~ta:false ~n:64 ~k:64 ~a:full short);
+  check_true "c untouched by the refused calls" (Array.for_all (fun v -> v = 7.) c);
+  (* A block that ends exactly at the end of its array is in range. *)
+  let big = Array.make ((64 * 66) + 2) 1. in
+  gemm ~a:big ~a_off:2 ~lda:66 ();
+  check_true "edge block accepted" (c.(0) = 64.)
+
 (* Packed products from several systhreads of one domain — how the serving
    daemon's compute workers call them.  A thread can be preempted in the
    middle of a product; the packing scratch it was using must not be
@@ -453,6 +564,9 @@ let () =
       ( "gemm-equivalence",
         [ prop_microkernel_vs_naive_mul; prop_microkernel_vs_naive_gram;
           prop_transpose_consistency; prop_into_overwrites ] );
+      ( "gemm-blocks",
+        [ prop_accumulate_split;
+          Alcotest.test_case "operand bounds" `Quick test_gemm_bounds ] );
       ( "gemm-threads",
         [ Alcotest.test_case "systhreads share no scratch" `Quick
             test_threads_share_no_scratch ] ) ]

@@ -81,9 +81,13 @@ let prop_shape_accessors =
       && Op_tensor.n_components op <> None)
 
 (* ------------------------------------------------------------------ *)
-(* The streamed Gram pass against the historical N×N formulas, bit for bit:
-   norm2, mode_gram and the joint call, with component counts around the
-   pass's block height, at pool sizes 1 and 4. *)
+(* The streamed Gram pass against the N×N formulas, bit for bit: norm2,
+   mode_gram and the joint call, with component counts around the pass's
+   block height, at pool sizes 1 and 4.  The mode Grams are the historical
+   Hadamard-of-tgram products; the norm is the upper-triangle sum the pass
+   takes, and stays within rounding of the historical row-major sum.
+   N = 3b + 5 is four blocks with a narrow last one, so each Pₖ column
+   accumulates across several blocks' products. *)
 
 (* (dims, n, weight, seed) with m ∈ 2..5 and n at the block edges. *)
 let gen_pass_case =
@@ -91,7 +95,7 @@ let gen_pass_case =
   QCheck2.Gen.(
     int_range 2 5 >>= fun m ->
     list_repeat m (int_range 1 4) >>= fun dims ->
-    oneofl [ 1; b - 1; b; b + 1; (2 * b) + 3 ] >>= fun n ->
+    oneofl [ 1; b - 1; b; b + 1; (2 * b) + 3; (3 * b) + 5 ] >>= fun n ->
     float_range (-1.5) 1.5 >>= fun weight ->
     int_bound 1_000_000 >|= fun seed -> (Array.of_list dims, n, weight, seed))
 
@@ -105,8 +109,10 @@ let prop_gram_pass_bitwise =
       let op = Op_tensor.factored ~weight zs in
       let modes = List.init (Array.length zs) Fun.id in
       let norm = oracle_norm2 ~weight zs in
+      let row_major = row_major_norm2 ~weight zs in
       let grams = List.map (oracle_mode_gram ~weight zs) modes in
-      List.for_all
+      Float.abs (norm -. row_major) <= 1e-12 *. (1. +. Float.abs row_major)
+      && List.for_all
         (fun size ->
           with_pool size (fun () ->
               let joint_norm, joint_grams = Op_tensor.norm2_and_mode_grams op in
