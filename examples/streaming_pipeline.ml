@@ -18,8 +18,8 @@ let () =
     let batch = Synth.sample world rng ~n:batch_size in
     Tcca.Builder.add_batch builder batch.Multiview.views
   done;
-  Printf.printf "absorbed %d instances in %d batches (memory: one %dx%dx%d tensor)\n%!"
-    (Tcca.Builder.count builder) batches dims.(0) dims.(1) dims.(2);
+  Printf.printf "absorbed %d instances in %d batches (memory: one %dx%dx%d moment tensor)\n%!"
+    (Tcca.Builder.count builder) batches (dims.(0) + 1) (dims.(1) + 1) (dims.(2) + 1);
 
   let model = Tcca.fit_prepared ~r:8 (Tcca.prepare_of_raw ~eps:1e-2 (Tcca.Builder.finalize builder)) in
 

@@ -1,7 +1,9 @@
 (** LU factorization with partial pivoting, for general square systems.
 
-    Used where SPD structure is not guaranteed (e.g. solving against Khatri–Rao
-    Gram matrices inside CP-ALS when factors become ill-conditioned). *)
+    No library code calls it: CP-ALS solves its Khatri–Rao Gram systems by
+    Cholesky, with [Matfun]'s spectral pseudo-inverse as the fallback.
+    Only the tests use it, as an independent solver to check other
+    factorizations against. *)
 
 type t
 (** Packed factorization [P A = L U]. *)

@@ -169,16 +169,7 @@ let prepare_raw ?center ?approx kernels_raw =
    [K² + εK] grows more definite with ε on a PSD kernel). *)
 let gram_attempts = 4
 
-let whiten_kernel ~eps ~view kernel =
-  let stage = Printf.sprintf "ktcca.whiten view %d" view in
-  let target e =
-    let a = jittered_pls e kernel in
-    (* Fault injection: shift view 0's factorization target until it is
-       decisively indefinite — no jitter or eps in the ladders can mask it. *)
-    if view = 0 && Robust.Inject.(active Gram_indefinite) then
-      Mat.add_scaled_identity (-.(1. +. Float.abs (Mat.trace a))) a
-    else a
-  in
+let cholesky_ladder ~stage ~eps target =
   let rec attempt k =
     let e = eps *. (10. ** float_of_int k) in
     match Cholesky.decompose_jittered ~stage (target e) with
@@ -195,26 +186,21 @@ let whiten_kernel ~eps ~view kernel =
   in
   attempt 0
 
+let whiten_kernel ~eps ~view kernel =
+  cholesky_ladder ~stage:(Printf.sprintf "ktcca.whiten view %d" view) ~eps (fun e ->
+      let a = jittered_pls e kernel in
+      (* Fault injection: shift view 0's factorization target until it is
+         decisively indefinite — no jitter or eps in the ladders can mask it. *)
+      if view = 0 && Robust.Inject.(active Gram_indefinite) then
+        Mat.add_scaled_identity (-.(1. +. Float.abs (Mat.trace a))) a
+      else a)
+
 (* Nyström whitening: Mₚ = FₚᵀFₚ + εI is ℓₚ×ℓₚ and already conditioned by ε,
    but reuse the same escalation shape for a degenerate F. *)
 let whiten_nystrom ~eps ~view f =
-  let stage = Printf.sprintf "ktcca.whiten-nystrom view %d" view in
   let gram = Mat.tgram f in
-  let rec attempt k =
-    let e = eps *. (10. ** float_of_int k) in
-    match Cholesky.decompose_jittered ~stage (Mat.add_scaled_identity e gram) with
-    | Ok (g, jitter) ->
-      if k > 0 || jitter > 0. then
-        Robust.warnf "%s: factorized with eps %g, diagonal jitter %g" stage e jitter;
-      Ok g
-    | Error (Robust.Not_positive_definite _ as err) when k + 1 < gram_attempts ->
-      Robust.warnf "%s: %s — escalating eps to %g" stage
-        (Robust.failure_to_string err)
-        (eps *. (10. ** float_of_int (k + 1)));
-      attempt (k + 1)
-    | Error err -> Error err
-  in
-  attempt 0
+  cholesky_ladder ~stage:(Printf.sprintf "ktcca.whiten-nystrom view %d" view) ~eps (fun e ->
+      Mat.add_scaled_identity e gram)
 
 (* Whiten every view with [f], stopping at the first failure. *)
 let whiten_views f xs =
@@ -226,17 +212,17 @@ let whiten_views f xs =
   with Robust.Error e -> Error e
 
 let prepare_of_raw_checked ~eps raw =
-  (* S = (1/N) Σₙ ∘ₚ zₚₙ over the whitened factors Zₚ, checked finite
-     before the route can allocate its ∏ₚ entries: a non-finite factor
-     implies a non-finite tensor. *)
+  (* S = (1/N) Σₙ ∘ₚ zₚₙ over the whitened factors Zₚ. *)
   let finish rep ~n factors =
-    let op = Op_tensor.factored ~weight:(1. /. float_of_int n) factors in
-    if not (Op_tensor.all_finite op) then
-      Error (Robust.Non_finite { stage = "ktcca.prepare"; where = "whitened kernel operator" })
-    else
+    match
+      Op_tensor.route ~stage:"ktcca.prepare" ~where:"whitened kernel operator"
+        (Op_tensor.factored ~weight:(1. /. float_of_int n) factors)
+    with
+    | Error e -> Error e
+    | Ok op ->
       Ok
         { p_rep = rep;
-          p_op = Op_tensor.route op;
+          p_op = op;
           p_raw_col_means = raw.raw_cms;
           p_raw_total_means = raw.raw_tms;
           p_centered = raw.raw_centered }
@@ -290,38 +276,10 @@ let prepare_oracles ?eps ?center ~approx oracles =
   | Ok p -> p
   | Error e -> Robust.fail e
 
-let fit_prepared_checked ?(solver = Tcca.default_solver) ?budget ?checkpoint ~r prepared =
-  if r < 1 then invalid_arg "Ktcca.fit_prepared: r must be >= 1";
-  let r = Array.fold_left min r (Op_tensor.dims prepared.p_op) in
-  (match (checkpoint, solver) with
-  | Some cfg, (Tcca.Sampled_als _ | Tcca.Power_deflation) ->
-    Robust.warnf "Ktcca.fit: checkpointing (%s) only supported by the Als solver — ignored"
-      cfg.Checkpoint.path
-  | _ -> ());
-  let note_deadline = function
-    | None -> ()
-    | Some d ->
-      Robust.warnf "Ktcca.fit: %s — returning best-so-far model" (Robust.failure_to_string d)
-  in
-  let solved =
-    match solver with
-    | Tcca.Als options ->
-      let k, info = Cp_als.decompose_op ~options ?budget ?checkpoint ~rank:r prepared.p_op in
-      note_deadline info.Cp_als.deadline;
-      (match info.Cp_als.failure with Some f -> Error f | None -> Ok k)
-    | Tcca.Sampled_als options -> (
-      let k, info = Cp_rand.decompose_op ~options ?budget ~rank:r prepared.p_op in
-      note_deadline info.Cp_rand.deadline;
-      match info.Cp_rand.failure with Some f -> Error f | None -> Ok k)
-    | Tcca.Power_deflation ->
-      let dense = Tcca.materialize_for_solver "Ktcca.fit_prepared" prepared.p_op in
-      let k, deadline = Tensor_power.decompose ?budget ~rank:r dense in
-      note_deadline deadline;
-      Ok (Kruskal.normalize k)
-  in
-  match solved with
+let fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared =
+  match Tcca.solve ~caller:"Ktcca" ?solver ?budget ?checkpoint ~r prepared.p_op with
   | Error e -> Error e
-  | Ok kruskal -> (
+  | Ok (kruskal, _) -> (
     match prepared.p_rep with
     | Exact_rep { e_kernels; e_chols } ->
       (* aₚ = Lₚ⁻¹ Bₚ = Gₚ⁻ᵀ Bₚ. *)

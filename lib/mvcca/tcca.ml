@@ -163,7 +163,9 @@ let materialized prepared =
   match prepared.p_op with Op_tensor.Dense _ -> true | Op_tensor.Factored _ -> false
 
 type raw_stats =
-  | Raw_tensor of Tensor.t (* C₁₂…ₘ, from the Builder, which keeps no instances *)
+  | Raw_moment of Tensor.t
+      (* E[∘ₚ x̃ₚ] over the augmented instances x̃ₚ = [xₚ; 1], dims dₚ + 1:
+         the Builder's statistics, which keep no instances *)
   | Raw_views of Mat.t array (* the centered views themselves (dₚ × N each) *)
 
 (* [r_cov_stats] carries (shrunk covariances, intensities ρ, shifts ρ·μ).
@@ -280,10 +282,17 @@ let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
   in
   match whiteners_result with
   | Error e -> Error e
-  | Ok (ws, intens) ->
+  | Ok (ws, intens) -> (
     let op =
       match raw.r_stats with
-      | Raw_tensor t -> Op_tensor.dense (Tensor.mode_products t ws)
+      | Raw_moment t ->
+        (* ∘ₚ Wₚ(xₚ − μₚ) = ∘ₚ [Wₚ | −Wₚμₚ]x̃ₚ, so M = E[∘ₚ x̃ₚ] ×ₚ [Wₚ | −Wₚμₚ]:
+           the centering happens inside the m whitening products. *)
+        let augment w mu =
+          let d = Array.length mu and wmu = Mat.mul_vec w mu in
+          Mat.init d (d + 1) (fun i j -> if j < d then Mat.get w i j else -.wmu.(i))
+        in
+        Op_tensor.dense (Tensor.mode_products t (Array.map2 augment ws raw.r_means))
       | Raw_views centered ->
         (* M = (1/N) Σᵢ ∘ₚ (Wₚ x̄ₚᵢ): the whitened views ARE the Kruskal
            factors of M. *)
@@ -291,17 +300,11 @@ let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
           ~weight:(1. /. float_of_int raw.r_n)
           (Array.map2 Mat.mul ws centered)
     in
-    (* Checked before the route can allocate ∏dₚ entries: a non-finite
-       factor implies a non-finite tensor. *)
-    if not (Op_tensor.all_finite op) then
-      Error
-        (Robust.Non_finite { stage = "tcca.prepare"; where = "whitened covariance operator" })
-    else
-      Ok
-        { p_means = raw.r_means;
-          p_whiteners = ws;
-          p_shrink = intens;
-          p_op = Op_tensor.route op }
+    match
+      Op_tensor.route ~stage:"tcca.prepare" ~where:"whitened covariance operator" op
+    with
+    | Error e -> Error e
+    | Ok op -> Ok { p_means = raw.r_means; p_whiteners = ws; p_shrink = intens; p_op = op })
 
 let prepare_of_raw ?whiten ~eps raw =
   match prepare_of_raw_checked ?whiten ~eps raw with Ok p -> p | Error e -> Robust.fail e
@@ -312,50 +315,32 @@ let prepare ?(eps = 1e-2) ?shrinkage ?whiten views =
 let whitened_tensor ?eps views = Op_tensor.to_tensor (prepare ?eps views).p_op
 
 module Builder = struct
-  (* Raw (uncentered) moments, exactly centered at [finalize] time by
-     inclusion–exclusion:
-
-       E[∘ₚ (xₚ − μₚ)]
-         = Σ_{S ⊆ [m], |Sᶜ| ≥ 2} (−1)^{|S|} E[∘_{p∉S} xₚ] ∘ (∘_{p∈S} μₚ)
-           + (−1)^{m−1} (m−1) ∘ₚ μₚ
-
-     so the builder stores the joint raw-moment tensor of every mode subset
-     of size ≥ 2 (for m = 3: the full tensor and the three pairwise
-     matrices), the per-view sums, and the per-view second moments. *)
+  (* One augmented moment tensor T̃ = Σₙ ∘ₚ x̃ₚₙ over x̃ₚ = [xₚ; 1], of dims
+     dₚ + 1.  Its sub-blocks are every subset moment: the cell whose
+     indices sit at the constant row dₚ for every p ∉ S is Σₙ ∏_{p∈S} xₚₙ,
+     so it holds the joint moments of every mode subset, the per-view sums
+     and n — ∏(dₚ + 1) = Σ_S ∏_{p∈S} dₚ entries.  Beside it, the per-view
+     second moments Σ xₚxₚᵀ. *)
   type t = {
     dims : int array;
     mutable n : int;
-    sums : Vec.t array;              (* Σ xₚ *)
-    second : Mat.t array;            (* Σ xₚ xₚᵀ *)
-    joints : (int, Tensor.t) Hashtbl.t; (* bitmask of the mode subset *)
+    moment : Tensor.t; (* T̃ *)
+    second : Mat.t array; (* Σ xₚ xₚᵀ *)
   }
 
-  let subset_modes mask m =
-    let rec go p acc = if p < 0 then acc else go (p - 1) (if mask land (1 lsl p) <> 0 then p :: acc else acc) in
-    go (m - 1) []
-
   let create ~dims =
-    let m = Array.length dims in
-    if m < 2 then invalid_arg "Tcca.Builder.create: need at least two views";
+    if Array.length dims < 2 then invalid_arg "Tcca.Builder.create: need at least two views";
     Array.iter (fun d -> if d < 1 then invalid_arg "Tcca.Builder.create: bad dimension") dims;
-    let joints = Hashtbl.create 16 in
-    for mask = 0 to (1 lsl m) - 1 do
-      let modes = subset_modes mask m in
-      if List.length modes >= 2 then
-        Hashtbl.replace joints mask
-          (Tensor.create (Array.of_list (List.map (fun p -> dims.(p)) modes)))
-    done;
-    { dims;
+    { dims = Array.copy dims;
       n = 0;
-      sums = Array.map (fun d -> Vec.create d) dims;
-      second = Array.map (fun d -> Mat.create d d) dims;
-      joints }
+      moment = Tensor.create (Array.map succ dims);
+      second = Array.map (fun d -> Mat.create d d) dims }
 
   let count t = t.n
 
   let add_batch t views =
-    let m = Array.length t.dims in
-    if Array.length views <> m then invalid_arg "Tcca.Builder.add_batch: view count mismatch";
+    if Array.length views <> Array.length t.dims then
+      invalid_arg "Tcca.Builder.add_batch: view count mismatch";
     Array.iteri
       (fun p v ->
         if fst (Mat.dims v) <> t.dims.(p) then
@@ -367,34 +352,35 @@ module Builder = struct
         if snd (Mat.dims v) <> batch then
           invalid_arg "Tcca.Builder.add_batch: instance count mismatch")
       views;
-    for i = 0 to batch - 1 do
-      let cols = Array.map (fun v -> Mat.col v i) views in
-      Array.iteri (fun p c -> Vec.axpy_in_place 1. c t.sums.(p)) cols;
+    if batch > 0 then begin
+      (* The augmented views [Xₚ; 1ᵀ] are the factors of Σₙ ∘ₚ x̃ₚₙ; each
+         cell of T̃ continues its sum over the instances in order. *)
+      let augmented = Array.map (fun v -> Mat.vcat v (Mat.make 1 batch 1.)) views in
+      Op_tensor.add_into t.moment (Op_tensor.factored ~weight:1. augmented);
       Array.iteri
-        (fun p c ->
-          (* rank-1 update of the second moment *)
-          let s = t.second.(p) in
-          for a = 0 to t.dims.(p) - 1 do
-            if c.(a) <> 0. then
-              for b = 0 to t.dims.(p) - 1 do
-                Mat.set s a b (Mat.get s a b +. (c.(a) *. c.(b)))
-              done
-          done)
-        cols;
-      Hashtbl.iter
-        (fun mask tensor ->
-          let modes = subset_modes mask m in
-          Tensor.add_outer_in_place tensor 1.
-            (Array.of_list (List.map (fun p -> cols.(p)) modes)))
-        t.joints
-    done;
-    t.n <- t.n + batch
+        (fun p (v : Mat.t) ->
+          let d = t.dims.(p) in
+          Gemm.gemm ~accumulate:true ~ta:false ~tb:true ~m:d ~n:d ~k:batch ~a:v.Mat.data
+            ~b:v.Mat.data t.second.(p).Mat.data)
+        views;
+      t.n <- t.n + batch
+    end
 
   let finalize ?(shrinkage = (`None : Shrink.t)) t =
     if t.n = 0 then invalid_arg "Tcca.Builder.finalize: no instances";
-    let m = Array.length t.dims in
     let nf = float_of_int t.n in
-    let means = Array.map (fun s -> Vec.scale (1. /. nf) s) t.sums in
+    let moment = Tensor.scale (1. /. nf) t.moment in
+    (* E[xₚ[a]] is the cell at index a in mode p and the constant row in
+       every other mode. *)
+    let means =
+      Array.mapi
+        (fun p d ->
+          let idx = Array.copy t.dims in
+          Array.init d (fun a ->
+              idx.(p) <- a;
+              Tensor.get moment idx))
+        t.dims
+    in
     let covs =
       Array.mapi
         (fun p s ->
@@ -403,46 +389,6 @@ module Builder = struct
               Mat.get raw a b -. (means.(p).(a) *. means.(p).(b))))
         t.second
     in
-    (* Inclusion–exclusion over mean subsets. *)
-    let out = Tensor.create t.dims in
-    let full_mask = (1 lsl m) - 1 in
-    let idx = Array.make m 0 in
-    let size = Tensor.size out in
-    let strides = Array.make m 1 in
-    for p = m - 2 downto 0 do
-      strides.(p) <- strides.(p + 1) * t.dims.(p + 1)
-    done;
-    for flat = 0 to size - 1 do
-      let rem = ref flat in
-      for p = 0 to m - 1 do
-        idx.(p) <- !rem / strides.(p);
-        rem := !rem mod strides.(p)
-      done;
-      let acc = ref 0. in
-      (* Subsets S of means; complement Sᶜ must have ≥ 2 modes to index a
-         stored joint tensor; |Sᶜ| = 1 and 0 fold into the constant term. *)
-      for s_mask = 0 to full_mask do
-        let comp = full_mask land lnot s_mask in
-        let comp_modes = subset_modes comp m in
-        if List.length comp_modes >= 2 then begin
-          let joint = Hashtbl.find t.joints comp in
-          let joint_idx = Array.of_list (List.map (fun p -> idx.(p)) comp_modes) in
-          let mu = ref 1. in
-          List.iter (fun p -> mu := !mu *. means.(p).(idx.(p))) (subset_modes s_mask m);
-          let sign = if List.length (subset_modes s_mask m) mod 2 = 0 then 1. else -1. in
-          acc := !acc +. (sign *. Tensor.get joint joint_idx /. nf *. !mu)
-        end
-      done;
-      (* Constant term: m subsets with |Sᶜ| = 1 contribute (−1)^{m−1} ∘μ each
-         (E[x_q] = μ_q), and S = [m] contributes (−1)^m ∘μ. *)
-      let mu_all = ref 1. in
-      for p = 0 to m - 1 do
-        mu_all := !mu_all *. means.(p).(idx.(p))
-      done;
-      let sign_m1 = if (m - 1) mod 2 = 0 then 1. else -1. in
-      acc := !acc +. (sign_m1 *. float_of_int (m - 1) *. !mu_all);
-      Tensor.set out idx !acc
-    done;
     (* The streaming builder never retains instances, so [`Lw] (which needs
        them) degrades to [`Oas] inside {!Shrink.apply} with a warning. *)
     let applied = Array.map (fun c -> Shrink.apply ~n:t.n shrinkage c) covs in
@@ -452,84 +398,73 @@ module Builder = struct
           ( Array.map (fun a -> a.Shrink.cov) applied,
             Array.map (fun a -> a.Shrink.intensity) applied,
             Array.map (fun a -> a.Shrink.intensity *. a.Shrink.target) applied );
-      r_stats = Raw_tensor out;
+      r_stats = Raw_moment moment;
       r_shrink = shrinkage;
       r_n = t.n }
 end
 
-(* Power_deflation walks raw tensor entries, so a factored operator must be
-   materialized for it; refuse above the route's cap rather than letting
-   the allocation OOM. *)
-let materialize_for_solver name op =
-  (match op with
-  | Op_tensor.Dense _ -> ()
-  | Op_tensor.Factored _ ->
-    let entries =
-      Array.fold_left (fun acc d -> acc *. float_of_int d) 1. (Op_tensor.dims op)
-    in
-    if entries > float_of_int Op_tensor.dense_entry_cap then
-      invalid_arg
-        (Printf.sprintf
-           "%s: this solver needs the dense tensor (%.0f entries); use the Als solver for \
-            factored operators"
-           name entries));
-  Op_tensor.to_tensor op
-
-(* A budget-expired solve is graceful degradation, not an error: the model is
-   the solver's best-so-far state.  Surface the diagnostic loudly (warnings
-   ring + solver note) without failing the fit. *)
-let note_deadline note = function
-  | None -> note
-  | Some d ->
-    Robust.warnf "Tcca.fit: %s — returning best-so-far model" (Robust.failure_to_string d);
-    note ^ "; " ^ Robust.failure_to_string d
-
-let fit_prepared_checked ?(solver = default_solver) ?budget ?checkpoint ~r prepared =
-  if r < 1 then invalid_arg "Tcca.fit_prepared: r must be >= 1";
-  let r = Array.fold_left min r (Op_tensor.dims prepared.p_op) in
+let solve ~caller ?(solver = default_solver) ?budget ?checkpoint ~r op =
+  if r < 1 then invalid_arg (caller ^ ".fit_prepared: r must be >= 1");
+  let r = Array.fold_left min r (Op_tensor.dims op) in
   (match (checkpoint, solver) with
   | Some cfg, (Sampled_als _ | Power_deflation) ->
     (* Sampled and deflation solvers carry no resumable snapshot yet: be loud
        rather than silently unprotected. *)
-    Robust.warnf "Tcca.fit: checkpointing (%s) only supported by the Als solver — ignored"
-      cfg.Checkpoint.path
+    Robust.warnf "%s.fit: checkpointing (%s) only supported by the Als solver — ignored"
+      caller cfg.Checkpoint.path
   | _ -> ());
-  let solved =
-    match solver with
-    | Als options ->
-      let k, info = Cp_als.decompose_op ~options ?budget ?checkpoint ~rank:r prepared.p_op in
-      (* A Some failure means the solver exhausted its restarts on
-         non-finite or swamped runs — the model is not trustworthy. *)
-      (match info.Cp_als.failure with
-      | Some f -> Error f
-      | None ->
-        Ok
-          ( k,
-            note_deadline
-              (Printf.sprintf "als: %d iters, fit %.6f, converged %b, runs %d"
-                 info.Cp_als.iterations info.Cp_als.fit info.Cp_als.converged
-                 (List.length info.Cp_als.runs))
-              info.Cp_als.deadline ))
-    | Sampled_als options -> (
-      (* First-class sampled solver: runs on the operator directly (dense or
-         factored — nothing is materialized) and honors the min_fit accuracy
-         gate as a typed failure. *)
-      let k, info = Cp_rand.decompose_op ~options ?budget ~rank:r prepared.p_op in
-      match info.Cp_rand.failure with
-      | Some f -> Error f
-      | None ->
-        Ok
-          ( k,
-            note_deadline
-              (Printf.sprintf "sampled-als: %d iters, sampled fit %.6f, converged %b"
-                 info.Cp_rand.iterations info.Cp_rand.sampled_fit info.Cp_rand.converged)
-              info.Cp_rand.deadline ))
-    | Power_deflation ->
-      let m_tensor = materialize_for_solver "Tcca.fit_prepared" prepared.p_op in
-      let k, deadline = Tensor_power.decompose ?budget ~rank:r m_tensor in
-      Ok (Kruskal.normalize k, note_deadline "power-deflation" deadline)
+  (* A budget-expired solve is graceful degradation, not an error: the
+     model is the solver's best-so-far state.  Surface the diagnostic
+     loudly (warnings ring + solver note) without failing the fit. *)
+  let model k note = function
+    | None -> Ok (k, note)
+    | Some d ->
+      Robust.warnf "%s.fit: %s — returning best-so-far model" caller
+        (Robust.failure_to_string d);
+      Ok (k, note ^ "; " ^ Robust.failure_to_string d)
   in
-  match solved with
+  match solver with
+  | Als options -> (
+    let k, info = Cp_als.decompose_op ~options ?budget ?checkpoint ~rank:r op in
+    (* A Some failure means the solver exhausted its restarts on
+       non-finite or swamped runs — the model is not trustworthy. *)
+    match info.Cp_als.failure with
+    | Some f -> Error f
+    | None ->
+      model k
+        (Printf.sprintf "als: %d iters, fit %.6f, converged %b, runs %d" info.Cp_als.iterations
+           info.Cp_als.fit info.Cp_als.converged (List.length info.Cp_als.runs))
+        info.Cp_als.deadline)
+  | Sampled_als options -> (
+    (* First-class sampled solver: runs on the operator directly (dense or
+       factored — nothing is materialized) and honors the min_fit accuracy
+       gate as a typed failure. *)
+    let k, info = Cp_rand.decompose_op ~options ?budget ~rank:r op in
+    match info.Cp_rand.failure with
+    | Some f -> Error f
+    | None ->
+      model k
+        (Printf.sprintf "sampled-als: %d iters, sampled fit %.6f, converged %b"
+           info.Cp_rand.iterations info.Cp_rand.sampled_fit info.Cp_rand.converged)
+        info.Cp_rand.deadline)
+  | Power_deflation ->
+    (* Power_deflation walks raw tensor entries, so a factored operator
+       must be materialized for it; refuse above the route's cap rather
+       than letting the allocation OOM. *)
+    let entries = Array.fold_left (fun acc d -> acc *. float_of_int d) 1. (Op_tensor.dims op) in
+    (match op with
+    | Op_tensor.Factored _ when entries > float_of_int Op_tensor.dense_entry_cap ->
+      invalid_arg
+        (Printf.sprintf
+           "%s.fit_prepared: this solver needs the dense tensor (%.0f entries); use the Als \
+            solver for factored operators"
+           caller entries)
+    | _ -> ());
+    let k, deadline = Tensor_power.decompose ?budget ~rank:r (Op_tensor.to_tensor op) in
+    model (Kruskal.normalize k) "power-deflation" deadline
+
+let fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared =
+  match solve ~caller:"Tcca" ?solver ?budget ?checkpoint ~r prepared.p_op with
   | Error e -> Error e
   | Ok (kruskal, note) ->
     (* hₚ = C̃pp^{−1/2} uₚ (Theorem 2's back-substitution); fold the whitener

@@ -15,7 +15,9 @@
     it.  At the paper's shapes and large N it does: one O(N·∏dₚ) GEMM pass,
     after which the CP solve is independent of N — the scalability property
     of Sec. 4.5.  At small N, or when ∏dₚ is too large to hold, the solve
-    runs on the factored operator at O(N·Σdₚ) memory. *)
+    runs on the factored operator at O(N·Σdₚ) memory.  A fit from
+    {!Builder}'s streamed statistics, which keep no instances, whitens a
+    dense moment tensor instead. *)
 
 type solver =
   | Als of Cp_als.options     (** The paper's choice (Sec. 4.3). *)
@@ -92,12 +94,24 @@ val fit :
     snapshot degrades to a cold start with a typed warning; it never crashes
     the fit and never yields a silently wrong model. *)
 
-val materialize_for_solver : string -> Op_tensor.t -> Tensor.t
-(** [materialize_for_solver name op] is the dense tensor a raw-entry solver
-    ([Power_deflation]) needs: [Op_tensor.to_tensor op], refused with
-    [Invalid_argument] (prefixed by [name]) when a factored operator has
-    more than {!Op_tensor.dense_entry_cap} entries, rather than letting the
-    allocation OOM. *)
+val solve :
+  caller:string ->
+  ?solver:solver ->
+  ?budget:Budget.t ->
+  ?checkpoint:Checkpoint.config ->
+  r:int ->
+  Op_tensor.t ->
+  (Kruskal.t * string, Robust.failure) result
+(** The solve stage shared by TCCA and KTCCA: the CP decomposition of a
+    prepared operator and its human-readable solver note.  [r] must be
+    [>= 1] and is clamped to the smallest mode size; [checkpoint] is
+    honored by [Als] only (a warning is logged otherwise); a solver
+    failure is [Error]; a budget expiry returns the best-so-far model with
+    a warning and the diagnostic appended to the note.  [Power_deflation]
+    materializes a factored operator itself and refuses one above
+    {!Op_tensor.dense_entry_cap} with [Invalid_argument].  [caller]
+    (["Tcca"], ["Ktcca"]) prefixes every message, as in
+    ["Tcca.fit_prepared: r must be >= 1"]. *)
 
 type prepared
 (** The N-dependent work of a fit — centering, whitening and the whitened
@@ -155,13 +169,18 @@ val shrinkage_intensities : prepared -> float array
     all zeros without [shrinkage]. *)
 
 type raw
-(** Only the ε-independent work: means, per-view covariance matrices and the
-    centered views ({!Builder.finalize}: the centered covariance tensor
-    instead).  Lets an ε-validation loop (the paper tunes ε over {10ⁱ} for
-    the image experiments) reuse the centering and covariances.  Whitening
-    depends on ε, so each {!prepare_of_raw} builds and routes the operator
-    again: O(N·Σdₚ²) for the whitened views, plus O(N·∏dₚ) GEMM flops when
-    the route materializes. *)
+(** Only the ε-independent work, so that an ε-validation loop (the paper
+    tunes ε over {10ⁱ} for the image experiments) reuses it: the means, the
+    per-view covariance matrices, and either the centered views
+    ({!prepare_raw}) or, from {!Builder.finalize}, the augmented moment
+    tensor [E[∘ₚ x̃ₚ]] over [x̃ₚ = [xₚ; 1]] (dims dₚ + 1), which keeps no
+    instances.  Whitening depends on ε, so each {!prepare_of_raw} builds
+    and routes the operator again: O(N·Σdₚ²) for the whitened views, plus
+    O(N·∏dₚ) GEMM flops when the route materializes.  From the moment
+    tensor it centers inside the whitening instead: since
+    [∘ₚ Wₚ(xₚ − μₚ) = ∘ₚ [Wₚ | −Wₚμₚ] x̃ₚ], the whitened tensor is
+    [M = E[∘ₚ x̃ₚ] ×ₚ [Wₚ | −Wₚμₚ]], m mode products of
+    O(∏(dₚ + 1)·max dₚ) each, and it is dense. *)
 
 val prepare_raw : ?shrinkage:Shrink.t -> Mat.t array -> raw
 val prepare_of_raw : ?whiten:whiten -> eps:float -> raw -> prepared
@@ -241,34 +260,42 @@ val covariance_tensor : Mat.t array -> Tensor.t
     independent of N once the covariance statistics are accumulated, so it
     "can be scaled in very large sample size problems").
 
-    Batches are pushed one at a time; the builder keeps only O(Πdₚ + Σdₚ²)
-    state: raw sums for the means, per-view second-moment matrices and the
-    raw third-moment tensor.  [finalize] converts the raw moments into the
-    centered statistics: a [raw] that holds the centered covariance tensor
-    itself, which {!prepare_of_raw} whitens with m mode products — the one
-    dense route that is not {!Op_tensor.route}'s, because no instances are
-    kept.  Its fit equals [prepare_raw]'s on the concatenation of all
-    batches up to roundoff. *)
+    Batches are pushed one at a time; the builder keeps one augmented
+    moment tensor [T̃ = Σₙ ∘ₚ x̃ₚₙ] over [x̃ₚ = [xₚ; 1]], of dims dₚ + 1,
+    and the per-view second moments [Σₙ xₚₙxₚₙᵀ]: O(∏(dₚ + 1) + Σdₚ²)
+    state.  T̃'s sub-blocks are every raw moment a centered fit needs — the
+    cells with index dₚ (the constant row) in every mode outside a subset S
+    hold the joint moment of S, so T̃ holds the per-view sums and n too.
+    [finalize] divides T̃ by n into a [raw] and forms the means and
+    covariances; {!prepare_of_raw} centers inside its whitening products.
+    Its fit equals [prepare_raw]'s on the concatenation of all batches up
+    to roundoff. *)
 module Builder : sig
   type t
 
   val create : dims:int array -> t
   (** One dimension per view; raises [Invalid_argument] on fewer than two
-      views. *)
+      views or a dimension below 1. *)
 
   val add_batch : t -> Mat.t array -> unit
   (** Push a batch of instances (one matrix per view, matching [dims] and a
-      shared column count).  O(batch · Πdₚ). *)
+      shared column count).  The augmented batch [[Xₚ; 1ᵀ]] is added into
+      T̃ in place as a factored operator ({!Op_tensor.add_into}: one
+      Khatri–Rao × GEMM pass, O(batch · ∏(dₚ + 1)) flops, no second
+      tensor), and each [XₚXₚᵀ] with one GEMM.  Every cell continues its
+      sum over the instances in the order they were pushed, at any pool
+      size. *)
 
   val count : t -> int
   (** Instances absorbed so far. *)
 
   val finalize : ?shrinkage:Shrink.t -> t -> raw
-  (** Centered statistics of everything absorbed; raises [Invalid_argument]
-      if no instances were added.  The builder stays usable (more batches
-      can follow and [finalize] can be called again).  [shrinkage] as in
-      {!Tcca.fit}; the builder never retains instances, so [`Lw] degrades
-      to [`Oas] with a warning. *)
+  (** Centered statistics of everything absorbed — a scaled copy of T̃, the
+      means and the covariances; raises [Invalid_argument] if no instances
+      were added.  The builder stays usable (more batches can follow and
+      [finalize] can be called again).  [shrinkage] as in {!Tcca.fit}; the
+      builder never retains instances, so [`Lw] degrades to [`Oas] with a
+      warning. *)
 end
 
 val whitened_tensor : ?eps:float -> Mat.t array -> Tensor.t

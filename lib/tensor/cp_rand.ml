@@ -95,7 +95,7 @@ let sampled_fit rng options op factors lambda =
   if !norm2 = 0. then 1. else 1. -. sqrt (!err2 /. !norm2)
 
 let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ~rank op =
-  if rank < 1 then invalid_arg "Cp_rand.decompose: rank must be >= 1";
+  if rank < 1 then invalid_arg "Cp_rand.decompose_op: rank must be >= 1";
   let m = Op_tensor.order op in
   let dims = Op_tensor.dims op in
   let rng = Rng.create options.seed in
@@ -199,5 +199,3 @@ let decompose_op ?(options = default_options) ?(budget = Budget.unlimited) ~rank
       converged = !converged;
       failure;
       deadline = !deadline } )
-
-let decompose ?options ?budget ~rank x = decompose_op ?options ?budget ~rank (Op_tensor.dense x)

@@ -45,17 +45,14 @@ type info = {
           sweep boundary; the model is the best-so-far state. *)
 }
 
-val decompose :
-  ?options:options -> ?budget:Budget.t -> rank:int -> Tensor.t -> Kruskal.t * info
-(** Factors are initialized as in {!Cp_als} (HOSVD-style); raises
-    [Invalid_argument] if [rank < 1].  [budget] is probed once per sweep. *)
-
 val decompose_op :
   ?options:options -> ?budget:Budget.t -> rank:int -> Op_tensor.t -> Kruskal.t * info
-(** Same solver over a first-class operator — [Dense] is bit-identical to
-    {!decompose}; [Factored] samples the implicit tensor directly (an entry
-    costs O(n·m), a mode-k fiber O(n·(m + dₖ)) where n is the component
-    count), so nothing of size ∏dₚ is ever materialized.  The factored path
-    initializes factors from the seeded Gaussian stream instead of HOSVD —
-    the mode Grams HOSVD needs cost an O(n²·Σdₚ) pass over the view Grams,
-    more than the sampled sweeps this path exists to keep cheap. *)
+(** Raises [Invalid_argument] if [rank < 1]; [budget] is probed once per
+    sweep.  [Dense] factors are initialized as in {!Cp_als}
+    (HOSVD-style).  [Factored] samples the implicit tensor directly (an
+    entry costs O(n·m), a mode-k fiber O(n·(m + dₖ)) where n is the
+    component count), so nothing of size ∏dₚ is ever materialized.  The
+    factored path initializes factors from the seeded Gaussian stream
+    instead of HOSVD — the mode Grams HOSVD needs cost an O(n²·Σdₚ) pass
+    over the view Grams, more than the sampled sweeps this path exists to
+    keep cheap. *)

@@ -293,16 +293,17 @@ let inner_kruskal op lambda us =
     weight *. !total
 
 (* ------------------------------------------------------------------ *)
-(* The factored materialization as one GEMM.  Read row-major, the tensor is
-   the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where row
-   (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is the running product
+(* The factored materialization as one accumulating GEMM.  Read row-major,
+   the tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where
+   row (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is the running product
    (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:] over the n components;
    for m = 1 its single row is w.  KR is filled one block of at most
-   [to_tensor_block_rows n] rows at a time, and each block becomes tensor
-   rows with one [Mat.mul_nt_into], so no (∏dₚ) × n array ever exists.
+   [to_tensor_block_rows n] rows at a time, and each block's product is
+   added straight into its rows of the target, so no (∏dₚ) × n array and
+   no second tensor ever exists.
 
-   The result is bitwise the historical loop that added one rank-1 term per
-   component (kept in the tests as the oracle):
+   Onto a zeroed target the result is bitwise the historical loop that
+   added one rank-1 term per component (kept in the tests as the oracle):
    - a GEMM cell is the sum from +0. of its products KR[row,i]·z_{m−1}[a,i]
      in ascending i, with no FMA and no zero skips — the loop's per-cell
      sum over the components;
@@ -313,25 +314,27 @@ let inner_kruskal op lambda us =
      starts at +0. never becomes −0, so adding it changes nothing.  A
      non-finite factor entry is never hidden this way: every cell it
      touches comes out non-finite.
+   Onto a target that already holds a sum, each cell continues that sum
+   in the same ascending order (the GEMM's accumulation contract), which
+   is how the streaming Builder folds batch after batch into one tensor.
    Chunks and blocks own disjoint output rows, so any pool size gives the
    same bits. *)
 
 (* A 4 MiB block of KR rows. *)
 let to_tensor_block_rows n = max 1 ((4 lsl 20) / (8 * n))
 
-(* Rows r₀ … r₀ + kr.rows − 1 of KR into [kr].  [span.(p)] is the number of
-   KR rows per index of mode p; [prefix.(p)] holds the running product
-   through mode p of the current index, for p < m − 2. *)
-let fill_khatri_rao ~weight factors ~span prefix (kr : Mat.t) r0 =
-  let m = Array.length factors and n = kr.Mat.cols and rows = kr.Mat.rows in
+(* Rows r₀ … r₀ + rows − 1 of KR into [kr], row-major with n columns.
+   [span.(p)] is the number of KR rows per index of mode p; [prefix.(p)]
+   holds the running product through mode p of the current index, for
+   p < m − 2. *)
+let fill_khatri_rao ~weight factors ~span prefix kr ~n ~rows r0 =
+  let m = Array.length factors in
   let rec go p base =
     let z = (factors.(p) : Mat.t).Mat.data and s = span.(p) in
     let a_lo = max 0 ((r0 - base) / s)
     and a_hi = min (fst (Mat.dims factors.(p)) - 1) ((r0 + rows - 1 - base) / s) in
     for a = a_lo to a_hi do
-      let dst, off =
-        if p = m - 2 then (kr.Mat.data, (base + (a * s) - r0) * n) else (prefix.(p), 0)
-      in
+      let dst, off = if p = m - 2 then (kr, (base + (a * s) - r0) * n) else (prefix.(p), 0) in
       let za = a * n in
       if p = 0 then
         for i = 0 to n - 1 do
@@ -347,48 +350,51 @@ let fill_khatri_rao ~weight factors ~span prefix (kr : Mat.t) r0 =
       if p < m - 2 then go (p + 1) (base + (a * s))
     done
   in
-  if m = 1 then Array.fill kr.Mat.data 0 n weight else go 0 0
+  if m = 1 then Array.fill kr 0 n weight else go 0 0
 
-let materialize ~weight factors =
-  let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
-  let out = Tensor.create (Array.map (fun z -> fst (Mat.dims z)) factors) in
-  let last = factors.(m - 1) in
-  let cols = fst (Mat.dims last) in
-  let rows = Tensor.size out / cols in
-  let span = Array.init (m - 1) (fun p -> out.Tensor.strides.(p) / cols) in
-  let b = to_tensor_block_rows n in
-  (* Each chunk owns a run of tensor rows and walks it in blocks of b rows
-     (the last one shorter), reusing its own buffers; the block GEMMs nested
-     in the pool run sequentially. *)
-  Parallel.parallel_for ~cost:(n * Tensor.size out) ~n:rows (fun lo hi ->
-      let prefix = Array.init (max 0 (m - 2)) (fun _ -> Array.make n 0.) in
-      let buffers height = lazy (Mat.create height n, Mat.create height cols) in
-      let full = buffers b and tail = buffers ((hi - lo) mod b) in
-      let r0 = ref lo in
-      while !r0 < hi do
-        let kr, c = Lazy.force (if !r0 + b <= hi then full else tail) in
-        fill_khatri_rao ~weight factors ~span prefix kr !r0;
-        Mat.mul_nt_into kr last c;
-        Array.blit c.Mat.data 0 out.Tensor.data (!r0 * cols) (c.Mat.rows * cols);
-        r0 := !r0 + c.Mat.rows
-      done);
-  out
+let add_into (out : Tensor.t) op =
+  if out.Tensor.dims <> dims op then invalid_arg "Op_tensor.add_into: shape mismatch";
+  match op with
+  | Dense x ->
+    Array.iteri (fun i v -> out.Tensor.data.(i) <- out.Tensor.data.(i) +. v) x.Tensor.data
+  | Factored { weight; factors } ->
+    let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
+    let last = factors.(m - 1) in
+    let cols = fst (Mat.dims last) in
+    let rows = Tensor.size out / cols in
+    let span = Array.init (m - 1) (fun p -> out.Tensor.strides.(p) / cols) in
+    let b = to_tensor_block_rows n in
+    (* Each chunk owns a run of tensor rows and walks it in blocks of b rows
+       (the last one shorter), reusing its own buffers; the block GEMMs
+       nested in the pool run sequentially. *)
+    Parallel.parallel_for ~cost:(n * Tensor.size out) ~n:rows (fun lo hi ->
+        let prefix = Array.init (max 0 (m - 2)) (fun _ -> Array.make n 0.) in
+        let kr = Array.make (min b (hi - lo) * n) 0. in
+        let r0 = ref lo in
+        while !r0 < hi do
+          let height = min b (hi - !r0) in
+          fill_khatri_rao ~weight factors ~span prefix kr ~n ~rows:height !r0;
+          Gemm.gemm ~accumulate:true ~ta:false ~tb:true ~m:height ~n:cols ~k:n ~a:kr
+            ~b:last.Mat.data ~c_off:(!r0 * cols) out.Tensor.data;
+          r0 := !r0 + height
+        done)
 
 let to_tensor = function
   | Dense x -> x
-  | Factored { weight; factors } -> materialize ~weight factors
+  | op ->
+    let out = Tensor.create (dims op) in
+    add_into out op;
+    out
 
 (* ------------------------------------------------------------------ *)
 (* The route: which representation a fit solves on, from the shape alone.
    Dense pays one to_tensor pass, 2·n·∏dₚ GEMM flops, and then the dense
    norm, HOSVD mode Grams and ALS sweeps, about κ flops per entry;
-   factored pays the streamed Gram pass, modelled as 4·n²·Σdₚ, its cost
-   before it formed only the upper half of each view Gram (3·n²·Σdₚ now;
-   the term is kept so that no shape changes route).  κ was fitted on
+   factored pays the streamed Gram pass, 3·n²·Σdₚ.  κ was fitted on
    measured fits (DESIGN.md, "Materialization-free operator layer"). *)
 
 let dense_entry_cap = 100_000_000
-let kappa = 1750.
+let kappa = 1000.
 
 let pinned = ref None
 let pinned_route () = !pinned
@@ -405,10 +411,15 @@ let materializes ~dims ~n =
   | Some `Factored -> false
   | None ->
     entries *. ((2. *. nf) +. kappa)
-    < 4. *. nf *. nf *. Array.fold_left ( +. ) 0. fdims
+    < 3. *. nf *. nf *. Array.fold_left ( +. ) 0. fdims
 
-let route = function
-  | Dense _ as op -> op
-  | Factored { factors; _ } as op ->
-    if materializes ~dims:(dims op) ~n:(snd (Mat.dims factors.(0))) then Dense (to_tensor op)
-    else op
+let route ~stage ~where op =
+  (* Checked before the route can allocate ∏dₚ entries: a non-finite
+     factor implies a non-finite tensor. *)
+  if not (all_finite op) then Error (Robust.Non_finite { stage; where })
+  else
+    match op with
+    | Factored { factors; _ } when materializes ~dims:(dims op) ~n:(snd (Mat.dims factors.(0)))
+      ->
+      Ok (Dense (to_tensor op))
+    | op -> Ok op

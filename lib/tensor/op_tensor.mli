@@ -98,40 +98,52 @@ val gram_block_rows : int
 
 val to_tensor : t -> Tensor.t
 (** Materialize.  [Dense] returns the wrapped tensor (shared, not copied);
-    [Factored] allocates the full ∏ₚ dₚ array — callers should check {!size}
-    first (the dense-only CP solvers go through this escape hatch).
-
-    Factored: one GEMM, streamed over row blocks.  Read row-major, the
-    tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where row
-    (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is
-    (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:].  The rows are split
-    across the [Parallel] pool, and each domain walks its run in blocks of
-    at most [b = to_tensor_block_rows n] rows: it fills the block of KR and
-    turns it into tensor rows with one [Mat.mul_nt_into].  O(n · ∏ₚ dₚ)
-    time at GEMM rate; memory is the output plus O(b · n) per domain — no
-    (∏dₚ) × n array is allocated.
+    [Factored] is {!add_into} applied to a zeroed tensor of the full
+    ∏ₚ dₚ entries — callers should check {!size} first (the dense-only CP
+    solvers go through this escape hatch).
 
     Bitwise contract: every cell is [Σᵢ (w·∏ₚ zₚ[aₚ,i])] with the product
     associated from [w] through the modes in order and the sum taken from
-    [+0.] in ascending component order, without FMA — for any pool size and
-    either [Gemm] implementation.  For factors whose partial products are
-    all finite this equals, bit for bit, the loop that adds one rank-1 term
-    per component and skips the subtree under a zero entry.  A non-finite
-    weight or factor entry is never skipped: every cell whose index in that
-    entry's mode is the entry's row comes out non-finite, so
-    [all_finite op = false] implies a non-finite materialization. *)
+    [+0.] in ascending component order, without FMA — for any pool size.
+    For factors whose partial products are all finite this equals, bit for
+    bit, the loop that adds one rank-1 term per component and skips the
+    subtree under a zero entry.  A non-finite weight or factor entry is
+    never skipped: every cell whose index in that entry's mode is the
+    entry's row comes out non-finite, so [all_finite op = false] implies a
+    non-finite materialization. *)
+
+val add_into : Tensor.t -> t -> unit
+(** [add_into x op] adds the entries of [op] into [x] in place; raises
+    [Invalid_argument] unless [x] has [op]'s {!dims}.  [Dense]: an
+    entrywise sum.  [Factored]: one GEMM, streamed over row blocks.  Read
+    row-major, the tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix
+    KR · Z_{m−1}ᵀ, where row (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR
+    is (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:].  The rows are split
+    across the [Parallel] pool, and each domain walks its run in blocks of
+    at most [b = to_tensor_block_rows n] rows: it fills the block of KR and
+    adds its product into those rows of [x] with one accumulating
+    [Gemm.gemm].  O(n · ∏ₚ dₚ) time at GEMM rate; memory O(b · n) per
+    domain — no (∏dₚ) × n array and no second tensor is allocated.
+
+    Each cell continues the sum [x] holds with its n new terms in
+    ascending component order (the GEMM's accumulation contract), so
+    adding the operators over consecutive column ranges of the same
+    factors is bitwise one [add_into] over all the columns, and onto a
+    zeroed [x] it is {!to_tensor}. *)
 
 val to_tensor_block_rows : int -> int
-(** KR rows per full block of the factored {!to_tensor} for [n] components:
+(** KR rows per full block of a factored {!add_into} for [n] components:
     a fixed 4 MiB budget divided by the 8·n bytes of one row, at least 1.
     The last block of each domain's run may be shorter. *)
 
 (** {1 Route}
 
-    Every TCCA and KTCCA fit builds its whitened operator [Factored];
-    {!route} then decides, from the shape alone, whether the solver runs on
-    that or on its {!to_tensor}.  This is the only place the representation
-    is chosen. *)
+    Every TCCA and KTCCA fit from instances or kernels builds its whitened
+    operator [Factored]; {!route} then decides, from the shape alone,
+    whether the solver runs on that or on its {!to_tensor}.  This is the
+    only place the representation is chosen.  (A fit from
+    [Tcca.Builder]'s statistics, which keep no instances, is dense from
+    the start and only checked finite here.) *)
 
 val dense_entry_cap : int
 (** 10⁸ entries (800 MB): no fit materializes a larger tensor — neither
@@ -141,22 +153,20 @@ val dense_entry_cap : int
 val materializes : dims:int array -> n:int -> bool
 (** Whether {!route} materializes a factored operator with mode sizes
     [dims] and [n] components: never above {!dense_entry_cap}; below it,
-    as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 4n²·Σdₚ] — one
+    as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 3n²·Σdₚ] — one
     {!to_tensor} pass plus the dense solve costs less than the factored
-    Gram pass of {!norm2_and_mode_grams}.  κ = 1 750 is the dense norm,
+    Gram pass of {!norm2_and_mode_grams}.  κ = 1 000 is the dense norm,
     HOSVD mode Grams and ALS sweeps of a fit in GEMM flops per entry,
     fitted on measured fits of the paper's shapes (DESIGN.md).  Dense wins
     at large [n] (the Gram pass is quadratic in [n], the dense solve
-    independent of it), factored at small [n] or huge ∏dₚ.  The factored
-    term is the pass's cost when it formed whole view Grams; the pass now
-    costs 3n²·Σdₚ, so the term overestimates it by 4/3.  It is kept as
-    is, so no shape changes route (DESIGN.md has the measured
-    crossover). *)
+    independent of it), factored at small [n] or huge ∏dₚ. *)
 
-val route : t -> t
-(** [Dense (to_tensor op)] for a factored [op] that {!materializes}, else
-    [op] itself.  Callers check {!all_finite} first, on the factored form:
-    it is cheaper, and a non-finite factor implies a non-finite tensor. *)
+val route : stage:string -> where:string -> t -> (t, Robust.failure) result
+(** The checked route of every TCCA and KTCCA fit: [Error (Non_finite
+    {stage; where})] when {!all_finite} fails — checked on the factored
+    form, which is cheaper, and a non-finite factor implies a non-finite
+    tensor — else [Ok (Dense (to_tensor op))] for a factored [op] that
+    {!materializes}, and [Ok op] otherwise. *)
 
 val pin_route : [ `Dense | `Factored ] option -> unit
 (** The only route hook, for tests and the bench micros: [Some `Dense]

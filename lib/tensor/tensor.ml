@@ -147,17 +147,28 @@ let mode_product a k u =
     for r = 0 to j - 1 do
       let urow = r * dk in
       let out_base = base_out + (r * stride_k_out) in
-      for i = 0 to dk - 1 do
-        let coeff = Array.unsafe_get ud (urow + i) in
-        if coeff <> 0. then begin
-          let in_base = base_in + (i * stride_k) in
-          for l = 0 to inner_size - 1 do
-            Array.unsafe_set b.data (out_base + l)
-              (Array.unsafe_get b.data (out_base + l)
-              +. (coeff *. Array.unsafe_get a.data (in_base + l)))
-          done
-        end
-      done
+      if inner_size = 1 then begin
+        (* The last mode: the fiber is contiguous, so each output cell is
+           one dot product, accumulated in the same ascending order. *)
+        let acc = ref 0. in
+        for i = 0 to dk - 1 do
+          let coeff = Array.unsafe_get ud (urow + i) in
+          if coeff <> 0. then acc := !acc +. (coeff *. Array.unsafe_get a.data (base_in + i))
+        done;
+        Array.unsafe_set b.data out_base !acc
+      end
+      else
+        for i = 0 to dk - 1 do
+          let coeff = Array.unsafe_get ud (urow + i) in
+          if coeff <> 0. then begin
+            let in_base = base_in + (i * stride_k) in
+            for l = 0 to inner_size - 1 do
+              Array.unsafe_set b.data (out_base + l)
+                (Array.unsafe_get b.data (out_base + l)
+                +. (coeff *. Array.unsafe_get a.data (in_base + l)))
+            done
+          end
+        done
     done
   done;
   b

@@ -143,9 +143,10 @@ let test_gram_pass_allocation () =
 (* The blocked Khatri–Rao × GEMM materialization against the historical
    rank-1 slab loop, bit for bit: m ∈ 1..5, dims that include 1, last modes
    below the 4-wide register tile, component counts whose block height
-   leaves a tail block, exact zeros, pools 1 and 4, and every GEMM route
-   (plain loops on every shape, microkernel forced on every shape,
-   microkernel above the default small-product cutoff). *)
+   leaves a tail block, exact zeros, pools 1 and 4, and every setting of
+   the small-product cutoff (plain loops on every shape, microkernel
+   forced on every shape, the default).  The materialization calls the
+   accumulating microkernel directly, so the cutoff must not matter. *)
 
 let gemm_routes =
   let default_cutoff = Gemm.small_cutoff () in
@@ -188,6 +189,28 @@ let gen_materialize_case =
 let prop_to_tensor_bitwise =
   qtest ~count:60 "to_tensor ≡ rank-1 slab oracle (bitwise, pools 1 and 4, all GEMM routes)"
     gen_materialize_case to_tensor_matches_oracle
+
+(* The accumulate form: [add_into] over consecutive column ranges of the
+   same factors, onto one tensor, is bitwise one [to_tensor] over all the
+   columns — how [Tcca.Builder] folds batch after batch.  Each call draws
+   a fresh random split, ranges of one column included. *)
+let prop_add_into_column_split =
+  qtest ~count:40 "add_into over a column split ≡ to_tensor (bitwise, pools 1 and 4)"
+    gen_materialize_case (fun (dims, n, weight, seed) ->
+      let zs = zero_mixed_factors dims n seed in
+      let r = Rng.create (seed + 1) in
+      materializes_as
+        (Op_tensor.to_tensor (Op_tensor.factored ~weight zs))
+        (fun () ->
+          let x = Tensor.create dims in
+          let lo = ref 0 in
+          while !lo < n do
+            let len = min (n - !lo) (if Rng.int r 3 = 0 then 1 else 1 + Rng.int r n) in
+            Op_tensor.add_into x
+              (Op_tensor.factored ~weight (Array.map (fun z -> Mat.sub_cols z !lo len) zs));
+            lo := !lo + len
+          done;
+          x))
 
 (* Shapes pinned to leave a tail block at every order (at pool 1, where one
    chunk walks all rows). *)
@@ -339,13 +362,14 @@ let test_tcca_factored_matches_dense () =
     (Mat.map Float.abs (Tcca.transform mf views))
 
 (* The route function on named shapes: the paper's SecStr views (3 × 105)
-   flip from factored to dense between N = 2 000 and 3 000; the ℓ-space
+   flip from factored to dense between N = 2 500 and 3 000; the ℓ-space
    Nyström operator of fit-nystrom (64³, N = 10 000) and SecStr quick
    (3 × 60, N = 1 200) are dense; 5 × 40 is above the cap. *)
 let route_table =
   let secstr = [| 105; 105; 105 |] in
   [ ("SecStr paper, N = 1 000", secstr, 1000, false);
     ("SecStr paper, N = 2 000", secstr, 2000, false);
+    ("SecStr paper, N = 2 500", secstr, 2500, false);
     ("SecStr paper, N = 3 000", secstr, 3000, true);
     ("SecStr paper, N = 4 000", secstr, 4000, true);
     ("SecStr paper, N = 8 000", secstr, 8000, true);
@@ -389,6 +413,7 @@ let () =
           Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation ];
       qsuite "materialize"
         [ prop_to_tensor_bitwise;
+          prop_add_into_column_split;
           Alcotest.test_case "tail blocks" `Quick test_to_tensor_tail_blocks;
           prop_covariance_tensor_bitwise;
           prop_to_tensor_non_finite;

@@ -164,7 +164,8 @@ let test_builder_matches_batch_fit () =
     (Tcca.transform streamed views)
 
 let test_builder_four_views () =
-  (* The inclusion–exclusion centering is generic in the number of views. *)
+  (* Centering inside the whitening products is generic in the number of
+     views. *)
   let r = rng () in
   let n = 120 in
   let views = Array.init 4 (fun _ -> Mat.create 3 n) in
@@ -187,6 +188,71 @@ let test_builder_four_views () =
   check_float ~eps:1e-8 "4-view correlation matches"
     (Float.abs (Tcca.correlations direct).(0))
     (Float.abs (Tcca.correlations streamed).(0))
+
+(* Streamed fits over random shapes: m ∈ 2..5 views of 1–6 dims with
+   non-zero means and a shared skewed signal, split at random into batches
+   that include single columns.  The streamed fit matches the batch fit on
+   the concatenation, and is bitwise the same at pools 1 and 4. *)
+let gen_stream_case = QCheck2.Gen.(triple (int_range 2 5) (int_range 40 120) nat)
+
+let stream_views (m, n, seed) =
+  let r = Rng.create (seed + 1) in
+  let dims = Array.init m (fun _ -> 1 + Rng.int r 6) in
+  let means = Array.map (fun d -> Array.init d (fun _ -> (4. *. Rng.uniform r) -. 2.)) dims in
+  let views = Array.map (fun d -> Mat.create d n) dims in
+  for j = 0 to n - 1 do
+    let s = -.log (Float.max 1e-12 (Rng.uniform r)) -. 1. in
+    Array.iteri
+      (fun p v ->
+        for i = 0 to dims.(p) - 1 do
+          let signal = if i = 0 then s else 0. in
+          Mat.set v i j (means.(p).(i) +. signal +. (0.4 *. Rng.gaussian r))
+        done)
+      views
+  done;
+  (* The first batch is one column; after it, a third of the batches. *)
+  let rec split lo acc =
+    if lo >= n then List.rev acc
+    else
+      let len = if lo = 0 || Rng.int r 3 = 0 then 1 else 1 + Rng.int r (max 1 (n / 4)) in
+      let len = min len (n - lo) in
+      split (lo + len) (Array.map (fun v -> Mat.sub_cols v lo len) views :: acc)
+  in
+  (dims, views, split 0 [])
+
+let streamed_fit dims batches =
+  let b = Tcca.Builder.create ~dims in
+  List.iter (Tcca.Builder.add_batch b) batches;
+  Tcca.fit_prepared ~r:1 (Tcca.prepare_of_raw ~eps:1e-2 (Tcca.Builder.finalize b))
+
+let prop_builder_streams_any_split =
+  qtest ~count:40 "streamed = batch fit (1e-8), bitwise at pools 1 and 4" gen_stream_case
+    (fun case ->
+      let dims, views, batches = stream_views case in
+      let at size = with_pool size (fun () -> streamed_fit dims batches) in
+      let s1 = at 1 and s4 = at 4 in
+      let direct = Tcca.fit ~eps:1e-2 ~r:1 views in
+      let lambda m = Float.abs (Tcca.correlations m).(0) in
+      Float.abs (lambda direct -. lambda s1) <= 1e-8
+      && Array.for_all2 same_bits (Tcca.correlations s1) (Tcca.correlations s4)
+      && Array.for_all2 bits_equal (Tcca.projections s1) (Tcca.projections s4))
+
+(* One batch is folded in place: 4 views at d = 40, batch 8, allocate far
+   less than T̃'s 41⁴ floats (≈ 22.6 MB) — the 4 MiB Khatri–Rao block and
+   the augmented batch, never a second moment tensor. *)
+let test_builder_add_batch_allocation () =
+  let d = 40 and batch = 8 in
+  let r = rng () in
+  let views = Array.init 4 (fun _ -> random_mat r d batch) in
+  let b = Tcca.Builder.create ~dims:(Array.make 4 d) in
+  with_pool 1 (fun () ->
+      let before = Gc.allocated_bytes () in
+      Tcca.Builder.add_batch b views;
+      let allocated = Gc.allocated_bytes () -. before in
+      let moment = 8. *. (float_of_int (d + 1) ** 4.) in
+      check_true
+        (Printf.sprintf "allocated %.0f bytes < T̃ (%.0f)" allocated moment)
+        (allocated < moment))
 
 (* --- Sketched / shrinkage knobs. --- *)
 
@@ -385,6 +451,9 @@ let () =
       ( "streaming",
         [ Alcotest.test_case "builder = batch fit" `Quick test_builder_matches_batch_fit;
           Alcotest.test_case "four views" `Quick test_builder_four_views;
+          prop_builder_streams_any_split;
+          Alcotest.test_case "add_batch allocates less than T̃" `Quick
+            test_builder_add_batch_allocation;
           Alcotest.test_case "builder errors" `Quick test_builder_errors ] );
       ( "sketched",
         [ Alcotest.test_case "sampled ALS solver" `Quick test_solver_sampled_als;
