@@ -5,6 +5,12 @@ let check_float ?(eps = 1e-9) msg expected actual =
 
 let check_true msg condition = Alcotest.(check bool) msg true condition
 
+(* Whether [needle] occurs in [hay] — for warnings and solver notes. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let check_mat ?(eps = 1e-9) msg expected actual =
   if not (Mat.equal ~eps expected actual) then
     Alcotest.failf "%s:@ expected@ %a@ got@ %a" msg Mat.pp expected Mat.pp actual

@@ -12,11 +12,6 @@ open Test_support
 
 let tmp_ckpt () = Filename.temp_file "tcca_ckpt" ".bin"
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in

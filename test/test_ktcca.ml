@@ -192,6 +192,28 @@ let test_nystrom_low_rank_separates () =
   let knn = Knn.fit ~k:3 z labels in
   check_true "rings separated on the sketch" (Eval.accuracy (Knn.predict knn z) labels > 0.8)
 
+(* A solve that fails after its budget ran out is an [Error] that announces
+   no best-so-far model, from KTCCA as from TCCA: ALS poisoned with NaN
+   fails its first run at sweep 1, and the one-sweep budget leaves no room
+   for a restart, so the solver reports the failure and the deadline. *)
+let test_failed_solve_announces_no_model () =
+  let r = rng () in
+  let kernels, _, views, _ = three_view_grams r ~n:30 in
+  let budget () = Budget.create ~sweeps:1 () in
+  let poisoned name = function
+    | Error (Robust.Non_finite { stage = "cp_als"; _ }) ->
+      check_true (name ^ ": no best-so-far warning")
+        (not (List.exists (fun w -> contains w "best-so-far") (Robust.recent_warnings ())))
+    | Ok _ -> Alcotest.failf "%s: poisoned ALS produced a model" name
+    | Error e -> Alcotest.failf "%s: wrong failure: %s" name (Robust.failure_to_string e)
+  in
+  Robust.Inject.(with_stage Als_nan (fun () ->
+      Robust.clear_warnings ();
+      poisoned "Ktcca" (Ktcca.fit_checked ~budget:(budget ()) ~r:1 kernels);
+      Robust.clear_warnings ();
+      poisoned "Tcca" (Tcca.fit_checked ~budget:(budget ()) ~r:1 views)));
+  Robust.clear_warnings ()
+
 let test_errors () =
   Alcotest.check_raises "one view" (Invalid_argument "Ktcca.fit: need at least two views")
     (fun () -> ignore (Ktcca.fit ~r:1 [| Mat.identity 3 |]))
@@ -209,7 +231,9 @@ let () =
           Alcotest.test_case "prepare" `Quick test_prepare_consistency;
           Alcotest.test_case "power deflation above the cap" `Quick
             test_power_deflation_refuses_above_cap;
-          Alcotest.test_case "errors" `Quick test_errors ] );
+          Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "failed solve announces no model" `Quick
+            test_failed_solve_announces_no_model ] );
       ( "nystrom",
         [ Alcotest.test_case "full rank = exact" `Quick test_nystrom_full_rank_matches_exact;
           Alcotest.test_case "residual → 0 as ℓ → N" `Quick test_nystrom_converges_with_rank;

@@ -310,6 +310,20 @@ let test_factored_validation () =
     (Invalid_argument "Op_tensor.factored: component count mismatch") (fun () ->
       ignore (Op_tensor.factored ~weight:1. [| Mat.create 2 3; Mat.create 2 4 |]))
 
+let test_add_into_validation () =
+  let mismatch = Invalid_argument "Op_tensor.add_into: shape mismatch" in
+  let zs = zero_mixed_factors [| 2; 3 |] 4 5 in
+  Alcotest.check_raises "factored onto other dims" mismatch (fun () ->
+      Op_tensor.add_into (Tensor.create [| 3; 2 |]) (Op_tensor.factored ~weight:1. zs));
+  Alcotest.check_raises "dense onto other order" mismatch (fun () ->
+      Op_tensor.add_into (Tensor.create [| 2; 3; 1 |]) (Op_tensor.Dense (Tensor.create [| 2; 3 |])));
+  (* A dense operator is added entrywise. *)
+  let r = rng () in
+  let a = random_tensor r [| 2; 3 |] and b = random_tensor r [| 2; 3 |] in
+  let x = Tensor.copy a in
+  Op_tensor.add_into x (Op_tensor.Dense b);
+  check_true "dense: entrywise sum" (tensor_bits_equal (Tensor.add a b) x)
+
 let test_mttkrp_arity () =
   let op = Op_tensor.factored ~weight:1. [| Mat.create 2 3; Mat.create 2 3 |] in
   Alcotest.check_raises "arity" (Invalid_argument "Op_tensor.mttkrp: arity mismatch")
@@ -397,6 +411,36 @@ let test_route_table () =
   check_true "Tcca at 3 × 105, N = 2 000 is factored"
     (not (Tcca.materialized (Tcca.prepare views)))
 
+(* The finite check comes first, on either pin: a non-finite factor entry,
+   weight or dense entry is [Non_finite] with the caller's stage and
+   location, and a finite operator takes the pinned route. *)
+let test_route_non_finite () =
+  let zs = zero_mixed_factors [| 3; 2; 4 |] 5 11 in
+  let finite = Op_tensor.factored ~weight:0.5 zs in
+  let poisoned = Array.map Mat.copy zs in
+  Mat.set poisoned.(1) 1 2 Float.nan;
+  let dense_inf = Tensor.create [| 3; 2; 4 |] in
+  Tensor.set dense_inf [| 2; 0; 3 |] Float.infinity;
+  let route = Op_tensor.route ~stage:"test.route" ~where:"operator" in
+  let refused op =
+    match route op with
+    | Error (Robust.Non_finite { stage = "test.route"; where = "operator" }) -> true
+    | _ -> false
+  in
+  List.iter
+    (fun pin ->
+      with_route pin (fun () ->
+          check_true "NaN factor refused" (refused (Op_tensor.factored ~weight:0.5 poisoned));
+          check_true "NaN weight refused" (refused (Op_tensor.factored ~weight:Float.nan zs));
+          check_true "Inf dense entry refused" (refused (Op_tensor.Dense dense_inf));
+          match (route finite, pin) with
+          | Ok (Op_tensor.Dense x), `Dense ->
+            check_true "materialized = to_tensor"
+              (tensor_bits_equal (Op_tensor.to_tensor finite) x)
+          | Ok (Op_tensor.Factored _), `Factored -> ()
+          | _ -> Alcotest.fail "finite operator refused or routed against its pin"))
+    [ `Dense; `Factored ]
+
 let test_route_hook_restored () =
   (try with_route `Dense (fun () -> raise Exit) with Exit -> ());
   check_true "pin restored after a raise" (Op_tensor.pinned_route () = None)
@@ -413,11 +457,11 @@ let () =
           Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation ];
       qsuite "materialize"
         [ prop_to_tensor_bitwise;
-          prop_add_into_column_split;
           Alcotest.test_case "tail blocks" `Quick test_to_tensor_tail_blocks;
           prop_covariance_tensor_bitwise;
           prop_to_tensor_non_finite;
-          Alcotest.test_case "non-finite weight" `Quick test_to_tensor_non_finite_weight ];
+          Alcotest.test_case "non-finite weight" `Quick test_to_tensor_non_finite_weight;
+          prop_add_into_column_split ];
       qsuite "decompose"
         [ Alcotest.test_case "factored recovery = dense" `Quick test_decompose_op_recovery ];
       qsuite "tcca"
@@ -425,7 +469,9 @@ let () =
             test_tcca_factored_matches_dense ];
       qsuite "route"
         [ Alcotest.test_case "route table" `Quick test_route_table;
-          Alcotest.test_case "hook restored on raise" `Quick test_route_hook_restored ];
+          Alcotest.test_case "hook restored on raise" `Quick test_route_hook_restored;
+          Alcotest.test_case "non-finite refused on either pin" `Quick test_route_non_finite ];
       qsuite "errors"
         [ Alcotest.test_case "validation" `Quick test_factored_validation;
-          Alcotest.test_case "mttkrp arity" `Quick test_mttkrp_arity ] ]
+          Alcotest.test_case "mttkrp arity" `Quick test_mttkrp_arity;
+          Alcotest.test_case "add_into shape" `Quick test_add_into_validation ] ]

@@ -254,6 +254,67 @@ let test_builder_add_batch_allocation () =
         (Printf.sprintf "allocated %.0f bytes < T̃ (%.0f)" allocated moment)
         (allocated < moment))
 
+(* [finalize] reads T̃ without consuming it: a raw taken mid-stream is not
+   moved by later batches and serves several ε, and the builder keeps
+   folding as if it had not been finalized. *)
+let test_builder_finalize_mid_stream () =
+  let r = rng () in
+  let views = shared_views r ~n:200 ~noise:0.4 in
+  let dims = Array.map (fun v -> fst (Mat.dims v)) views in
+  let first = Array.map (fun v -> Mat.sub_cols v 0 80) views
+  and rest = Array.map (fun v -> Mat.sub_cols v 80 120) views in
+  let builder batches =
+    let b = Tcca.Builder.create ~dims in
+    List.iter (Tcca.Builder.add_batch b) batches;
+    b
+  in
+  let fit ?(eps = 1e-2) raw =
+    Tcca.projections (Tcca.fit_prepared ~r:2 (Tcca.prepare_of_raw ~eps raw))
+  in
+  let same = Array.for_all2 bits_equal in
+  let b = builder [ first ] in
+  let early = Tcca.Builder.finalize b in
+  Tcca.Builder.add_batch b rest;
+  Alcotest.(check int) "count" 200 (Tcca.Builder.count b);
+  let late = Tcca.Builder.finalize b in
+  let early_fit = fit early in
+  check_true "early raw = the first batch alone (bitwise)"
+    (same early_fit (fit (Tcca.Builder.finalize (builder [ first ]))));
+  ignore (fit ~eps:1e-1 early);
+  check_true "a raw serves several ε (bitwise)" (same early_fit (fit early));
+  check_true "late raw = no intermediate finalize (bitwise)"
+    (same (fit late) (fit (Tcca.Builder.finalize (builder [ first; rest ]))))
+
+(* --- The solve stage shared with KTCCA. --- *)
+
+(* Every message [Tcca.solve] raises or logs names the caller it is given. *)
+let test_solve_names_caller () =
+  let r = rng () in
+  let op = Op_tensor.Dense (random_tensor r [| 3; 4; 2 |]) in
+  Alcotest.check_raises "rank" (Invalid_argument "Ktcca.fit_prepared: r must be >= 1")
+    (fun () -> ignore (Tcca.solve ~caller:"Ktcca" ~r:0 op));
+  let warned needle = List.exists (fun w -> contains w needle) (Robust.recent_warnings ()) in
+  (* Only Als resumes from a checkpoint: the sampled solver never opens it. *)
+  Robust.clear_warnings ();
+  let checkpoint =
+    Checkpoint.config (Filename.concat (Filename.get_temp_dir_name ()) "tcca-solve-unused.ckpt")
+  in
+  (match
+     Tcca.solve ~caller:"Ktcca" ~solver:(Tcca.Sampled_als Cp_rand.default_options) ~checkpoint
+       ~r:1 op
+   with
+  | Ok _ -> check_true "checkpoint ignored, named" (warned "Ktcca.fit: checkpointing")
+  | Error e -> Alcotest.failf "sampled solve: %s" (Robust.failure_to_string e));
+  (* A budget expiry returns the model, the diagnostic in its note. *)
+  Robust.clear_warnings ();
+  (match Tcca.solve ~caller:"Ktcca" ~budget:(Budget.create ~sweeps:0 ()) ~r:5 op with
+  | Ok (k, note) ->
+    Alcotest.(check int) "r clamped to the smallest mode" 2 (Kruskal.rank k);
+    check_true "note reports the deadline" (contains note "deadline exceeded");
+    check_true "best-so-far warning, named" (warned "Ktcca.fit: deadline exceeded")
+  | Error e -> Alcotest.failf "a deadline is not an error: %s" (Robust.failure_to_string e));
+  Robust.clear_warnings ()
+
 (* --- Sketched / shrinkage knobs. --- *)
 
 let test_solver_sampled_als () =
@@ -423,6 +484,30 @@ let test_builder_errors () =
   Alcotest.check_raises "empty finalize" (Invalid_argument "Tcca.Builder.finalize: no instances")
     (fun () -> ignore (Tcca.Builder.finalize b))
 
+(* Checked before anything is folded: a refused batch, like an empty one,
+   leaves the builder as it was. *)
+let test_builder_add_batch_errors () =
+  let r = rng () in
+  let b = Tcca.Builder.create ~dims:[| 2; 3 |] in
+  Alcotest.check_raises "view count" (Invalid_argument "Tcca.Builder.add_batch: view count mismatch")
+    (fun () -> Tcca.Builder.add_batch b [| random_mat r 2 4 |]);
+  Alcotest.check_raises "dimension" (Invalid_argument "Tcca.Builder.add_batch: dimension mismatch")
+    (fun () -> Tcca.Builder.add_batch b [| random_mat r 2 4; random_mat r 2 4 |]);
+  Alcotest.check_raises "instance count"
+    (Invalid_argument "Tcca.Builder.add_batch: instance count mismatch") (fun () ->
+      Tcca.Builder.add_batch b [| random_mat r 2 4; random_mat r 3 5 |]);
+  Tcca.Builder.add_batch b [| Mat.create 2 0; Mat.create 3 0 |];
+  Alcotest.(check int) "nothing absorbed" 0 (Tcca.Builder.count b);
+  let batch = [| random_mat r 2 6; random_mat r 3 6 |] in
+  Tcca.Builder.add_batch b batch;
+  let fresh = Tcca.Builder.create ~dims:[| 2; 3 |] in
+  Tcca.Builder.add_batch fresh batch;
+  let fit b =
+    Tcca.projections
+      (Tcca.fit_prepared ~r:1 (Tcca.prepare_of_raw ~eps:1e-2 (Tcca.Builder.finalize b)))
+  in
+  check_true "state untouched (bitwise)" (Array.for_all2 bits_equal (fit fresh) (fit b))
+
 let test_errors () =
   let r = rng () in
   Alcotest.check_raises "one view" (Invalid_argument "Tcca.prepare: need at least two views")
@@ -451,10 +536,14 @@ let () =
       ( "streaming",
         [ Alcotest.test_case "builder = batch fit" `Quick test_builder_matches_batch_fit;
           Alcotest.test_case "four views" `Quick test_builder_four_views;
+          Alcotest.test_case "builder errors" `Quick test_builder_errors;
           prop_builder_streams_any_split;
           Alcotest.test_case "add_batch allocates less than T̃" `Quick
             test_builder_add_batch_allocation;
-          Alcotest.test_case "builder errors" `Quick test_builder_errors ] );
+          Alcotest.test_case "finalize mid-stream" `Quick test_builder_finalize_mid_stream;
+          Alcotest.test_case "add_batch errors" `Quick test_builder_add_batch_errors ] );
+      ( "solve",
+        [ Alcotest.test_case "messages name the caller" `Quick test_solve_names_caller ] );
       ( "sketched",
         [ Alcotest.test_case "sampled ALS solver" `Quick test_solver_sampled_als;
           Alcotest.test_case "fixed-0 shrinkage bitwise" `Quick

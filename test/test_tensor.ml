@@ -147,6 +147,41 @@ let prop_mode_product_linear =
       let rhs = Tensor.scale 2. (Tensor.mode_product a 0 u) in
       Tensor.equal ~eps:1e-7 lhs rhs)
 
+(* [a ×ₖ u] cell by cell: Σᵢ u[r,i]·a[…,i,…] in ascending i from 0., skipping
+   zero coefficients.  [mode_product] promises this sum on every mode — the
+   contiguous dot products of the last mode included — bit for bit. *)
+let reference_mode_product a k u =
+  let j, dk = Mat.dims u in
+  let out_dims = Array.copy a.Tensor.dims in
+  out_dims.(k) <- j;
+  Tensor.init out_dims (fun idx ->
+      let src = Array.copy idx in
+      let acc = ref 0. in
+      for i = 0 to dk - 1 do
+        let coeff = Mat.get u idx.(k) i in
+        if coeff <> 0. then begin
+          src.(k) <- i;
+          acc := !acc +. (coeff *. Tensor.get a src)
+        end
+      done;
+      !acc)
+
+let prop_mode_product_reference =
+  qtest ~count:60 "mode product ≡ ascending-sum reference (bitwise, every mode)"
+    QCheck2.Gen.(triple (int_range 1 4) (int_range 1 4) nat)
+    (fun (m, j, seed) ->
+      let r = Rng.create (seed + 1) in
+      let a = random_tensor r (Array.init m (fun _ -> 1 + Rng.int r 5)) in
+      List.for_all
+        (fun k ->
+          (* A third of the coefficients are exact zeros. *)
+          let u =
+            Mat.init j (Tensor.dim a k) (fun _ _ ->
+                if Rng.int r 3 = 0 then 0. else Rng.gaussian r)
+          in
+          tensor_bits_equal (reference_mode_product a k u) (Tensor.mode_product a k u))
+        (List.init m Fun.id))
+
 let () =
   Alcotest.run "tensor"
     [ ( "basics",
@@ -167,4 +202,5 @@ let () =
       ( "multilinear forms",
         [ Alcotest.test_case "Theorem 1" `Quick test_multilinear_form_theorem1;
           Alcotest.test_case "rank-1" `Quick test_multilinear_form_rank1 ] );
-      ("properties", [ prop_outer_frobenius; prop_mode_product_linear ]) ]
+      ( "properties",
+        [ prop_outer_frobenius; prop_mode_product_linear; prop_mode_product_reference ] ) ]
