@@ -359,7 +359,6 @@ let micro_tests () =
   let ny_oracles_4096 = sketch_oracles 4096 in
   let ny_oracles_20k = sketch_oracles 20_000 in
   let rand_svd_a = Mat.init 4096 512 (fun _ _ -> Rng.gaussian sketch_rng) in
-  let bench_sampled = Tcca.Sampled_als { Cp_rand.default_options with max_iter = 20 } in
   let open Bechamel in
   [ (* Fig. 3 / Table 1: TCCA fit on SecStr-sim (decomposition only). *)
     Test.make ~name:"fig3/tcca-cp-als-r8"
@@ -494,8 +493,8 @@ let micro_tests () =
               ~r:8 tcca_dense_p));
     (* Sketched scaling path: rank-revealing partial Cholesky on a kernel
        oracle, the Nyström KTCCA pipeline end to end (pchol → ℓ-space
-       whitening → CP → duals), the randomized range-finder SVD behind
-       `Randomized whitening, and the first-class sampled-ALS solver. *)
+       whitening → CP → duals), and the randomized range-finder SVD behind
+       Pca's route for tall views. *)
     Test.make ~name:"sketch/pchol-n4096-l256"
       (Staged.stage (fun () -> Pchol.decompose ~rank:256 ~tol:0. pchol_oracle));
     Test.make ~name:"ktcca/nystrom-n4096"
@@ -512,8 +511,6 @@ let micro_tests () =
              ~r:6 ny_oracles_20k));
     Test.make ~name:"svd/randomized-4096x512"
       (Staged.stage (fun () -> Svd.randomized ~rank:32 rand_svd_a));
-    Test.make ~name:"tcca/fit-sampled-als"
-      (Staged.stage (fun () -> Tcca.fit_prepared ~solver:bench_sampled ~r:8 tcca_fact_p));
     (* Fig. 10: Gram-matrix construction (chi-squared kernel). *)
     Test.make ~name:"fig10/chi2-gram"
       (Staged.stage (fun () ->

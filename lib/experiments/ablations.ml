@@ -19,7 +19,7 @@ let solver_comparison ~world ~n ~eps ~rs ~seed =
       in
       let rand_result = ref None in
       let rand_s = Measure.time (fun () ->
-          rand_result := Some (Cp_rand.decompose_op ~rank:r (Op_tensor.Dense m_tensor)))
+          rand_result := Some (Cp_rand.decompose ~rank:r m_tensor))
       in
       let rand_fit =
         match !rand_result with
@@ -45,7 +45,7 @@ let solver_comparison ~world ~n ~eps ~rs ~seed =
       in
       let power_result = ref None in
       let power_s = Measure.time (fun () ->
-          power_result := Some (fst (Tensor_power.decompose ~rank:r m_tensor)))
+          power_result := Some (Tensor_power.decompose ~rank:r m_tensor))
       in
       let power_fit =
         match !power_result with Some k -> Kruskal.fit k m_tensor | None -> nan

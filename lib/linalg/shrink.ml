@@ -63,7 +63,5 @@ let apply ?x ~n mode c =
     match x with
     | Some x -> shrunk (lw_intensity ~x c) c
     | None ->
-      Robust.warnf
-        "Shrink.apply: `Lw needs the centered instances (streaming builder keeps none) — \
-         falling back to `Oas";
+      Robust.warnf "Shrink.apply: `Lw needs the centered instances — falling back to `Oas";
       shrunk (oas_intensity ~n c) c)

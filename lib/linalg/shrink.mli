@@ -2,18 +2,17 @@
 
     Both replace the sample covariance [C] with the convex combination
     [C_sh = (1−ρ)·C + ρ·μ·I], [μ = tr(C)/d], where the intensity [ρ ∈ [0,1]]
-    is estimated from the data instead of hand-tuned.  Used as the first
-    rung of the whitening regularizer in {!Tcca} and {!Pca}: a data-driven
-    conditioner in place of the fixed ridge [ε·I], with the ridge ladder
-    still behind it as the escalation fallback.
+    is estimated from the data instead of hand-tuned.  Its one user is
+    {!Pca}'s [?shrinkage], which conditions the covariance before the
+    eigendecomposition.
 
     - Ledoit–Wolf (2004): [ρ = min(β̄², δ²)/δ²] with
       [δ² = ‖C − μI‖²_F / d] and
       [β̄² = (Σₙ‖xₙ‖⁴ − N‖C‖²_F) / (d·N²)] — needs the centered instances.
     - OAS (Chen, Wiesel, Eldar & Hero 2010):
       [ρ = ((1−2/d)·tr(C²) + tr(C)²) / ((N+1−2/d)·(tr(C²) − tr(C)²/d))],
-      clipped to [[0,1]] — needs only [C] and [N], so it is the streaming
-      (Builder) fallback.
+      clipped to [[0,1]] — needs only [C] and [N], so it is the fallback
+      when the instances are absent.
 
     On white data ([C ≈ μI]) both intensities go to 1 and the shrunk
     estimate collapses to the scaled identity; on strongly structured
@@ -38,7 +37,6 @@ type applied = {
 
 val apply : ?x:Mat.t -> n:int -> t -> Mat.t -> applied
 (** Shrink [c].  [`Lw] requires [?x] (the centered instances) and falls back
-    to [`Oas] with a logged warning when it is absent — the streaming
-    builder keeps no instances.  [`None] returns [c] itself (same value,
-    not a copy) with intensity 0, so the default path is bit-identical to
-    no shrinkage at all. *)
+    to [`Oas] with a logged warning when it is absent.  [`None] returns [c]
+    itself (same value, not a copy) with intensity 0, so the default path
+    is bit-identical to no shrinkage at all. *)

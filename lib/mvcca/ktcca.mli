@@ -52,15 +52,13 @@ val fit :
 (** [fit ~eps ~r kernels] on training Gram matrices (one per view).
     [center] (default true) double-centers each kernel.  [eps] defaults to
     1e-4.  The operator's representation is {!Op_tensor.route}'s choice, as
-    in {!Tcca.fit} (see {!materialized}); [Power_deflation] materializes a
-    factored operator itself and refuses one above
-    {!Op_tensor.dense_entry_cap}.  [approx] selects the sketched path — the supplied Grams are then only
-    read column-by-column through {!Pchol.oracle_of_mat} (use
+    in {!Tcca.fit} (see {!materialized}), and CP-ALS solves it through
+    {!Tcca.solve}.  [approx] selects the sketched path — the supplied Grams
+    are then only read column-by-column through {!Pchol.oracle_of_mat} (use
     {!fit_oracles} to avoid forming them at all).  [budget] and
     [checkpoint] mirror {!Tcca.fit}: a budget-expired solve returns its
     best-so-far model (warning logged, not an error), and checkpoint/resume
-    (Als solver only) makes the dual-weight fit crash-safe with
-    bit-identical resume. *)
+    makes the dual-weight fit crash-safe with bit-identical resume. *)
 
 val fit_oracles :
   ?eps:float ->

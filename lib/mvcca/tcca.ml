@@ -1,8 +1,6 @@
-type solver = Als of Cp_als.options | Sampled_als of Cp_rand.options | Power_deflation
+type solver = Als of Cp_als.options
 
 let default_solver = Als Cp_als.default_options
-
-type whiten = [ `Auto | `Eig | `Randomized of int ]
 
 type t = {
   means : Vec.t array;
@@ -34,16 +32,10 @@ let covariance_tensor views =
    surfacing the failure.  Rank is measured against the ridge actually
    added, so a covariance that carries no information at all (numerical
    rank 0) is a [Rank_deficient] failure rather than a whitener made of
-   pure ridge.
-
-   With a shrinkage regularizer active ([shift0 = ρ·μ > 0]), the shrunk
-   covariance replaces the bare ridge as the first rung: attempt 0 adds no
-   ridge at all (the identity target already conditions the matrix), and
-   the geometric ladder starts one rung later as the escalation fallback.
-   Rank is then measured against the total identity mass [ρμ + ridge]. *)
+   pure ridge. *)
 let whiten_attempts = 4
 
-let whiten_view ?(shift0 = 0.) ~eps ~view cov =
+let whiten_view ~eps ~view cov =
   let dim = fst (Mat.dims cov) in
   let stage = Printf.sprintf "tcca.whiten view %d" view in
   let cov =
@@ -51,28 +43,15 @@ let whiten_view ?(shift0 = 0.) ~eps ~view cov =
       Mat.init dim dim (fun a b -> if a = 0 && b = 0 then nan else Mat.get cov a b)
     else cov
   in
-  let ridge_at k =
-    if shift0 > 0. then if k = 0 then 0. else eps *. (10. ** float_of_int (k - 1))
-    else eps *. (10. ** float_of_int k)
-  in
+  let ridge_at k = eps *. (10. ** float_of_int k) in
   let rec attempt k =
     let ridge = ridge_at k in
     match
-      Matfun.inv_sqrt_psd_checked ~shift:(shift0 +. ridge) ~stage
-        (Mat.add_scaled_identity ridge cov)
+      Matfun.inv_sqrt_psd_checked ~shift:ridge ~stage (Mat.add_scaled_identity ridge cov)
     with
     | Ok (w, rank) ->
       if k > 0 then Robust.warnf "%s: recovered with ridge %g (%d escalations)" stage ridge k;
-      if rank = 0 && shift0 > 0. then begin
-        (* ρ = 1: the estimator decided every deviation from the identity
-           target is noise (e.g. OAS on white data).  The shrunk matrix is
-           exactly (ρμ + ridge)·I — perfectly invertible, not degenerate
-           data, so whiten it rather than reporting rank deficiency. *)
-        Robust.warnf "%s: covariance fully shrunk to the identity target (ρμ = %g)" stage
-          shift0;
-        Ok w
-      end
-      else if rank = 0 then Error (Robust.Rank_deficient { view; rank; dim })
+      if rank = 0 then Error (Robust.Rank_deficient { view; rank; dim })
       else begin
         if rank < dim then
           Robust.warnf "%s: covariance numerically rank-deficient (%d of %d directions)"
@@ -87,77 +66,22 @@ let whiten_view ?(shift0 = 0.) ~eps ~view cov =
   in
   attempt 0
 
-let whiteners_checked ?shifts ~eps covs =
+let whiteners_checked ~eps covs =
   try
     Ok
       (Array.mapi
          (fun p c ->
-           let shift0 = match shifts with None -> 0. | Some s -> s.(p) in
-           match whiten_view ~shift0 ~eps ~view:p c with
+           match whiten_view ~eps ~view:p c with
            | Ok w -> w
            | Error e -> raise (Robust.Error e))
          covs)
   with Robust.Error e -> Error e
 
-(* Sketched whitener for tall views: the top-[sketch] eigenpairs of the
-   covariance come from {!Svd.randomized} on the centered view directly —
-   O(dₚ·N·sketch) instead of O(dₚ²·N + dₚ³) — and the unexplored tail is
-   flattened onto the identity mass [ρμ + ε], giving
-   [W = U diag((1−ρ)λᵢ + ρμ + ε)^{−1/2} Uᵀ + (ρμ+ε)^{−1/2}(I − UUᵀ)]
-   materialized as a dense dₚ×dₚ matrix.  Exact when the covariance's rank
-   is ≤ sketch; otherwise the tail is regularized harder than the exact
-   whitener would — the same direction the ridge pushes. *)
-let randomized_dim_threshold = 512
-let default_sketch = 256
-
-let whiten_view_randomized ~eps ~view ~sketch ~rho centered =
-  let d, n = Mat.dims centered in
-  let stage = Printf.sprintf "tcca.whiten-randomized view %d" view in
-  let nf = float_of_int n in
-  let fro = Mat.frobenius centered in
-  let mu = fro *. fro /. (nf *. float_of_int d) in
-  let svd, sinfo = Svd.randomized ~rank:(min sketch d) ~seed:(0x7CCA + view) centered in
-  if not sinfo.Svd.converged then
-    Error
-      (Robust.Not_converged
-         { stage; sweeps = sinfo.Svd.sweeps; residual = sinfo.Svd.residual })
-  else begin
-    let k = Array.length svd.Svd.sigma in
-    let lambda = Array.map (fun s -> s *. s /. nf) svd.Svd.sigma in
-    let base = (rho *. mu) +. eps in
-    if base <= 0. then
-      Error
-        (Robust.Not_positive_definite
-           { stage; pivot = 0; value = base; jitter_tried = 0. })
-    else begin
-      let lmax = Array.fold_left Float.max 0. lambda in
-      let rank =
-        Array.fold_left (fun acc l -> if l > 1e-9 *. lmax then acc + 1 else acc) 0 lambda
-      in
-      if rank = 0 then Error (Robust.Rank_deficient { view; rank; dim = d })
-      else begin
-        let c = 1. /. sqrt base in
-        let u = svd.Svd.u in
-        let scaled =
-          Mat.init d k (fun i j ->
-              Mat.get u i j *. ((1. /. sqrt (((1. -. rho) *. lambda.(j)) +. base)) -. c))
-        in
-        let w = Mat.add_scaled_identity c (Mat.mul_nt scaled u) in
-        if not (Mat.all_finite w) then
-          Error (Robust.Non_finite { stage; where = "sketched whitener" })
-        else Ok w
-      end
-    end
-  end
-
 type prepared = {
   p_means : Vec.t array;
   p_whiteners : Mat.t array;
-  p_shrink : float array; (* per-view shrinkage intensity ρ actually applied *)
   p_op : Op_tensor.t; (* the whitened covariance tensor M, dense or implicit *)
 }
-
-let shrinkage_intensities prepared = Array.copy prepared.p_shrink
 
 let materialized prepared =
   match prepared.p_op with Op_tensor.Dense _ -> true | Op_tensor.Factored _ -> false
@@ -168,24 +92,14 @@ type raw_stats =
          the Builder's statistics, which keep no instances *)
   | Raw_views of Mat.t array (* the centered views themselves (dₚ × N each) *)
 
-(* [r_cov_stats] carries (shrunk covariances, intensities ρ, shifts ρ·μ).
-   The Builder's is forced eagerly; [prepare_raw]'s stays lazy so a
-   sketched whitening run never pays the O(dₚ²·N) Gram it exists to
-   avoid. *)
 type raw = {
   r_means : Vec.t array;
-  r_cov_stats : (Mat.t array * float array * float array) Lazy.t;
+  r_covs : Mat.t array; (* Cₚₚ = (1/N) X̄ₚX̄ₚᵀ *)
   r_stats : raw_stats;
-  r_shrink : Shrink.t;
   r_n : int;
 }
 
-let shrink_view ~n ~shrinkage x =
-  let nf = float_of_int n in
-  let c = Mat.scale (1. /. nf) (Mat.gram x) in
-  Shrink.apply ~x ~n shrinkage c
-
-let prepare_raw ?(shrinkage = (`None : Shrink.t)) views =
+let prepare_raw views =
   let n = check_views "Tcca.prepare" views in
   let means = Array.map Mat.row_means views in
   let centered = Array.map2 Mat.sub_col_vec views means in
@@ -197,92 +111,16 @@ let prepare_raw ?(shrinkage = (`None : Shrink.t)) views =
       Mat.set v i 0 0.
     done
   end;
-  let cov_stats =
-    lazy
-      (let applied = Array.map (fun x -> shrink_view ~n ~shrinkage x) centered in
-       ( Array.map (fun a -> a.Shrink.cov) applied,
-         Array.map (fun a -> a.Shrink.intensity) applied,
-         Array.map (fun a -> a.Shrink.intensity *. a.Shrink.target) applied ))
-  in
+  let nf = float_of_int n in
   { r_means = means;
-    r_cov_stats = cov_stats;
+    r_covs = Array.map (fun x -> Mat.scale (1. /. nf) (Mat.gram x)) centered;
     r_stats = Raw_views centered;
-    r_shrink = shrinkage;
     r_n = n }
 
-let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
-  (* The sketched whitener needs the centered views (to sketch from) and a
-     data-independent shrinkage intensity (Lw/Oas need the covariance the
-     sketch avoids) — outside that envelope it degrades to the exact eig
-     whitener, loudly when it was forced. *)
-  let rho_fixed =
-    match raw.r_shrink with
-    | `None -> Some 0.
-    | `Fixed f -> Some (Float.min 1. (Float.max 0. f))
-    | `Lw | `Oas -> None
-  in
-  let sketchable =
-    match (rho_fixed, raw.r_stats) with
-    | Some rho, Raw_views centered -> Some (rho, centered)
-    | _ -> None
-  in
-  let want_rand =
-    match whiten with
-    | `Eig -> `No
-    | `Randomized k -> (
-      match sketchable with
-      | Some _ -> `Forced k
-      | None ->
-        Robust.warnf
-          "tcca.whiten: `Randomized needs retained views and a data-independent shrinkage \
-           — falling back to the exact eig whitener";
-        `No)
-    | `Auto -> ( match sketchable with Some _ -> `Auto | None -> `No)
-  in
-  let sketch_for d =
-    match want_rand with
-    | `Forced k -> Some (min k d)
-    | `Auto when d >= randomized_dim_threshold -> Some (min default_sketch d)
-    | _ -> None
-  in
-  let view_dims = Array.map Array.length raw.r_means in
-  let any_rand = Array.exists (fun d -> sketch_for d <> None) view_dims in
-  let whiteners_result =
-    match (any_rand, sketchable) with
-    | false, _ | _, None ->
-      let covs, intens, shifts = Lazy.force raw.r_cov_stats in
-      (match whiteners_checked ~shifts ~eps covs with
-      | Error e -> Error e
-      | Ok ws -> Ok (ws, intens))
-    | true, Some (rho, centered) -> (
-      (* Mixed per-view route: tall views take the sketch, small views the
-         exact whitener on an on-demand covariance (the shared lazy is left
-         unforced — forcing it would Gram the tall views too). *)
-      try
-        let intens = Array.make (Array.length centered) rho in
-        let ws =
-          Array.mapi
-            (fun p x ->
-              match sketch_for view_dims.(p) with
-              | Some sketch -> (
-                match whiten_view_randomized ~eps ~view:p ~sketch ~rho x with
-                | Ok w -> w
-                | Error e -> raise (Robust.Error e))
-              | None -> (
-                let a = shrink_view ~n:raw.r_n ~shrinkage:raw.r_shrink x in
-                intens.(p) <- a.Shrink.intensity;
-                let shift0 = a.Shrink.intensity *. a.Shrink.target in
-                match whiten_view ~shift0 ~eps ~view:p a.Shrink.cov with
-                | Ok w -> w
-                | Error e -> raise (Robust.Error e)))
-            centered
-        in
-        Ok (ws, intens)
-      with Robust.Error e -> Error e)
-  in
-  match whiteners_result with
+let prepare_of_raw_checked ~eps raw =
+  match whiteners_checked ~eps raw.r_covs with
   | Error e -> Error e
-  | Ok (ws, intens) -> (
+  | Ok ws -> (
     let op =
       match raw.r_stats with
       | Raw_moment t ->
@@ -304,13 +142,12 @@ let prepare_of_raw_checked ?(whiten = (`Auto : whiten)) ~eps raw =
       Op_tensor.route ~stage:"tcca.prepare" ~where:"whitened covariance operator" op
     with
     | Error e -> Error e
-    | Ok op -> Ok { p_means = raw.r_means; p_whiteners = ws; p_shrink = intens; p_op = op })
+    | Ok op -> Ok { p_means = raw.r_means; p_whiteners = ws; p_op = op })
 
-let prepare_of_raw ?whiten ~eps raw =
-  match prepare_of_raw_checked ?whiten ~eps raw with Ok p -> p | Error e -> Robust.fail e
+let prepare_of_raw ~eps raw =
+  match prepare_of_raw_checked ~eps raw with Ok p -> p | Error e -> Robust.fail e
 
-let prepare ?(eps = 1e-2) ?shrinkage ?whiten views =
-  prepare_of_raw ?whiten ~eps (prepare_raw ?shrinkage views)
+let prepare ?(eps = 1e-2) views = prepare_of_raw ~eps (prepare_raw views)
 
 let whitened_tensor ?eps views = Op_tensor.to_tensor (prepare ?eps views).p_op
 
@@ -366,7 +203,7 @@ module Builder = struct
       t.n <- t.n + batch
     end
 
-  let finalize ?(shrinkage = (`None : Shrink.t)) t =
+  let finalize t =
     if t.n = 0 then invalid_arg "Tcca.Builder.finalize: no instances";
     let nf = float_of_int t.n in
     let moment = Tensor.scale (1. /. nf) t.moment in
@@ -389,79 +226,32 @@ module Builder = struct
               Mat.get raw a b -. (means.(p).(a) *. means.(p).(b))))
         t.second
     in
-    (* The streaming builder never retains instances, so [`Lw] (which needs
-       them) degrades to [`Oas] inside {!Shrink.apply} with a warning. *)
-    let applied = Array.map (fun c -> Shrink.apply ~n:t.n shrinkage c) covs in
-    { r_means = means;
-      r_cov_stats =
-        Lazy.from_val
-          ( Array.map (fun a -> a.Shrink.cov) applied,
-            Array.map (fun a -> a.Shrink.intensity) applied,
-            Array.map (fun a -> a.Shrink.intensity *. a.Shrink.target) applied );
-      r_stats = Raw_moment moment;
-      r_shrink = shrinkage;
-      r_n = t.n }
+    { r_means = means; r_covs = covs; r_stats = Raw_moment moment; r_n = t.n }
 end
 
 let solve ~caller ?(solver = default_solver) ?budget ?checkpoint ~r op =
   if r < 1 then invalid_arg (caller ^ ".fit_prepared: r must be >= 1");
   let r = Array.fold_left min r (Op_tensor.dims op) in
-  (match (checkpoint, solver) with
-  | Some cfg, (Sampled_als _ | Power_deflation) ->
-    (* Sampled and deflation solvers carry no resumable snapshot yet: be loud
-       rather than silently unprotected. *)
-    Robust.warnf "%s.fit: checkpointing (%s) only supported by the Als solver — ignored"
-      caller cfg.Checkpoint.path
-  | _ -> ());
-  (* A budget-expired solve is graceful degradation, not an error: the
-     model is the solver's best-so-far state.  Surface the diagnostic
-     loudly (warnings ring + solver note) without failing the fit. *)
-  let model k note = function
+  let (Als options) = solver in
+  let k, info = Cp_als.decompose_op ~options ?budget ?checkpoint ~rank:r op in
+  (* A Some failure means the solver exhausted its restarts on non-finite
+     or swamped runs — the model is not trustworthy. *)
+  match info.Cp_als.failure with
+  | Some f -> Error f
+  | None -> (
+    let note =
+      Printf.sprintf "als: %d iters, fit %.6f, converged %b, runs %d" info.Cp_als.iterations
+        info.Cp_als.fit info.Cp_als.converged (List.length info.Cp_als.runs)
+    in
+    (* A budget-expired solve is graceful degradation, not an error: the
+       model is the solver's best-so-far state.  Surface the diagnostic
+       loudly (warnings ring + solver note) without failing the fit. *)
+    match info.Cp_als.deadline with
     | None -> Ok (k, note)
     | Some d ->
       Robust.warnf "%s.fit: %s — returning best-so-far model" caller
         (Robust.failure_to_string d);
-      Ok (k, note ^ "; " ^ Robust.failure_to_string d)
-  in
-  match solver with
-  | Als options -> (
-    let k, info = Cp_als.decompose_op ~options ?budget ?checkpoint ~rank:r op in
-    (* A Some failure means the solver exhausted its restarts on
-       non-finite or swamped runs — the model is not trustworthy. *)
-    match info.Cp_als.failure with
-    | Some f -> Error f
-    | None ->
-      model k
-        (Printf.sprintf "als: %d iters, fit %.6f, converged %b, runs %d" info.Cp_als.iterations
-           info.Cp_als.fit info.Cp_als.converged (List.length info.Cp_als.runs))
-        info.Cp_als.deadline)
-  | Sampled_als options -> (
-    (* First-class sampled solver: runs on the operator directly (dense or
-       factored — nothing is materialized) and honors the min_fit accuracy
-       gate as a typed failure. *)
-    let k, info = Cp_rand.decompose_op ~options ?budget ~rank:r op in
-    match info.Cp_rand.failure with
-    | Some f -> Error f
-    | None ->
-      model k
-        (Printf.sprintf "sampled-als: %d iters, sampled fit %.6f, converged %b"
-           info.Cp_rand.iterations info.Cp_rand.sampled_fit info.Cp_rand.converged)
-        info.Cp_rand.deadline)
-  | Power_deflation ->
-    (* Power_deflation walks raw tensor entries, so a factored operator
-       must be materialized for it; refuse above the route's cap rather
-       than letting the allocation OOM. *)
-    let entries = Array.fold_left (fun acc d -> acc *. float_of_int d) 1. (Op_tensor.dims op) in
-    (match op with
-    | Op_tensor.Factored _ when entries > float_of_int Op_tensor.dense_entry_cap ->
-      invalid_arg
-        (Printf.sprintf
-           "%s.fit_prepared: this solver needs the dense tensor (%.0f entries); use the Als \
-            solver for factored operators"
-           caller entries)
-    | _ -> ());
-    let k, deadline = Tensor_power.decompose ?budget ~rank:r (Op_tensor.to_tensor op) in
-    model (Kruskal.normalize k) "power-deflation" deadline
+      Ok (k, note ^ "; " ^ Robust.failure_to_string d))
 
 let fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared =
   match solve ~caller:"Tcca" ?solver ?budget ?checkpoint ~r prepared.p_op with
@@ -490,13 +280,13 @@ let fit_prepared ?solver ?budget ?checkpoint ~r prepared =
   | Ok t -> t
   | Error e -> Robust.fail e
 
-let fit_checked ?(eps = 1e-2) ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r views =
-  match prepare_of_raw_checked ?whiten ~eps (prepare_raw ?shrinkage views) with
+let fit_checked ?(eps = 1e-2) ?solver ?budget ?checkpoint ~r views =
+  match prepare_of_raw_checked ~eps (prepare_raw views) with
   | Error e -> Error e
   | Ok prepared -> fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared
 
-let fit ?(eps = 1e-2) ?shrinkage ?whiten ?solver ?budget ?checkpoint ~r views =
-  fit_prepared ?solver ?budget ?checkpoint ~r (prepare ~eps ?shrinkage ?whiten views)
+let fit ?(eps = 1e-2) ?solver ?budget ?checkpoint ~r views =
+  fit_prepared ?solver ?budget ?checkpoint ~r (prepare ~eps views)
 
 let r t = Array.length t.correlations
 let n_views t = Array.length t.projections

@@ -7,7 +7,10 @@
     turns this into the best rank-1 approximation of the whitened covariance
     tensor [M = C₁₂…ₘ ×₁ C̃₁₁^{−1/2} … ×ₘ C̃ₘₘ^{−1/2}] (Theorem 2 +
     De Lathauwer 2000b), and the rank-r solution is its CP decomposition,
-    computed with ALS (default), HOPM-deflation or the tensor power method.
+    computed with CP-ALS, the solver Sec. 4.3 finds best.  Each view is
+    whitened exactly, by the symmetric eig of [C̃ₚₚ = Cₚₚ + εI].  The other
+    solvers the paper mentions ({!Hopm}, {!Tensor_power}) and a sampled ALS
+    ({!Cp_rand}) run on {!whitened_tensor} in the solver ablation only.
 
     [M] is the rank-N sum [(1/N) Σₙ ∘ₚ (C̃ₚₚ^{−1/2} x̄ₚₙ)], so every fit
     builds it as an {!Op_tensor.Factored} operator over the whitened views
@@ -19,38 +22,14 @@
     {!Builder}'s streamed statistics, which keep no instances, whitens a
     dense moment tensor instead. *)
 
-type solver =
-  | Als of Cp_als.options     (** The paper's choice (Sec. 4.3). *)
-  | Sampled_als of Cp_rand.options
-      (** Sampled-least-squares ALS (CPRAND) — first-class: runs directly on
-          the prepared operator (dense or factored, nothing is materialized),
-          honors [budget] deadlines like [Als], and turns the
-          [Cp_rand.options.min_fit] accuracy gate into a typed
-          [Not_converged] failure. *)
-  | Power_deflation           (** Greedy rank-1 deflation (Allen 2012). *)
+type solver = Als of Cp_als.options  (** CP-ALS with these options (Sec. 4.3). *)
 
 val default_solver : solver
-
-type whiten = [ `Auto | `Eig | `Randomized of int ]
-(** Whitener construction.  [`Eig] is the exact route (covariance + symmetric
-    eig ladder).  [`Randomized k] sketches the top-[k] covariance eigenpairs
-    with {!Svd.randomized} straight from the centered view — O(dₚ·N·k)
-    instead of O(dₚ²·N + dₚ³) — and flattens the unexplored tail onto the
-    identity mass [ρμ + ε]; it needs the retained centered views (every
-    path except {!Builder}, which keeps no instances) and a
-    data-independent shrinkage ([`None]/[`Fixed]), degrading to [`Eig]
-    with a warning otherwise.  [`Auto] (default) picks the sketch (rank
-    256) per view for tall views ([dₚ ≥ 512]) and stays bit-identical to
-    [`Eig] below the threshold.  It does so on either operator route, so a
-    tall view whose operator is then materialized is still sketched (no
-    paper-scale dataset has one: the largest dₚ is 120). *)
 
 type t
 
 val fit :
   ?eps:float ->
-  ?shrinkage:Shrink.t ->
-  ?whiten:whiten ->
   ?solver:solver ->
   ?budget:Budget.t ->
   ?checkpoint:Checkpoint.config ->
@@ -70,24 +49,17 @@ val fit :
     and O(N·Σdₚ·r) per sweep after an O(N²·Σdₚ) Gram pass, and is the only
     route for shapes above {!Op_tensor.dense_entry_cap} (5 views at
     dₚ = 40 is ≈ 10⁸ entries).  Both compute the same M; projections agree
-    to solver roundoff.  [Power_deflation] materializes a factored operator
-    itself and refuses one above the cap.
+    to solver roundoff.
 
-    [shrinkage] (default [`None], bit-identical to the historical ridge-only
-    path) replaces the whitening ladder's first rung: each per-view
-    covariance is conditioned with {!Shrink.apply}
-    ([(1−ρ)C + ρμI], ρ from Ledoit–Wolf, OAS or fixed) {e before} the
-    [ε·10ᵏ] ridge ladder, so the ladder only escalates on top of an already
-    well-conditioned target.  [whiten] picks the whitener construction —
-    see {!type:whiten}.
+    Whitening is exact at every dₚ: the symmetric eig of each dₚ × dₚ
+    covariance, O(dₚ²·N + dₚ³).
 
     {b Long-running fits}: [budget] bounds the solve — it is probed once per
-    ALS/power sweep, and on expiry the fit returns its {e best-so-far} model
+    ALS sweep, and on expiry the fit returns its {e best-so-far} model
     with the [Robust.Deadline_exceeded] diagnostic appended to
     {!solver_info} and pushed through [Robust.warnf] (a deadline is graceful
     degradation, not an error; [fit_checked] still returns [Ok]).
-    [checkpoint] (Als solver only; a warning is logged and it is ignored for
-    the sampled/deflation solvers) snapshots the full ALS state through
+    [checkpoint] snapshots the full ALS state through
     {!Checkpoint} so a killed process resumes from its last sweep boundary —
     the resumed fit is bit-identical to an uninterrupted one at any
     [TCCA_DOMAINS] setting.  A corrupt, torn, truncated or mismatched
@@ -103,14 +75,11 @@ val solve :
   Op_tensor.t ->
   (Kruskal.t * string, Robust.failure) result
 (** The solve stage shared by TCCA and KTCCA: the CP decomposition of a
-    prepared operator and its human-readable solver note.  [r] must be
-    [>= 1] and is clamped to the smallest mode size; [checkpoint] is
-    honored by [Als] only (a warning is logged otherwise); a solver
-    failure is [Error]; a budget expiry returns the best-so-far model with
-    a warning and the diagnostic appended to the note.  [Power_deflation]
-    materializes a factored operator itself and refuses one above
-    {!Op_tensor.dense_entry_cap} with [Invalid_argument].  [caller]
-    (["Tcca"], ["Ktcca"]) prefixes every message, as in
+    prepared operator by {!Cp_als.decompose_op} and its human-readable
+    solver note.  [r] must be [>= 1] and is clamped to the smallest mode
+    size; a solver failure is [Error]; a budget expiry returns the
+    best-so-far model with a warning and the diagnostic appended to the
+    note.  [caller] (["Tcca"], ["Ktcca"]) prefixes every message, as in
     ["Tcca.fit_prepared: r must be >= 1"]. *)
 
 type prepared
@@ -120,7 +89,7 @@ type prepared
     sweeps cheap: everything up to the CP decomposition is rank-independent
     (Sec. 4.5). *)
 
-val prepare : ?eps:float -> ?shrinkage:Shrink.t -> ?whiten:whiten -> Mat.t array -> prepared
+val prepare : ?eps:float -> Mat.t array -> prepared
 
 val fit_prepared :
   ?solver:solver -> ?budget:Budget.t -> ?checkpoint:Checkpoint.config -> r:int -> prepared -> t
@@ -150,8 +119,6 @@ val fit_prepared_checked :
 
 val fit_checked :
   ?eps:float ->
-  ?shrinkage:Shrink.t ->
-  ?whiten:whiten ->
   ?solver:solver ->
   ?budget:Budget.t ->
   ?checkpoint:Checkpoint.config ->
@@ -164,29 +131,25 @@ val materialized : prepared -> bool
     so tests and benches can see which route a fit took; tests pin one with
     {!Op_tensor.pin_route}). *)
 
-val shrinkage_intensities : prepared -> float array
-(** Per-view shrinkage intensity ρ actually applied while whitening —
-    all zeros without [shrinkage]. *)
-
 type raw
 (** Only the ε-independent work, so that an ε-validation loop (the paper
     tunes ε over {10ⁱ} for the image experiments) reuses it: the means, the
-    per-view covariance matrices, and either the centered views
+    per-view covariances [Cₚₚ] (formed once, by {!prepare_raw} or
+    {!Builder.finalize}), and either the centered views
     ({!prepare_raw}) or, from {!Builder.finalize}, the augmented moment
     tensor [E[∘ₚ x̃ₚ]] over [x̃ₚ = [xₚ; 1]] (dims dₚ + 1), which keeps no
     instances.  Whitening depends on ε, so each {!prepare_of_raw} builds
-    and routes the operator again: O(N·Σdₚ²) for the whitened views, plus
+    and routes the operator again: the eig of each [Cₚₚ + εI],
+    O(N·Σdₚ²) for the whitened views, plus
     O(N·∏dₚ) GEMM flops when the route materializes.  From the moment
     tensor it centers inside the whitening instead: since
     [∘ₚ Wₚ(xₚ − μₚ) = ∘ₚ [Wₚ | −Wₚμₚ] x̃ₚ], the whitened tensor is
     [M = E[∘ₚ x̃ₚ] ×ₚ [Wₚ | −Wₚμₚ]], m mode products of
     O(∏(dₚ + 1)·max dₚ) each, and it is dense. *)
 
-val prepare_raw : ?shrinkage:Shrink.t -> Mat.t array -> raw
-val prepare_of_raw : ?whiten:whiten -> eps:float -> raw -> prepared
-
-val prepare_of_raw_checked :
-  ?whiten:whiten -> eps:float -> raw -> (prepared, Robust.failure) result
+val prepare_raw : Mat.t array -> raw
+val prepare_of_raw : eps:float -> raw -> prepared
+val prepare_of_raw_checked : eps:float -> raw -> (prepared, Robust.failure) result
 
 val r : t -> int
 val n_views : t -> int
@@ -289,15 +252,14 @@ module Builder : sig
   val count : t -> int
   (** Instances absorbed so far. *)
 
-  val finalize : ?shrinkage:Shrink.t -> t -> raw
+  val finalize : t -> raw
   (** Centered statistics of everything absorbed — a scaled copy of T̃, the
       means and the covariances; raises [Invalid_argument] if no instances
       were added.  The builder stays usable (more batches can follow and
-      [finalize] can be called again).  [shrinkage] as in {!Tcca.fit}; the
-      builder never retains instances, so [`Lw] degrades to [`Oas] with a
-      warning. *)
+      [finalize] can be called again). *)
 end
 
 val whitened_tensor : ?eps:float -> Mat.t array -> Tensor.t
 (** [M] of Eq. 4.9 for raw views: [Op_tensor.to_tensor] of {!prepare}'s
-    operator, whatever its route — exposed for the solver-ablation bench. *)
+    operator, whatever its route — the input of the solver ablation, which
+    runs {!Hopm}, {!Tensor_power} and {!Cp_rand} on it beside CP-ALS. *)

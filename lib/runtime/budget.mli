@@ -1,14 +1,13 @@
 (** Cooperative deadlines and iteration budgets for long-running solves.
 
-    A production fit must not hang a caller: every iterative solver
-    ([Cp_als], [Cp_rand], [Hopm]/[Tensor_power]) accepts a budget and probes
-    it {e once per sweep} at the loop head.  When the budget expires the
-    solver stops at that sweep boundary and returns its best-so-far model
-    with [converged = false] and a {!Robust.Deadline_exceeded} diagnostic —
-    it never raises and never discards completed work.  ALS iterates improve
-    (near-)monotonically (Chen, Kolar & Tsay 2021), which is what makes the
-    best-so-far snapshot a principled degradation target rather than a random
-    partial state.
+    A production fit must not hang a caller: the fit solver, [Cp_als],
+    accepts a budget and probes it {e once per sweep} at the loop head.
+    When the budget expires the solver stops at that sweep boundary and
+    returns its best-so-far model with [converged = false] and a
+    {!Robust.Deadline_exceeded} diagnostic — it never raises and never
+    discards completed work.  ALS iterates improve (near-)monotonically
+    (Chen, Kolar & Tsay 2021), which is what makes the best-so-far snapshot
+    a principled degradation target rather than a random partial state.
 
     The clock starts at {!create}, not at the first check, so a budget built
     by a caller and threaded through [Tcca.fit_checked] bounds the whole fit

@@ -263,15 +263,17 @@ let single_run options ~budget ~sweeps_before ~on_sweep ~resume ~rank ~init ~nor
         if Float.abs (fit -. !previous_fit) < options.tol then converged := true;
         (* Swamp detection: ALS is monotone in exact arithmetic, so a fit that
            keeps landing well below its best (10·tol, i.e. beyond convergence-
-           test noise) is oscillating, not converging.  The absolute 1e-12
-           floor keeps tol = 0 runs from counting ulp-level jitter at a fixed
-           point as drops: fit is normalized O(1), so roundoff oscillation is
-           ~1e-16 while a genuine swamp swings by ~1e-3 or more. *)
+           test noise) is oscillating, not converging.  The absolute 1e-7
+           floor is the fit's own roundoff: fit = 1 − √err²/‖X‖ takes the
+           square root of err² = ‖X‖² − 2⟨X, X̂⟩ + ‖X̂‖², a cancelled
+           difference of O(‖X‖²) terms, so near a perfect fit it moves by
+           ≈ √ε ≈ 1.5e-8 between sweeps while the model stays the same.  A
+           genuine swamp swings by ~1e-3 or more. *)
         if fit > !best_fit then begin
           best_fit := fit;
           drops := 0
         end
-        else if fit < !best_fit -. ((10. *. options.tol) +. 1e-12) then begin
+        else if fit < !best_fit -. ((10. *. options.tol) +. 1e-7) then begin
           incr drops;
           if !drops >= options.stall_sweeps && not !converged then
             failure :=

@@ -70,8 +70,10 @@ type options = {
   restart_seed : int;      (** Seed of the deterministic restart-seed stream.
                                Default [0x524F4253]. *)
   stall_sweeps : int;      (** Swamp threshold: sweeps with
-                               [fit < best − 10·tol] (counter reset on a new
-                               best) before declaring a swamp.  Default 15. *)
+                               [fit < best − (10·tol + 1e-7)] (counter reset
+                               on a new best; 1e-7 is the fit's roundoff
+                               near a perfect fit) before declaring a swamp.
+                               Default 15. *)
 }
 
 val default_options : options

@@ -3,7 +3,6 @@ type result = {
   vectors : Vec.t array;
   iterations : int;
   converged : bool;
-  deadline : Robust.failure option;
 }
 
 (* X ×_{q≠k} u_qᵀ: contract every mode but k, yielding a vector of length
@@ -30,8 +29,7 @@ let init_vectors x =
       let eig = Eigen.decompose gram in
       Mat.col eig.Eigen.vectors 0)
 
-let rank1 ?(max_iter = 200) ?(tol = 1e-10) ?(seed = 7) ?(budget = Budget.unlimited)
-    ?(sweeps_before = 0) x =
+let rank1 ?(max_iter = 200) ?(tol = 1e-10) ?(seed = 7) x =
   let m = Tensor.order x in
   let us =
     if Tensor.frobenius x = 0. then begin
@@ -44,24 +42,19 @@ let rank1 ?(max_iter = 200) ?(tol = 1e-10) ?(seed = 7) ?(budget = Budget.unlimit
   let sigma = ref (Tensor.multilinear_form x us) in
   let iterations = ref 0 in
   let converged = ref false in
-  let deadline = ref None in
-  while (not !converged) && !deadline = None && !iterations < max_iter do
-    match Budget.expired ~stage:"hopm" ~sweeps:(sweeps_before + !iterations) budget with
-    | Some f -> deadline := Some f
-    | None ->
-      incr iterations;
-      for k = 0 to m - 1 do
-        let w = contract_all_but x us k in
-        let n = Vec.norm w in
-        if n > 0. then us.(k) <- Vec.scale (1. /. n) w
-      done;
-      let s = Tensor.multilinear_form x us in
-      if Float.abs (s -. !sigma) <= tol *. Float.max 1. (Float.abs s) then
-        converged := true;
-      sigma := s
+  while (not !converged) && !iterations < max_iter do
+    incr iterations;
+    for k = 0 to m - 1 do
+      let w = contract_all_but x us k in
+      let n = Vec.norm w in
+      if n > 0. then us.(k) <- Vec.scale (1. /. n) w
+    done;
+    let s = Tensor.multilinear_form x us in
+    if Float.abs (s -. !sigma) <= tol *. Float.max 1. (Float.abs s) then
+      converged := true;
+    sigma := s
   done;
   { sigma = !sigma;
     vectors = us;
     iterations = !iterations;
-    converged = !converged;
-    deadline = !deadline }
+    converged = !converged }

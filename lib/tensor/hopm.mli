@@ -1,6 +1,7 @@
 (** Higher-order power method (HOPM) for the best rank-1 tensor approximation
     (De Lathauwer, De Moor & Vandewalle 2000b) — one of the alternative
-    solvers the paper mentions for problem (4.10).
+    solvers the paper mentions for problem (4.10), compared with {!Cp_als}
+    in the [abl-solver] ablation.
 
     Iterates [uₖ ← X ×_{q≠k} u_qᵀ / ‖·‖] until the generalized Rayleigh
     quotient [σ = X ×₁u₁ᵀ…×ₘuₘᵀ] stabilizes. *)
@@ -10,22 +11,9 @@ type result = {
   vectors : Vec.t array;   (** Unit vectors, one per mode. *)
   iterations : int;
   converged : bool;
-  deadline : Robust.failure option;
-      (** [Some (Deadline_exceeded _)] when a budget stopped the iteration at
-          a sweep boundary; [sigma]/[vectors] are the best-so-far state. *)
 }
 
-val rank1 :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?budget:Budget.t ->
-  ?sweeps_before:int ->
-  Tensor.t ->
-  result
+val rank1 : ?max_iter:int -> ?tol:float -> ?seed:int -> Tensor.t -> result
 (** Defaults: [max_iter = 200], [tol = 1e-10].  Initialized from the leading
     eigenvector of each unfolding Gram (deterministic); [seed] only matters
-    for the degenerate all-zero tensor.  [budget] is probed once per sweep;
-    [sweeps_before] offsets the sweep count reported to it, so a deflation
-    caller ({!Tensor_power}) can account sweeps across components against one
-    budget. *)
+    for the degenerate all-zero tensor. *)

@@ -146,9 +146,7 @@ val to_tensor_block_rows : int -> int
     the start and only checked finite here.) *)
 
 val dense_entry_cap : int
-(** 10⁸ entries (800 MB): no fit materializes a larger tensor — neither
-    {!route} nor the dense-only [Power_deflation] solver, which refuses a
-    factored operator above it. *)
+(** 10⁸ entries (800 MB): {!route} never materializes a larger tensor. *)
 
 val materializes : dims:int array -> n:int -> bool
 (** Whether {!route} materializes a factored operator with mode sizes

@@ -1,29 +1,14 @@
-let decompose ?max_iter ?tol ?(budget = Budget.unlimited) ~rank x =
+let decompose ?max_iter ?tol ~rank x =
   if rank < 1 then invalid_arg "Tensor_power.decompose: rank must be >= 1";
   let m = Tensor.order x in
-  let residual = ref (Tensor.copy x) in
+  let residual = Tensor.copy x in
   let weights = Array.make rank 0. in
   let dims = Array.init m (Tensor.dim x) in
   let factors = Array.map (fun d -> Mat.make d rank 0.) dims in
-  let deadline = ref None in
-  let sweeps = ref 0 in
-  let c = ref 0 in
-  while !c < rank && !deadline = None do
-    let res =
-      Hopm.rank1 ?max_iter ?tol ~seed:(!c + 1) ~budget ~sweeps_before:!sweeps !residual
-    in
-    sweeps := !sweeps + res.Hopm.iterations;
-    (match res.Hopm.deadline with
-    | Some f ->
-      (* Keep only fully-extracted components: a budget-truncated power
-         iteration has not converged to an eigenpair, and deflating with it
-         would poison the residual for nothing.  Later components stay at
-         their zero initialization, so the returned model is finite. *)
-      deadline := Some f
-    | None ->
-      weights.(!c) <- res.Hopm.sigma;
-      Array.iteri (fun k u -> Mat.set_col factors.(k) !c u) res.Hopm.vectors;
-      Tensor.add_outer_in_place !residual (-.res.Hopm.sigma) res.Hopm.vectors;
-      incr c)
+  for c = 0 to rank - 1 do
+    let res = Hopm.rank1 ?max_iter ?tol ~seed:(c + 1) residual in
+    weights.(c) <- res.Hopm.sigma;
+    Array.iteri (fun k u -> Mat.set_col factors.(k) c u) res.Hopm.vectors;
+    Tensor.add_outer_in_place residual (-.res.Hopm.sigma) res.Hopm.vectors
   done;
-  ({ Kruskal.weights; factors }, !deadline)
+  { Kruskal.weights; factors }

@@ -6,15 +6,5 @@
     Unlike joint ALS, the components greedily explain variance one at a time —
     the behaviour the paper contrasts with ALS in Sec. 5.1.1 (remark 5). *)
 
-val decompose :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?budget:Budget.t ->
-  rank:int ->
-  Tensor.t ->
-  Kruskal.t * Robust.failure option
-(** Defaults follow {!Hopm.rank1}.  One [budget] spans the whole deflation —
-    sweeps accumulate across components.  On expiry the second component of
-    the result is [Some (Deadline_exceeded _)] and the model keeps exactly
-    the components fully extracted so far (later weights stay 0, later factor
-    columns stay zero vectors — the model is always finite). *)
+val decompose : ?max_iter:int -> ?tol:float -> rank:int -> Tensor.t -> Kruskal.t
+(** Defaults follow {!Hopm.rank1}. *)

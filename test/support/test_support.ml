@@ -264,3 +264,21 @@ let oracle_to_tensor ~weight factors =
 
 let tensor_bits_equal (x : Tensor.t) (y : Tensor.t) =
   x.Tensor.dims = y.Tensor.dims && Array.for_all2 same_bits x.Tensor.data y.Tensor.data
+
+(* Planted multi-view data with a known answer: view p is xₚ = aₚs + εₚ
+   over [n] instances (columns), for the loadings aₚ in [loadings], one
+   latent s = E − 1 shared by every view (E exponential, so s is skewed
+   with mean 0 and variance 1) and independent noise εₚ ~ N(0, noise²·I).
+   The population covariance tensor is E[s³] ∘ₚ aₚ = 2 ∘ₚ aₚ, so the
+   whitened tensor M is rank 1 with canonical vectors hₚ ∝ C̃ₚₚ⁻¹aₚ, which
+   is ∝ aₚ for this isotropic noise. *)
+let planted_views rng ~loadings ~noise ~n =
+  let views = Array.map (fun a -> Mat.create (Array.length a) n) loadings in
+  for j = 0 to n - 1 do
+    let s = -.log (Float.max 1e-12 (Rng.uniform rng)) -. 1. in
+    Array.iteri
+      (fun p a ->
+        Array.iteri (fun i ai -> Mat.set views.(p) i j ((ai *. s) +. (noise *. Rng.gaussian rng))) a)
+      loadings
+  done;
+  views

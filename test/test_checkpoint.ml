@@ -233,25 +233,6 @@ let test_deadline_now_through_fit () =
       | Ok t -> check_true "zero-sweep model finite" (finite_model t views)
       | Error e -> Alcotest.failf "injected deadline crashed: %s" (Robust.failure_to_string e)))
 
-let test_deadline_other_solvers () =
-  let r = rng () in
-  let views = tcca_views r in
-  let budget = Budget.create ~sweeps:2 () in
-  (match Tcca.fit_checked ~solver:(Tcca.Sampled_als Cp_rand.default_options) ~budget ~r:2 views with
-  | Ok t -> check_true "sampled-als best-so-far finite" (finite_model t views)
-  | Error e -> Alcotest.failf "sampled-als deadline: %s" (Robust.failure_to_string e));
-  match Tcca.fit_checked ~solver:Tcca.Power_deflation ~budget ~r:2 views with
-  | Ok t -> check_true "power best-so-far finite" (finite_model t views)
-  | Error e -> Alcotest.failf "power deadline: %s" (Robust.failure_to_string e)
-
-let test_hopm_budget () =
-  let r = rng () in
-  let t = random_tensor r [| 4; 4; 4 |] in
-  let res = Hopm.rank1 ~budget:(Budget.create ~sweeps:2 ()) t in
-  check_true "stopped at 2 sweeps" (res.Hopm.iterations = 2);
-  check_true "deadline reported" (res.Hopm.deadline <> None);
-  check_true "vectors finite" (Array.for_all Vec.all_finite res.Hopm.vectors)
-
 (* ------------------------------------------------------------------ *)
 (* Solver contract: corrupt snapshots degrade to cold start *)
 
@@ -453,9 +434,7 @@ let () =
           Alcotest.test_case "deadline-now inject" `Quick test_budget_deadline_now_inject ] );
       ( "deadline",
         [ Alcotest.test_case "best-so-far model" `Quick test_deadline_returns_best_so_far;
-          Alcotest.test_case "expiry at sweep 0" `Quick test_deadline_now_through_fit;
-          Alcotest.test_case "other solvers" `Quick test_deadline_other_solvers;
-          Alcotest.test_case "hopm budget" `Quick test_hopm_budget ] );
+          Alcotest.test_case "expiry at sweep 0" `Quick test_deadline_now_through_fit ] );
       ( "degradation",
         [ Alcotest.test_case "torn write" `Quick test_torn_write_degrades_to_cold_start;
           Alcotest.test_case "corrupt checkpoint" `Quick

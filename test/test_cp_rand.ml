@@ -9,7 +9,7 @@ let separated_rank2 () =
 let test_exact_recovery () =
   let truth = separated_rank2 () in
   let t = Kruskal.to_tensor truth in
-  let k, info = Cp_rand.decompose_op ~rank:2 (Op_tensor.Dense t) in
+  let k, info = Cp_rand.decompose ~rank:2 t in
   check_true "converged" info.Cp_rand.converged;
   check_float ~eps:1e-4 "true fit" 1. (Kruskal.fit k t);
   check_float ~eps:1e-3 "weights" 5. (Float.abs k.Kruskal.weights.(0))
@@ -22,7 +22,7 @@ let test_rank1_recovery () =
        Vec.normalize (random_vec r 4) |]
   in
   let t = Tensor.scale 3. (Tensor.outer xs) in
-  let k, _ = Cp_rand.decompose_op ~rank:1 (Op_tensor.Dense t) in
+  let k, _ = Cp_rand.decompose ~rank:1 t in
   check_float ~eps:1e-3 "weight" 3. (Float.abs k.Kruskal.weights.(0));
   Array.iteri
     (fun p u ->
@@ -39,7 +39,7 @@ let test_agrees_with_full_als () =
   let noise = Tensor.scale 0.02 (random_tensor r [| 3; 4; 2 |]) in
   let t = Tensor.add (Kruskal.to_tensor truth) noise in
   let k_full, _ = Cp_als.decompose_op ~rank:2 (Op_tensor.Dense t) in
-  let k_rand, _ = Cp_rand.decompose_op ~rank:2 (Op_tensor.Dense t) in
+  let k_rand, _ = Cp_rand.decompose ~rank:2 t in
   let lead k = Kruskal.component k 0 in
   Array.iteri
     (fun p v ->
@@ -51,37 +51,26 @@ let test_agrees_with_full_als () =
 let test_sampled_fit_reasonable () =
   let truth = separated_rank2 () in
   let t = Kruskal.to_tensor truth in
-  let _, info = Cp_rand.decompose_op ~rank:2 (Op_tensor.Dense t) in
+  let _, info = Cp_rand.decompose ~rank:2 t in
   check_true "sampled fit near 1" (info.Cp_rand.sampled_fit > 0.99)
 
 let test_deterministic () =
   let r = rng () in
   let t = random_tensor r [| 4; 4; 4 |] in
-  let a, _ = Cp_rand.decompose_op ~rank:2 (Op_tensor.Dense t) in
-  let b, _ = Cp_rand.decompose_op ~rank:2 (Op_tensor.Dense t) in
+  let a, _ = Cp_rand.decompose ~rank:2 t in
+  let b, _ = Cp_rand.decompose ~rank:2 t in
   check_vec ~eps:1e-12 "same seed, same weights" a.Kruskal.weights b.Kruskal.weights
 
 let test_invalid_rank () =
-  Alcotest.check_raises "rank 0" (Invalid_argument "Cp_rand.decompose_op: rank must be >= 1")
-    (fun () -> ignore (Cp_rand.decompose_op ~rank:0 (Op_tensor.Dense (Tensor.create [| 2; 2 |]))))
+  Alcotest.check_raises "rank 0" (Invalid_argument "Cp_rand.decompose: rank must be >= 1")
+    (fun () -> ignore (Cp_rand.decompose ~rank:0 (Tensor.create [| 2; 2 |])))
 
 let test_sample_override () =
   let truth = separated_rank2 () in
   let t = Kruskal.to_tensor truth in
   let options = { Cp_rand.default_options with samples_per_mode = Some 16 } in
-  let k, _ = Cp_rand.decompose_op ~options ~rank:2 (Op_tensor.Dense t) in
+  let k, _ = Cp_rand.decompose ~options ~rank:2 t in
   Alcotest.(check int) "rank kept" 2 (Kruskal.rank k)
-
-let test_factored_unequal_dims () =
-  (* The mode fibers of a factored operator with dₖ below the largest mode
-     fill only dₖ cells of the shared fiber buffer. *)
-  let truth = separated_rank2 () in
-  let f = truth.Kruskal.factors in
-  let scaled = Mat.mul f.(0) (Mat.of_cols [| [| 5.; 0. |]; [| 0.; 2. |] |]) in
-  let op = Op_tensor.factored ~weight:1. [| scaled; f.(1); f.(2) |] in
-  let k, _ = Cp_rand.decompose_op ~rank:2 op in
-  check_float ~eps:1e-6 "recovers the factored tensor" 1.
-    (Kruskal.fit k (Op_tensor.to_tensor op))
 
 let () =
   Alcotest.run "cp_rand"
@@ -93,5 +82,4 @@ let () =
       ( "interface",
         [ Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "invalid rank" `Quick test_invalid_rank;
-          Alcotest.test_case "sample override" `Quick test_sample_override;
-          Alcotest.test_case "factored, unequal dims" `Quick test_factored_unequal_dims ] ) ]
+          Alcotest.test_case "sample override" `Quick test_sample_override ] ) ]

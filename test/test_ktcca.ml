@@ -66,10 +66,10 @@ let test_prepare_consistency () =
   check_mat ~eps:1e-12 "same embedding" (Ktcca.transform_train direct)
     (Ktcca.transform_train prepared)
 
-let test_power_deflation_refuses_above_cap () =
+let test_above_cap_stays_factored () =
   (* Five Nyström views at ℓₚ = 40 make a 40⁵ ≈ 1.02·10⁸-entry S, above
-     Op_tensor.dense_entry_cap: the route keeps it factored, and the
-     dense-only solver refuses it before allocating anything. *)
+     Op_tensor.dense_entry_cap: the route keeps it factored, and CP-ALS
+     fits it there without allocating anything of that size. *)
   let r = rng () in
   let n = 50 in
   let oracles =
@@ -83,11 +83,9 @@ let test_power_deflation_refuses_above_cap () =
   | Some info -> Array.iter (Alcotest.(check int) "ℓₚ" 40) info.Ktcca.achieved_ranks
   | None -> Alcotest.fail "expected sketch diagnostics");
   check_true "above the cap stays factored" (not (Ktcca.materialized p));
-  Alcotest.check_raises "refused"
-    (Invalid_argument
-       "Ktcca.fit_prepared: this solver needs the dense tensor (102400000 entries); use the \
-        Als solver for factored operators")
-    (fun () -> ignore (Ktcca.fit_prepared ~solver:Tcca.Power_deflation ~r:1 p))
+  let m = Ktcca.fit_prepared ~r:1 p in
+  check_true "finite model"
+    (Vec.all_finite (Ktcca.correlations m) && Array.for_all Mat.all_finite (Ktcca.dual_weights m))
 
 let test_factored_matches_dense () =
   (* N=40, m=3 (64 000 entries): both representations of S must give the
@@ -214,6 +212,87 @@ let test_failed_solve_announces_no_model () =
       poisoned "Tcca" (Tcca.fit_checked ~budget:(budget ()) ~r:1 views)));
   Robust.clear_warnings ()
 
+(* --- The fit, replayed: the staged entry points and the ℓ-space operator
+   rebuilt from public calls reproduce [Ktcca.fit_oracles] bit for bit, at
+   pools 1 and 4. --- *)
+
+let eps = 1e-4
+let nystrom_rank = 12 and nystrom_tol = 1e-8
+let nystrom = Ktcca.Nystrom { rank = nystrom_rank; tol = nystrom_tol }
+let gen_nystrom_case = QCheck2.Gen.(triple (int_range 1 3) (int_range 60 120) (int_bound 1_000_000))
+
+(* RBF oracles over three views sharing a latent in their first
+   coordinate. *)
+let shared_oracles ~n ~seed =
+  let r = Rng.create seed in
+  let s = Array.init n (fun _ -> Rng.gaussian r) in
+  Array.init 3 (fun _ ->
+      let v = Mat.create 4 n in
+      for j = 0 to n - 1 do
+        Mat.set v 0 j (s.(j) +. (0.3 *. Rng.gaussian r));
+        for i = 1 to 3 do
+          Mat.set v i j (Rng.gaussian r)
+        done
+      done;
+      Kernel.oracle (Kernel.fit ~precompute:false (Kernel.Rbf 0.1) v))
+
+let at_pools_1_and_4 check = List.for_all (fun size -> with_pool size check) [ 1; 4 ]
+
+let warm_factors m =
+  match Ktcca.warm_solver m with
+  | Tcca.Als { Cp_als.init = Cp_als.Warm fs; _ } -> fs
+  | Tcca.Als _ -> [||]
+
+let same_ktcca_model a b =
+  Array.for_all2 same_bits (Ktcca.correlations a) (Ktcca.correlations b)
+  && Array.for_all2 bits_equal (Ktcca.dual_weights a) (Ktcca.dual_weights b)
+  && bits_equal (Ktcca.transform_train a) (Ktcca.transform_train b)
+  && Array.for_all2 bits_equal (warm_factors a) (warm_factors b)
+
+(* S rebuilt from public calls: the partial Cholesky Fₚ of each kernel, its
+   columns centered, the Cholesky factor Gₚ of FₚᵀFₚ + εI, the factored
+   operator over Zₚ = Gₚ⁻¹Fₚᵀ, and the route it takes. *)
+let replayed_operator oracles =
+  let whitened o =
+    match Pchol.decompose ~rank:nystrom_rank ~tol:nystrom_tol o with
+    | Error e -> Alcotest.failf "replayed pchol: %s" (Robust.failure_to_string e)
+    | Ok (f0, _) -> (
+      let n, l = Mat.dims f0 in
+      let means = Array.init l (fun j -> Vec.mean (Mat.col f0 j)) in
+      let f = Mat.init n l (fun i j -> Mat.get f0 i j -. means.(j)) in
+      match Cholesky.decompose_jittered (Mat.add_scaled_identity eps (Mat.tgram f)) with
+      | Ok (g, _) -> Mat.mul (Cholesky.inverse_lower g) (Mat.transpose f)
+      | Error e -> Alcotest.failf "replayed whitening: %s" (Robust.failure_to_string e))
+  in
+  let zs = Array.map whitened oracles in
+  match
+    Op_tensor.route ~stage:"test" ~where:"replay"
+      (Op_tensor.factored ~weight:(1. /. float_of_int (snd (Mat.dims zs.(0)))) zs)
+  with
+  | Ok op -> op
+  | Error e -> Alcotest.failf "replayed route: %s" (Robust.failure_to_string e)
+
+let prop_staged_equals_fit =
+  qtest ~count:3 "staged = fit, bitwise (Nyström, pools 1 and 4)" gen_nystrom_case
+    (fun (r, n, seed) ->
+      let oracles = shared_oracles ~n ~seed in
+      at_pools_1_and_4 (fun () ->
+          let staged =
+            Ktcca.fit_prepared ~r (Ktcca.prepare_oracles ~eps ~approx:nystrom oracles)
+          in
+          same_ktcca_model staged (Ktcca.fit_oracles ~eps ~approx:nystrom ~r oracles)))
+
+let prop_replay_equals_fit =
+  qtest ~count:3 "replay = fit: Cp_als on the rebuilt ℓ-space S, bitwise (pools 1 and 4)"
+    gen_nystrom_case (fun (r, n, seed) ->
+      let oracles = shared_oracles ~n ~seed in
+      at_pools_1_and_4 (fun () ->
+          let op = replayed_operator oracles in
+          let rank = Array.fold_left min r (Op_tensor.dims op) in
+          let k, _ = Cp_als.decompose_op ~rank op in
+          let m = Ktcca.fit_oracles ~eps ~approx:nystrom ~r oracles in
+          Array.for_all2 bits_equal k.Kruskal.factors (warm_factors m)))
+
 let test_errors () =
   Alcotest.check_raises "one view" (Invalid_argument "Ktcca.fit: need at least two views")
     (fun () -> ignore (Ktcca.fit ~r:1 [| Mat.identity 3 |]))
@@ -229,8 +308,8 @@ let () =
       ( "interface",
         [ Alcotest.test_case "shapes" `Quick test_shapes;
           Alcotest.test_case "prepare" `Quick test_prepare_consistency;
-          Alcotest.test_case "power deflation above the cap" `Quick
-            test_power_deflation_refuses_above_cap;
+          Alcotest.test_case "above the dense cap stays factored" `Quick
+            test_above_cap_stays_factored;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "failed solve announces no model" `Quick
             test_failed_solve_announces_no_model ] );
@@ -240,4 +319,5 @@ let () =
           Alcotest.test_case "sketch diagnostics" `Quick test_nystrom_sketch_info;
           Alcotest.test_case "oracles = grams" `Quick test_nystrom_oracles_match_grams;
           Alcotest.test_case "out of sample" `Quick test_nystrom_out_of_sample;
-          Alcotest.test_case "low rank separates" `Quick test_nystrom_low_rank_separates ] ) ]
+          Alcotest.test_case "low rank separates" `Quick test_nystrom_low_rank_separates ] );
+      ("replay", [ prop_staged_equals_fit; prop_replay_equals_fit ]) ]

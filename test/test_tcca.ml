@@ -125,15 +125,22 @@ let test_r_clamped () =
   let views = shared_views r ~n:50 ~noise:0.5 in
   Alcotest.(check int) "clamped to min dim" 4 (Tcca.r (Tcca.fit ~r:100 views))
 
+(* The ablation solvers run on [Tcca.whitened_tensor], where a fit's
+   factors uₚ live: each view's leading factor of [k] must match the rank-1
+   fit's uₚ up to sign, |cos| > [min_cos]. *)
+let check_same_component ~min_cos name model (k : Kruskal.t) =
+  Array.iteri
+    (fun p u ->
+      check_true
+        (Printf.sprintf "%s (view %d)" name p)
+        (Float.abs (Vec.dot (Mat.col u 0) (Mat.col k.Kruskal.factors.(p) 0)) > min_cos))
+    (Tcca.to_parts model).Tcca.pt_factors
+
 let test_solver_power_deflation () =
   let r = rng () in
   let views = shared_views r ~n:2000 ~noise:0.3 in
-  let als = Tcca.fit ~solver:Tcca.default_solver ~r:1 views in
-  let power = Tcca.fit ~solver:Tcca.Power_deflation ~r:1 views in
-  (* Both solvers find the same dominant component. *)
-  let za = Mat.row (Tcca.transform_view als 0 views.(0)) 0 in
-  let zp = Mat.row (Tcca.transform_view power 0 views.(0)) 0 in
-  check_true "solvers agree on rank-1" (Float.abs (Stats.pearson za zp) > 0.99)
+  let power = Tensor_power.decompose ~rank:1 (Tcca.whitened_tensor views) in
+  check_same_component ~min_cos:0.99 "solvers agree on rank-1" (Tcca.fit ~r:1 views) power
 
 let test_correlations_sorted () =
   let r = rng () in
@@ -294,17 +301,6 @@ let test_solve_names_caller () =
   Alcotest.check_raises "rank" (Invalid_argument "Ktcca.fit_prepared: r must be >= 1")
     (fun () -> ignore (Tcca.solve ~caller:"Ktcca" ~r:0 op));
   let warned needle = List.exists (fun w -> contains w needle) (Robust.recent_warnings ()) in
-  (* Only Als resumes from a checkpoint: the sampled solver never opens it. *)
-  Robust.clear_warnings ();
-  let checkpoint =
-    Checkpoint.config (Filename.concat (Filename.get_temp_dir_name ()) "tcca-solve-unused.ckpt")
-  in
-  (match
-     Tcca.solve ~caller:"Ktcca" ~solver:(Tcca.Sampled_als Cp_rand.default_options) ~checkpoint
-       ~r:1 op
-   with
-  | Ok _ -> check_true "checkpoint ignored, named" (warned "Ktcca.fit: checkpointing")
-  | Error e -> Alcotest.failf "sampled solve: %s" (Robust.failure_to_string e));
   (* A budget expiry returns the model, the diagnostic in its note. *)
   Robust.clear_warnings ();
   (match Tcca.solve ~caller:"Ktcca" ~budget:(Budget.create ~sweeps:0 ()) ~r:5 op with
@@ -315,69 +311,12 @@ let test_solve_names_caller () =
   | Error e -> Alcotest.failf "a deadline is not an error: %s" (Robust.failure_to_string e));
   Robust.clear_warnings ()
 
-(* --- Sketched / shrinkage knobs. --- *)
-
 let test_solver_sampled_als () =
   let r = rng () in
   let views = shared_views r ~n:2000 ~noise:0.3 in
-  let als = Tcca.fit ~eps:1e-2 ~r:1 views in
-  let sampled = Tcca.fit ~eps:1e-2 ~solver:(Tcca.Sampled_als Cp_rand.default_options) ~r:1 views in
-  let za = Mat.row (Tcca.transform_view als 0 views.(0)) 0 in
-  let zs = Mat.row (Tcca.transform_view sampled 0 views.(0)) 0 in
-  check_true "sampled ALS finds the ALS component" (Float.abs (Stats.pearson za zs) > 0.95)
-
-let test_fixed_zero_shrinkage_is_historical () =
-  (* ρ = 0 adds no identity mass, so the whole pipeline is bit-identical to
-     the default path. *)
-  let r = rng () in
-  let views = shared_views r ~n:300 ~noise:0.5 in
-  let plain = Tcca.fit ~eps:1e-2 ~r:2 views in
-  let zeroed = Tcca.fit ~eps:1e-2 ~shrinkage:(`Fixed 0.) ~r:2 views in
-  check_vec ~eps:0. "bitwise correlations" (Tcca.correlations plain) (Tcca.correlations zeroed);
-  check_mat ~eps:0. "bitwise embedding" (Tcca.transform plain views)
-    (Tcca.transform zeroed views)
-
-let test_shrinkage_intensities_recorded () =
-  let r = rng () in
-  let views = shared_views r ~n:300 ~noise:0.5 in
-  let none = Tcca.prepare ~eps:1e-2 views in
-  Array.iter (check_float "no shrinkage → ρ = 0" 0.) (Tcca.shrinkage_intensities none);
-  let oas = Tcca.prepare ~eps:1e-2 ~shrinkage:`Oas views in
-  let intens = Tcca.shrinkage_intensities oas in
-  Alcotest.(check int) "one ρ per view" 3 (Array.length intens);
-  Array.iter (fun rho -> check_true "ρ ∈ (0,1]" (rho > 0. && rho <= 1.)) intens;
-  (* Shrinkage perturbs the whitening but must keep the shared component. *)
-  let m = Tcca.fit_prepared ~r:1 oas in
-  let plain = Tcca.fit ~eps:1e-2 ~r:1 views in
-  let zs = Mat.row (Tcca.transform_view m 0 views.(0)) 0 in
-  let zp = Mat.row (Tcca.transform_view plain 0 views.(0)) 0 in
-  check_true "component survives shrinkage" (Float.abs (Stats.pearson zs zp) > 0.95)
-
-let test_builder_finalize_shrinkage () =
-  let r = rng () in
-  let views = shared_views r ~n:400 ~noise:0.4 in
-  let builder = Tcca.Builder.create ~dims:(Array.map (fun v -> fst (Mat.dims v)) views) in
-  Tcca.Builder.add_batch builder views;
-  let raw = Tcca.Builder.finalize ~shrinkage:`Oas builder in
-  let p = Tcca.prepare_of_raw ~eps:1e-2 raw in
-  Array.iter
-    (fun rho -> check_true "streamed ρ ∈ (0,1]" (rho > 0. && rho <= 1.))
-    (Tcca.shrinkage_intensities p)
-
-let test_randomized_whiten_matches_eig () =
-  (* d = 4 with a 4-dimensional sketch: the range finder captures the whole
-     view space, so the sketched whitener reproduces the eig whitener's
-     model up to sign. *)
-  let r = rng () in
-  let views = shared_views r ~n:1500 ~noise:0.4 in
-  let eig = Tcca.fit ~eps:1e-2 ~whiten:`Eig ~r:2 views in
-  let rand = Tcca.fit ~eps:1e-2 ~whiten:(`Randomized 4) ~r:2 views in
-  let ze = Tcca.transform eig views and zr = Tcca.transform rand views in
-  for i = 0 to 5 do
-    check_true
-      (Printf.sprintf "component %d matches eig route" i)
-      (Float.abs (Stats.pearson (Mat.row ze i) (Mat.row zr i)) > 0.999)
-  done
+  let sampled, _ = Cp_rand.decompose ~rank:1 (Tcca.whitened_tensor ~eps:1e-2 views) in
+  check_same_component ~min_cos:0.95 "sampled ALS finds the ALS component"
+    (Tcca.fit ~eps:1e-2 ~r:1 views) sampled
 
 (* --- What [correlations] returns, on both routes at pools 1 and 4. --- *)
 
@@ -424,16 +363,16 @@ let normalization_error ~eps model views =
 let max_abs_diff a b =
   Array.fold_left Float.max 0. (Array.map2 (fun x y -> Float.abs (x -. y)) a b)
 
-(* [check model] on a fit of both routes at pools 1 and 4. *)
-let on_every_route ~r views check =
+(* [check ()] on both pinned routes at pools 1 and 4. *)
+let every_route_and_pool check =
   List.for_all
     (fun route ->
-      List.for_all
-        (fun size ->
-          with_pool size (fun () ->
-              with_route route (fun () -> check (Tcca.fit ~eps:1e-2 ~r views))))
-        [ 1; 4 ])
+      List.for_all (fun size -> with_pool size (fun () -> with_route route check)) [ 1; 4 ])
     [ `Dense; `Factored ]
+
+(* [check model] on a fit of both routes at pools 1 and 4. *)
+let on_every_route ~r views check =
+  every_route_and_pool (fun () -> check (Tcca.fit ~eps:1e-2 ~r views))
 
 let gen_fit_case = QCheck2.Gen.(triple (int_range 1 4) (int_range 100 200) (int_bound 1_000_000))
 
@@ -460,22 +399,130 @@ let prop_canonical_vectors_normalized =
       let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
       on_every_route ~r views (fun model -> normalization_error ~eps:1e-2 model views <= 1e-9))
 
-let test_auto_sketches_tall_view_on_dense_route () =
-  (* [`Auto] sketches a view with dₚ ≥ 512 whichever route the operator
-     takes; this shape is dense.  With no sweep, each projection is its
-     view's whitener times the same seeded factor, so view 0's projection
-     pins the whitener [`Auto] picked: the forced sketch, bit for bit. *)
+(* --- The fit, replayed: the staged entry points and the operator rebuilt
+   from public calls reproduce [Tcca.fit] bit for bit. --- *)
+
+let same_model a b =
+  let pa = Tcca.to_parts a and pb = Tcca.to_parts b in
+  Array.for_all2 (Array.for_all2 same_bits) pa.Tcca.pt_means pb.Tcca.pt_means
+  && Array.for_all2 bits_equal pa.Tcca.pt_projections pb.Tcca.pt_projections
+  && Array.for_all2 bits_equal pa.Tcca.pt_factors pb.Tcca.pt_factors
+  && Array.for_all2 same_bits pa.Tcca.pt_correlations pb.Tcca.pt_correlations
+  && String.equal pa.Tcca.pt_note pb.Tcca.pt_note
+
+(* M rebuilt from public calls: the centered views, their whiteners
+   (Cₚₚ + εI)^{−1/2}, the factored operator over the whitened views, and the
+   route it takes. *)
+let replayed_operator ~eps views =
+  let xs = Array.map (fun v -> Mat.sub_col_vec v (Mat.row_means v)) views in
+  let n = snd (Mat.dims xs.(0)) in
+  let whiten x =
+    Matfun.inv_sqrt_psd
+      (Mat.add_scaled_identity eps (Mat.scale (1. /. float_of_int n) (Mat.gram x)))
+  in
+  let zs = Array.map (fun x -> Mat.mul (whiten x) x) xs in
+  match
+    Op_tensor.route ~stage:"test" ~where:"replay"
+      (Op_tensor.factored ~weight:(1. /. float_of_int n) zs)
+  with
+  | Ok op -> op
+  | Error e -> Alcotest.failf "replayed route: %s" (Robust.failure_to_string e)
+
+let prop_staged_equals_fit =
+  qtest ~count:4 "staged = fit, bitwise (both routes, pools 1 and 4)" gen_fit_case
+    (fun (r, n, seed) ->
+      let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
+      every_route_and_pool (fun () ->
+          let staged =
+            Tcca.fit_prepared ~r (Tcca.prepare_of_raw ~eps:1e-2 (Tcca.prepare_raw views))
+          in
+          same_model staged (Tcca.fit ~eps:1e-2 ~r views)))
+
+let prop_replay_equals_fit =
+  qtest ~count:4 "replay = fit: Cp_als on the rebuilt M, bitwise (both routes, pools 1 and 4)"
+    gen_fit_case (fun (r, n, seed) ->
+      let views = shared_views (Rng.create seed) ~n ~noise:0.5 in
+      every_route_and_pool (fun () ->
+          let k, _ = Cp_als.decompose_op ~rank:r (replayed_operator ~eps:1e-2 views) in
+          let fit = Tcca.fit ~eps:1e-2 ~r views in
+          Array.for_all2 bits_equal k.Kruskal.factors (Tcca.to_parts fit).Tcca.pt_factors))
+
+(* --- The paper's theory, checked on fits. --- *)
+
+(* Worst ‖M(·, u_q≠k) − λuₖ‖ over the modes k of a rank-1 model. *)
+let stationarity_residual op model =
+  let parts = Tcca.to_parts model in
+  let lambda = parts.Tcca.pt_correlations.(0) in
+  let us = parts.Tcca.pt_factors in
+  let worst = ref 0. in
+  Array.iteri
+    (fun k u ->
+      let v = Mat.col (Op_tensor.mttkrp op us k) 0 in
+      worst := Float.max !worst (Vec.norm (Vec.sub v (Vec.scale lambda (Mat.col u 0)))))
+    us;
+  !worst
+
+let test_rank1_stationarity () =
   let r = rng () in
-  let views = [| random_mat r 512 80; random_mat r 3 80; random_mat r 3 80 |] in
-  Robust.clear_warnings ();
-  let auto = Tcca.prepare ~eps:1e-2 views in
-  let sketched = Tcca.prepare ~eps:1e-2 ~whiten:(`Randomized 256) views in
-  check_true "dense route" (Tcca.materialized auto);
-  check_true "no fallback warning" (Robust.recent_warnings () = []);
-  let solver = Tcca.Als { Cp_als.default_options with init = Cp_als.Random 7; max_iter = 0 } in
-  let view0 p = (Tcca.projections (Tcca.fit_prepared ~solver ~r:2 p)).(0) in
-  check_true "`Auto = `Randomized 256 on the tall view, bitwise"
-    (bits_equal (view0 auto) (view0 sketched))
+  let views = shared_views r ~n:1500 ~noise:0.4 in
+  let tol = Cp_als.default_options.Cp_als.tol in
+  check_true "both routes"
+    (every_route_and_pool (fun () ->
+         let model = Tcca.fit ~eps:1e-2 ~r:1 views in
+         let res = stationarity_residual (replayed_operator ~eps:1e-2 views) model in
+         contains (Tcca.solver_info model) "converged true" && res <= 10. *. tol))
+
+let sin_angle h a =
+  let c = Vec.dot h a /. (Vec.norm h *. Vec.norm a) in
+  sqrt (Float.max 0. (1. -. (c *. c)))
+
+let test_statistical_rate () =
+  let loadings =
+    [| [| 1.; 0.5; -0.5; 0. |]; [| 0.; 1.; 1.; 0.5 |]; [| -0.5; 0.; 1.; 1. |] |]
+  in
+  let ns = [| 1_000; 4_000; 16_000; 64_000 |] in
+  let error n =
+    Stats.median
+      (Array.init 5 (fun rep ->
+           let views = planted_views (Rng.create ((1000 * rep) + n)) ~loadings ~noise:1. ~n in
+           let hs = Tcca.canonical_vectors (Tcca.fit ~eps:1e-2 ~r:1 views) in
+           Stats.mean (Array.mapi (fun p h -> sin_angle (Mat.col h 0) loadings.(p)) hs)))
+  in
+  (* The least-squares slope of log error on log N. *)
+  let xs = Array.map (fun n -> log (float_of_int n)) ns in
+  let ys = Array.map (fun n -> log (error n)) ns in
+  let slope = Stats.pearson xs ys *. Stats.std ys /. Stats.std xs in
+  check_true
+    (Printf.sprintf "log-log slope %.3f in [-0.7, -0.3]" slope)
+    (slope >= -0.7 && slope <= -0.3)
+
+(* Near a perfect fit the ALS fit jitters by ≈ 1e-8 between sweeps while the
+   model stays put.  With two views, one of dimension 1, M is exactly rank
+   1; at a tol far below that jitter the solver may run to max_iter, but it
+   must not read the jitter as a swamp.  These eight cases of the streaming
+   generator were refused as [Not_converged] after 30 sweeps while the
+   floor sat at 1e-12. *)
+let test_perfect_fit_is_no_swamp () =
+  let solver = Tcca.Als { Cp_als.default_options with tol = 1e-13; max_iter = 400 } in
+  List.iter
+    (fun (n, seed) ->
+      let _, views, _ = stream_views (2, n, seed) in
+      match Tcca.fit_checked ~solver ~r:1 views with
+      | Ok model -> check_true "fit ≈ 1" (contains (Tcca.solver_info model) "fit 1.000000")
+      | Error e ->
+        Alcotest.failf "n %d seed %d: exactly rank-1 M refused: %s" n seed
+          (Robust.failure_to_string e))
+    [ (40, 65); (40, 233); (80, 209); (80, 357); (120, 8); (120, 183); (120, 207); (120, 428) ]
+
+(* A tall view is whitened exactly: dₚ = 600 with a covariance of rank
+   299, above the 256 directions a sketched whitener would keep. *)
+let test_tall_view_whitened_exactly () =
+  let r = rng () in
+  let n = 300 in
+  let views = [| random_mat r 600 n; random_mat r 3 n; random_mat r 3 n |] in
+  let model = Tcca.fit ~eps:1e-2 ~r:2 views in
+  let e = normalization_error ~eps:1e-2 model views in
+  check_true (Printf.sprintf "worst |hᵀC̃h − 1| = %.3g ≤ 1e-9" e) (e <= 1e-9)
 
 let test_builder_errors () =
   Alcotest.check_raises "one view" (Invalid_argument "Tcca.Builder.create: need at least two views")
@@ -523,7 +570,9 @@ let () =
           Alcotest.test_case "constraint (Eq 4.8)" `Quick test_constraint_satisfied;
           Alcotest.test_case "correlation = multilinear form" `Quick
             test_correlation_is_multilinear_form;
-          Alcotest.test_case "m=2 reduces to CCA" `Quick test_two_views_matches_cca ] );
+          Alcotest.test_case "m=2 reduces to CCA" `Quick test_two_views_matches_cca;
+          Alcotest.test_case "rank-1 stationarity (both routes)" `Quick test_rank1_stationarity;
+          Alcotest.test_case "statistical rate N^-1/2" `Quick test_statistical_rate ] );
       ( "behaviour",
         [ Alcotest.test_case "shared signal" `Quick test_finds_shared_signal;
           Alcotest.test_case "solver agreement" `Quick test_solver_power_deflation;
@@ -532,7 +581,9 @@ let () =
         [ Alcotest.test_case "prepare/fit" `Quick test_prepare_fit_consistency;
           Alcotest.test_case "shapes" `Quick test_transform_shapes;
           Alcotest.test_case "clamping" `Quick test_r_clamped;
-          Alcotest.test_case "errors" `Quick test_errors ] );
+          Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "tall view whitened exactly" `Quick test_tall_view_whitened_exactly;
+          Alcotest.test_case "perfect fit is no swamp" `Quick test_perfect_fit_is_no_swamp ] );
       ( "streaming",
         [ Alcotest.test_case "builder = batch fit" `Quick test_builder_matches_batch_fit;
           Alcotest.test_case "four views" `Quick test_builder_four_views;
@@ -545,14 +596,9 @@ let () =
       ( "solve",
         [ Alcotest.test_case "messages name the caller" `Quick test_solve_names_caller ] );
       ( "sketched",
-        [ Alcotest.test_case "sampled ALS solver" `Quick test_solver_sampled_als;
-          Alcotest.test_case "fixed-0 shrinkage bitwise" `Quick
-            test_fixed_zero_shrinkage_is_historical;
-          Alcotest.test_case "shrinkage intensities" `Quick test_shrinkage_intensities_recorded;
-          Alcotest.test_case "builder shrinkage" `Quick test_builder_finalize_shrinkage;
-          Alcotest.test_case "randomized whitening" `Quick test_randomized_whiten_matches_eig;
-          Alcotest.test_case "`Auto sketches a tall view on the dense route" `Quick
-            test_auto_sketches_tall_view_on_dense_route ] );
+        [ Alcotest.test_case "sampled ALS solver" `Quick test_solver_sampled_als ] );
+      ( "replay",
+        [ prop_staged_equals_fit; prop_replay_equals_fit ] );
       ( "correlations",
         [ prop_rank1_weight_is_correlation;
           prop_correlations_normal_equation;
