@@ -533,8 +533,9 @@ let micro_tests () =
    counted as n·(n+1)·k; the MTTKRP pair follows the operation counts in
    DESIGN.md §7 (the factored count is the three side GEMMs, the Hadamard
    combine, and the final projection).  The Gram pass counts its nominal
-   3·N²·Σdₚ (the upper half of each view Gram, then two products per mode
-   into Pₖ) plus the final Pₖ·Zₖᵀ of each mode.  Kernels without a
+   2·N²·Σdₚ (the upper half of each view Gram, then one product per mode
+   by the upper half of its chain) plus the dₖ × b × dₖ products, N·dₖ²
+   multiply-adds per mode over all blocks.  Kernels without a
    closed-form count report null. *)
 let flops_of_kernel =
   let mulf m k n = 2 * m * k * n in
@@ -547,7 +548,7 @@ let flops_of_kernel =
   | "fig7/covariance-tensor" -> Some (2 * 400 * 60 * 60 * 60)
   | "op/mttkrp-dense" -> Some (2 * 8 * 810_000)
   | "op/mttkrp-factored" -> Some ((3 * mulf 200 30 8) + (3 * 200 * 8) + mulf 30 200 8)
-  | "op/gram-pass-factored" -> Some ((3 * 1000 * 1000 * (3 * 60)) + (3 * mulf 60 1000 60))
+  | "op/gram-pass-factored" -> Some ((2 * 1000 * 1000 * (3 * 60)) + (3 * mulf 60 1000 60))
   (* Randomized SVD: six m×n×k GEMM passes (sketch, 2×2 power-iteration
      half-steps, final B = QᵀA) at k = rank + oversample = 40; the small
      k-space eig is not counted. *)

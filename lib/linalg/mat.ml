@@ -299,23 +299,14 @@ let small_mul_nt_into a b c =
         done
       done)
 
-let mul_nt_into a b c =
-  if a.cols <> b.cols || c.rows <> a.rows || c.cols <> b.rows then
-    invalid_arg "Mat.mul_nt: dimension mismatch";
-  let m = a.rows and n = b.rows and k = a.cols in
-  (* Both routes overwrite every cell when k > 0: the small loops assign
-     each dot product, and the microkernel's first depth slab stores
-     without reading [c].  A k = 0 product, all +0., is the one case the
-     microkernel route leaves unwritten. *)
-  if k = 0 then Array.fill c.data 0 (m * n) 0.;
-  if use_microkernel ~flops:(2 * m * n * k) then
-    Gemm.gemm ~ta:false ~tb:true ~m ~n ~k ~a:a.data ~b:b.data c.data
-  else small_mul_nt_into a b c.data
-
 let mul_nt a b =
-  let c = create a.rows b.rows in
-  mul_nt_into a b c;
-  c
+  if a.cols <> b.cols then invalid_arg "Mat.mul_nt: dimension mismatch";
+  let m = a.rows and n = b.rows and k = a.cols in
+  let c = Array.make (m * n) 0. in
+  if use_microkernel ~flops:(2 * m * n * k) then
+    Gemm.gemm ~ta:false ~tb:true ~m ~n ~k ~a:a.data ~b:b.data c
+  else small_mul_nt_into a b c;
+  { rows = m; cols = n; data = c }
 
 (* One allocation + row-block blits for any number of operands: the
    GEMM micro-batcher stacks dozens of request matrices per call, where

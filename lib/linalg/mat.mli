@@ -97,11 +97,6 @@ val mul_nt : t -> t -> t
 (** [mul_nt a b = a bᵀ] without materializing [bᵀ]; bitwise identical to
     [mul a (transpose b)]. *)
 
-val mul_nt_into : t -> t -> t -> unit
-(** [mul_nt_into a b c] overwrites [c] ([a.rows × b.rows]) with [a bᵀ],
-    bitwise equal to [mul_nt a b] — for streamed passes that reuse one
-    output buffer.  Raises [Invalid_argument] on a shape mismatch. *)
-
 val hcat : t -> t -> t
 val vcat : t -> t -> t
 val hcat_list : t list -> t

@@ -16,7 +16,7 @@
     {!Op_tensor.route} decides from its shape whether to materialize it.
     With three or more views it never does (the Nᵐ tensor costs more than
     the factored Gram pass at every N); with two it does for
-    251 ≤ N ≤ 10 000.
+    351 ≤ N ≤ 10 000.
 
     {b Sketched scaling path.}  With [~approx:(`Nystrom …)] (see {!approx})
     each kernel is replaced by its Nyström approximation [K̂ₚ = FₚFₚᵀ] from a

@@ -141,36 +141,39 @@ let mttkrp op us k =
 
 (* ------------------------------------------------------------------ *)
 (* The factored Gram pass: ‖M‖² = w²·1ᵀ(⊛ₚGₚ)1 (⟨M, M⟩ = w²Σᵢⱼ∏ₚ⟨zₚᵢ, zₚⱼ⟩)
-   and the mode Grams w²·PₖZₖᵀ with Pₖ = Zₖ·Hₖ, Hₖ = ⊛_{q≠k}G_q
+   and the mode Grams w²·ZₖHₖZₖᵀ with Hₖ = ⊛_{q≠k}G_q
    (M₍ₖ₎ = w·Zₖ(⊙_{q≠k}Z_q)ᵀ), where Gₚ = ZₚᵀZₚ are the N×N view Grams.
    Every Gₚ and every Hₖ is symmetric, so the pass only ever forms the
-   upper block row of each.  It streams over blocks I = [i₀, i₀+b) of
-   [gram_block_rows] rows; per block:
+   upper block row of each.  With H′ₖ the strict upper triangle of Hₖ plus
+   half its diagonal, and +0. below it, Hₖ = H′ₖ + H′ₖᵀ, so the mode Gram
+   is w²·(Xₖ + Xₖᵀ) with Xₖ = Zₖ·H′ₖ·Zₖᵀ.  The pass streams over blocks
+   I = [i₀, i₀+b) of [gram_block_rows] rows; per block:
    - one GEMM per needed view forms Gₚ[I, i₀:] = Zₚ[:, I]ᵀ·Zₚ[:, i₀:],
      reading both operands straight from Zₚ as sub-blocks (b·(N−i₀)·dₚ
      multiply-adds);
    - the norm adds the block's upper-triangle cells of ⊛ₚGₚ;
-   - per requested mode k, the chain Hₖ[I, i₀:] and two accumulating GEMMs
-     into Pₖ: columns I from every j ≥ i₀, Pₖ[:, I] += Zₖ[:, i₀:]·Hₖ[I, i₀:]ᵀ,
-     then the columns after I from j ∈ I,
-     Pₖ[:, i₀+b:] += Zₖ[:, I]·Hₖ[I, i₀+b:].
-   Summed over blocks that is N²·dₚ multiply-adds per Gram and 2·N²·dₖ per
-   mode: 3·N²·Σdₚ flops for the joint pass, N²·Σdₚ for the norm alone.
-   Memory is m + 1 buffers of b·N plus the Pₖ; no N×N array exists.
+   - per requested mode k, the chain H′ₖ[I, i₀:], zero left of the
+     diagonal, then one GEMM Rₖ = H′ₖ[I, i₀:]·Zₖ[:, i₀:]ᵀ (b × dₖ,
+     b·(N−i₀)·dₖ multiply-adds) and one accumulating dₖ × dₖ product
+     Xₖ += Zₖ[:, I]·Rₖ.
+   Summed over blocks that is N²·dₚ flops per Gram and N²·dₖ per mode:
+   2·N²·Σdₚ for the joint pass, N²·Σdₚ for the norm alone, plus 2·N·dₖ²
+   per mode for the Xₖ.  Memory is m + 1 buffers of b·N, one of b·dₖ and
+   the dₖ × dₖ Xₖ; no N×N and no dₖ × N array exists.
 
-   The mode Grams are bitwise the historical N×N formula (kept in the
-   tests as the oracle):
+   Each mode Gram is bitwise w²·(X + Xᵀ) with X = Zₖ·(H′ₖ·Zₖᵀ), both
+   products by the GEMM contract (kept in the tests as the oracle):
    - a cell Gₚ[i, j] is the ascending-l sum Σₗ Zₚ[l,i]·Zₚ[l,j] from +0.,
-     which is what tgram computes for i ≤ j; for i > j tgram mirrors cell
-     (j, i), whose products are the commuted ones, so the bits agree;
+     which is what tgram computes for i ≤ j;
    - the Hadamard chain starts from 1 and multiplies the views in ascending
-     order, as [Mat.make n n 1.] folded with [Mat.map2 ( *. )] did, so
-     Hₖ[i, j] and Hₖ[j, i] carry the same bits;
-   - a column c ∈ J of Pₖ receives j ∈ I from each earlier block I, in
-     ascending order of I, then j ≥ c₀ from block J itself: all N terms in
-     ascending j onto a Pₖ cleared to +0., which by the GEMM's accumulation
-     contract is bitwise the one product Zₖ·Hₖ; the final Pₖ·Zₖᵀ is the
-     historical product.
+     order, as [Mat.make n n 1.] folded with [Mat.map2 ( *. )] did, and a
+     diagonal cell is then halved;
+   - row i ∈ I of H′ₖ·Zₖᵀ leaves out the columns j < i₀.  They are +0. in
+     H′ₖ, so for finite Zₖ their terms are ±0., which change nothing in a
+     sum that starts at +0. (it never becomes −0.);
+   - each block adds its terms of Xₖ in ascending i onto the blocks before
+     it, onto an Xₖ cleared to +0.: by the GEMM's accumulation contract,
+     the one product Zₖ·(H′ₖ·Zₖᵀ).
    The norm is one sequential accumulation from +0. over the blocks, then
    their rows, in ascending order; row i adds c[i,i], then 2·c[i,j] for
    j = i+1 … N−1 ascending, with c = ⊛ₚGₚ. *)
@@ -195,10 +198,12 @@ let gram_pass ~weight factors ~norm ~modes =
   let needed q = norm || Array.exists (fun k -> k <> q) modes in
   let b = min gram_block_rows n in
   (* Block rows of the Gₚ and of one chain, stored at the block's width
-     N − i₀; sized for the first, widest block and reused. *)
+     N − i₀, and one block of Rₖ; sized for the first, widest block and
+     reused without clearing, since every GEMM into them overwrites. *)
   let gs = Array.init m (fun q -> if needed q then Array.make (b * n) 0. else [||]) in
   let chain = Array.make (b * n) 0. in
-  let ps = Array.map (fun k -> Mat.create (dim k) n) modes in
+  let rk = Array.make (b * Array.fold_left (fun d k -> max d (dim k)) 0 modes) 0. in
+  let xs = Array.map (fun k -> Mat.create (dim k) (dim k)) modes in
   let total = ref 0. in
   for blk = 0 to ((n + b - 1) / b) - 1 do
     let i0 = blk * b in
@@ -225,22 +230,28 @@ let gram_pass ~weight factors ~norm ~modes =
     end;
     Array.iteri
       (fun i k ->
+        (* H′ₖ[I, i₀:]: +0. left of the diagonal, half the chain on it. *)
         Parallel.parallel_for ~cost:(rows * width * m) ~n:rows (fun lo hi ->
-            for t = lo * width to (hi * width) - 1 do
-              Array.unsafe_set chain t (chain_cell gs ~skip:k t)
+            for row = lo to hi - 1 do
+              let diag = (row * width) + row in
+              Array.fill chain (row * width) row 0.;
+              Array.unsafe_set chain diag (0.5 *. chain_cell gs ~skip:k diag);
+              for t = diag + 1 to ((row + 1) * width) - 1 do
+                Array.unsafe_set chain t (chain_cell gs ~skip:k t)
+              done
             done);
-        let p = ps.(i).Mat.data in
-        (* Columns I from every j ≥ i₀: Pₖ[:, I] += Zₖ[:, i₀:]·Hₖ[I, i₀:]ᵀ. *)
-        Gemm.gemm ~accumulate:true ~ta:false ~tb:true ~m:(dim k) ~n:rows ~k:width ~a:(z k)
-          ~a_off:i0 ~lda:n ~b:chain ~c_off:i0 ~ldc:n p;
-        (* Columns after I from j ∈ I: Pₖ[:, i₀+b:] += Zₖ[:, I]·Hₖ[I, i₀+b:]. *)
-        Gemm.gemm ~accumulate:true ~ta:false ~tb:false ~m:(dim k) ~n:(width - rows) ~k:rows
-          ~a:(z k) ~a_off:i0 ~lda:n ~b:chain ~b_off:rows ~ldb:width ~c_off:(i0 + rows)
-          ~ldc:n p)
+        let d = dim k in
+        (* Rₖ = H′ₖ[I, i₀:]·Zₖ[:, i₀:]ᵀ, then Xₖ += Zₖ[:, I]·Rₖ. *)
+        Gemm.gemm ~ta:false ~tb:true ~m:rows ~n:d ~k:width ~a:chain ~b:(z k) ~b_off:i0 ~ldb:n rk;
+        Gemm.gemm ~accumulate:true ~ta:false ~tb:false ~m:d ~n:d ~k:rows ~a:(z k) ~a_off:i0
+          ~lda:n ~b:rk xs.(i).Mat.data)
       modes
   done;
   let w2 = weight *. weight in
-  (w2 *. !total, Array.mapi (fun i k -> Mat.scale w2 (Mat.mul_nt ps.(i) factors.(k))) modes)
+  let symmetrized (x : Mat.t) =
+    Mat.init x.Mat.rows x.Mat.rows (fun a c -> w2 *. (Mat.get x a c +. Mat.get x c a))
+  in
+  (w2 *. !total, Array.map symmetrized xs)
 
 let norm2 = function
   | Dense x -> Tensor.inner x x
@@ -390,11 +401,14 @@ let to_tensor = function
 (* The route: which representation a fit solves on, from the shape alone.
    Dense pays one to_tensor pass, 2·n·∏dₚ GEMM flops, and then the dense
    norm, HOSVD mode Grams and ALS sweeps, about κ flops per entry;
-   factored pays the streamed Gram pass, 3·n²·Σdₚ.  κ was fitted on
-   measured fits (DESIGN.md, "Materialization-free operator layer"). *)
+   factored pays the streamed Gram pass, 2·n²·Σdₚ.  Both constants come
+   from scripts/route_crossover.sh, which times the two routes around the
+   crossover: its fits put the factored coefficient at 1.8–2.1, so the
+   pass's flop count stands, and κ at 670–700 with that coefficient
+   (DESIGN.md, "Materialization-free operator layer"). *)
 
 let dense_entry_cap = 100_000_000
-let kappa = 1000.
+let kappa = 700.
 
 let pinned = ref None
 let pinned_route () = !pinned
@@ -411,7 +425,7 @@ let materializes ~dims ~n =
   | Some `Factored -> false
   | None ->
     entries *. ((2. *. nf) +. kappa)
-    < 3. *. nf *. nf *. Array.fold_left ( +. ) 0. fdims
+    < 2. *. nf *. nf *. Array.fold_left ( +. ) 0. fdims
 
 let route ~stage ~where op =
   (* Checked before the route can allocate ∏dₚ entries: a non-finite

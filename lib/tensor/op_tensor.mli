@@ -74,7 +74,8 @@ val mode_gram : t -> int -> Mat.t
 (** [mode_gram op k = X₍ₖ₎ X₍ₖ₎ᵀ] ([dₖ × dₖ]) — what HOSVD initialization
     eigendecomposes.  Dense: Gram of the explicit unfolding.  Factored:
     [w² · Zₖ (⊛_{q≠k} ZqᵀZq) Zₖᵀ] without forming the unfolding, by the
-    streamed Gram pass of {!norm2_and_mode_grams}. *)
+    streamed Gram pass of {!norm2_and_mode_grams}: n²·Σ_{q≠k} d_q flops
+    for the Grams it needs and n²·dₖ for its one chain product. *)
 
 val norm2_and_mode_grams : t -> float * Mat.t array
 (** [(norm2 op, [| mode_gram op k | k = 0 … m−1 |])] from one pass, each
@@ -82,14 +83,24 @@ val norm2_and_mode_grams : t -> float * Mat.t array
     initialization needs.  Dense: the separate calls.  Factored: one stream
     over row blocks I = [i₀, i₀+b), [b = min gram_block_rows n], of the
     symmetric view Grams Gₚ = ZₚᵀZₚ, forming only their upper block rows.
-    Per block, one GEMM per view forms Gₚ[I, i₀:] straight from Zₚ, and
-    two accumulating GEMMs per mode k add the products of its Hadamard
-    chain Hₖ = ⊛_{q≠k}G_q into Pₖ = Zₖ·Hₖ: columns I from every j ≥ i₀,
-    then the columns after I from j ∈ I.  Every Pₖ cell so adds its n
-    terms in ascending j from [+0.], and each mode Gram [w²·PₖZₖᵀ] is
-    bitwise the N×N formula [w²·Zₖ(⊛_{q≠k}ZqᵀZq)Zₖᵀ].  3·n²·Σₚ dₚ flops
-    (n²·Σₚ dₚ for the Grams, 2·n²·Σₚ dₚ for the Pₖ) plus the final
-    Pₖ·Zₖᵀ; O(m · b · n) memory: no n × n temporary is ever allocated. *)
+    With H′ₖ the strict upper triangle of the Hadamard chain
+    Hₖ = ⊛_{q≠k}G_q plus half its diagonal, [+0.] below it, each mode Gram
+    is [w²·(Xₖ + Xₖᵀ)] with Xₖ = Zₖ·H′ₖ·Zₖᵀ.  Per block, one GEMM per view
+    forms Gₚ[I, i₀:] straight from Zₚ; per mode k, one GEMM forms the
+    b × dₖ block Rₖ = H′ₖ[I, i₀:]·Zₖ[:, i₀:]ᵀ and one accumulating
+    dₖ × dₖ product adds Xₖ += Zₖ[:, I]·Rₖ.
+
+    Bitwise contract: each mode Gram is [w²·(X + Xᵀ)] with
+    X = Zₖ·(H′ₖ·Zₖᵀ), both products taken by [Gemm]'s accumulation
+    contract, H′ₖ built from the [tgram] cells of the Gₚ multiplied in
+    ascending view order from 1.  The cells a block leaves out are [+0.]
+    in H′ₖ and add nothing to a sum that starts at [+0.] (finite
+    factors).  So every mode Gram is bitwise symmetric, equal to the
+    N×N formula [w²·Zₖ(⊛_{q≠k}ZqᵀZq)Zₖᵀ] within rounding, and the same
+    for every pool size.  2·n²·Σₚ dₚ flops (n²·Σₚ dₚ for the Grams,
+    n²·Σₚ dₚ for the Rₖ) plus 2·n·dₖ² per mode for the Xₖ; memory
+    m + 1 blocks of b·n, one of b·dₖ and the dₖ × dₖ Xₖ: no n × n and no
+    dₖ × n temporary is ever allocated. *)
 
 val gram_block_rows : int
 (** Row height of the blocks of the factored Gram pass. *)
@@ -151,13 +162,15 @@ val dense_entry_cap : int
 val materializes : dims:int array -> n:int -> bool
 (** Whether {!route} materializes a factored operator with mode sizes
     [dims] and [n] components: never above {!dense_entry_cap}; below it,
-    as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 3n²·Σdₚ] — one
+    as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 2n²·Σdₚ] — one
     {!to_tensor} pass plus the dense solve costs less than the factored
-    Gram pass of {!norm2_and_mode_grams}.  κ = 1 000 is the dense norm,
-    HOSVD mode Grams and ALS sweeps of a fit in GEMM flops per entry,
-    fitted on measured fits of the paper's shapes (DESIGN.md).  Dense wins
-    at large [n] (the Gram pass is quadratic in [n], the dense solve
-    independent of it), factored at small [n] or huge ∏dₚ. *)
+    Gram pass of {!norm2_and_mode_grams}.  κ = 700 is the dense norm,
+    HOSVD mode Grams and ALS sweeps of a fit in GEMM flops per entry, and
+    2 the factored pass's flops per n²·Σdₚ; both were fitted on measured
+    crossovers of the paper's shapes by [scripts/route_crossover.sh]
+    (DESIGN.md).  Dense wins at large [n] (the Gram pass is quadratic in
+    [n], the dense solve independent of it), factored at small [n] or
+    huge ∏dₚ. *)
 
 val route : stage:string -> where:string -> t -> (t, Robust.failure) result
 (** The checked route of every TCCA and KTCCA fit: [Error (Non_finite

@@ -178,8 +178,8 @@ let jacobi_eigen ?(max_sweeps = 64) ?(eps = 1e-12) a0 =
       vectors = Mat.select_cols v order },
     { Eigen.sweeps = !sweep; residual = !residual; converged = !residual <= threshold } )
 
-(* The historical factored Op_tensor formulas, N×N Hadamards of tgrams:
-   the bitwise oracle for the streamed Gram pass. *)
+(* The factored Op_tensor formulas as N×N Hadamards of tgrams: the
+   bitwise oracle for the streamed Gram pass. *)
 let hadamard_of_tgrams factors ~skip =
   let n = snd (Mat.dims factors.(0)) in
   let acc = ref (Mat.make n n 1.) in
@@ -210,10 +210,26 @@ let row_major_norm2 ~weight factors =
   Array.iter (fun v -> total := !total +. v) g.Mat.data;
   weight *. weight *. !total
 
-(* w² · Zₖ (⊛_{q≠k} ZqᵀZq) Zₖᵀ. *)
+(* w²·(X + Xᵀ) with X = Zₖ·(H′·Zₖᵀ), where H′ is the strict upper triangle
+   of H = ⊛_{q≠k} ZqᵀZq plus half its diagonal, +0. below it: the order
+   of the streamed pass, whose blocks leave out only +0. cells of H′. *)
 let oracle_mode_gram ~weight factors k =
-  let w = hadamard_of_tgrams factors ~skip:k in
-  Mat.scale (weight *. weight) (Mat.mul_nt (Mat.mul factors.(k) w) factors.(k))
+  let h = hadamard_of_tgrams factors ~skip:k in
+  let n = h.Mat.rows in
+  let upper =
+    Mat.init n n (fun i j ->
+        if j > i then Mat.get h i j else if j = i then 0.5 *. Mat.get h i i else 0.)
+  in
+  let x = Mat.mul factors.(k) (Mat.mul_nt upper factors.(k)) in
+  let w2 = weight *. weight in
+  Mat.init x.Mat.rows x.Mat.rows (fun a c -> w2 *. (Mat.get x a c +. Mat.get x c a))
+
+(* The historical product w²·Zₖ(⊛_{q≠k} ZqᵀZq)Zₖᵀ over the whole of H:
+   equal to [oracle_mode_gram] in exact arithmetic, within rounding in
+   floating point. *)
+let historical_mode_gram ~weight factors k =
+  let h = hadamard_of_tgrams factors ~skip:k in
+  Mat.scale (weight *. weight) (Mat.mul_nt (Mat.mul factors.(k) h) factors.(k))
 
 (* The historical materialization of a factored operator
    [weight · Σᵢ ∘ₚ factors.(p).col(i)]: one rank-1 update per component,

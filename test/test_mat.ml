@@ -379,20 +379,32 @@ let prop_transpose_consistency =
   qtest ~count:100 "mul_tn/mul_nt/gram/tgram ≡ mul with explicit transpose (bitwise)"
     gen_adversarial_case (fun (a, b) -> transpose_consistent a b)
 
-(* [mul_nt_into] overwrites whatever the buffer held with the bits of
-   [mul_nt], on either route. *)
-let prop_into_overwrites =
-  qtest ~count:100 "mul_nt_into on a dirty buffer ≡ mul_nt (bitwise)" gen_adversarial_case
-    (fun (a, b) ->
-      let bt = Mat.transpose b in
-      let rows, _ = Mat.dims a and _, cols = Mat.dims b in
+(* An overwriting [Gemm.gemm] never reads C: into a buffer of NaN
+   sentinels it gives the bits of the same product into a fresh +0.
+   buffer, for all four ta/tb, at pools 1 and 4 — the contract that lets
+   streamed passes reuse their block buffers dirty.  With k = 0 it writes
+   nothing, so the sentinels stay. *)
+let prop_gemm_overwrites =
+  qtest ~count:100 "overwriting gemm on a dirty buffer ≡ gemm on a fresh one (bitwise)"
+    gen_adversarial_case (fun (a, b) ->
+      let m, k = Mat.dims a and _, n = Mat.dims b in
+      (* op(A) stored row-major, or its transpose when [t]. *)
+      let stored t x = if t then (Mat.transpose x).Mat.data else x.Mat.data in
       List.for_all
-        (fun impl ->
-          with_impl impl (fun () ->
-              let c = Mat.make rows cols Float.nan in
-              Mat.mul_nt_into a bt c;
-              bits_equal (Mat.mul_nt a bt) c))
-        [ `Naive; `Microkernel ])
+        (fun (ta, tb) ->
+          let a = stored ta a and b = stored tb b in
+          let product c = Gemm.gemm ~ta ~tb ~m ~n ~k ~a ~b c in
+          let fresh = Array.make (m * n) 0. in
+          product fresh;
+          List.for_all
+            (fun size ->
+              with_pool size (fun () ->
+                  let dirty = Array.make (m * n) Float.nan in
+                  product dirty;
+                  if k = 0 then Array.for_all Float.is_nan dirty
+                  else Array.for_all2 same_bits fresh dirty))
+            [ 1; 4 ])
+        [ (false, false); (true, false); (false, true); (true, true) ])
 
 (* ------------------------------------------------------------------ *)
 (* The accumulating sub-block product.  A depth k split into ascending
@@ -563,7 +575,7 @@ let () =
           prop_parallel_gram_bitwise ] );
       ( "gemm-equivalence",
         [ prop_microkernel_vs_naive_mul; prop_microkernel_vs_naive_gram;
-          prop_transpose_consistency; prop_into_overwrites ] );
+          prop_transpose_consistency; prop_gemm_overwrites ] );
       ( "gemm-blocks",
         [ prop_accumulate_split;
           Alcotest.test_case "operand bounds" `Quick test_gemm_bounds ] );

@@ -83,11 +83,13 @@ let prop_shape_accessors =
 (* ------------------------------------------------------------------ *)
 (* The streamed Gram pass against the N×N formulas, bit for bit: norm2,
    mode_gram and the joint call, with component counts around the pass's
-   block height, at pool sizes 1 and 4.  The mode Grams are the historical
-   Hadamard-of-tgram products; the norm is the upper-triangle sum the pass
-   takes, and stays within rounding of the historical row-major sum.
-   N = 3b + 5 is four blocks with a narrow last one, so each Pₖ column
-   accumulates across several blocks' products. *)
+   block height, at pools 1 and 4.  The mode Grams are w²·(X + Xᵀ) with
+   X = Zₖ·(H′ₖ·Zₖᵀ), H′ₖ the upper half of the Hadamard-of-tgram chain
+   (diagonal halved), and stay within rounding of the historical product
+   w²·Zₖ·Hₖ·Zₖᵀ; the norm is the upper-triangle sum the pass takes, and
+   stays within rounding of the historical row-major sum.  N = 3b + 5 is
+   four blocks with a narrow last one, so each Xₖ accumulates across
+   several blocks' products. *)
 
 (* (dims, n, weight, seed) with m ∈ 2..5 and n at the block edges. *)
 let gen_pass_case =
@@ -99,19 +101,28 @@ let gen_pass_case =
     float_range (-1.5) 1.5 >>= fun weight ->
     int_bound 1_000_000 >|= fun seed -> (Array.of_list dims, n, weight, seed))
 
+(* The factored operator of a pass case: exact zeros mixed in, as the
+   GEMM contract suites do. *)
+let pass_factors (dims, n, _, seed) =
+  let r = Rng.create seed in
+  let entry _ _ = if Rng.uniform r < 0.2 then 0. else (2. *. Rng.uniform r) -. 1. in
+  Array.map (fun d -> Mat.init d n entry) dims
+
 let prop_gram_pass_bitwise =
   qtest ~count:40 "streamed norm2/mode_gram/joint ≡ N×N oracle (bitwise, pools 1 and 4)"
-    gen_pass_case (fun (dims, n, weight, seed) ->
-      let r = Rng.create seed in
-      (* Exact zeros mixed in, as the GEMM contract suites do. *)
-      let entry _ _ = if Rng.uniform r < 0.2 then 0. else (2. *. Rng.uniform r) -. 1. in
-      let zs = Array.map (fun d -> Mat.init d n entry) dims in
+    gen_pass_case (fun ((_, _, weight, _) as case) ->
+      let zs = pass_factors case in
       let op = Op_tensor.factored ~weight zs in
       let modes = List.init (Array.length zs) Fun.id in
       let norm = oracle_norm2 ~weight zs in
       let row_major = row_major_norm2 ~weight zs in
       let grams = List.map (oracle_mode_gram ~weight zs) modes in
       Float.abs (norm -. row_major) <= 1e-12 *. (1. +. Float.abs row_major)
+      && List.for_all2
+           (fun k g ->
+             let historical = historical_mode_gram ~weight zs k in
+             Mat.max_abs (Mat.sub g historical) <= 1e-12 *. (1. +. Mat.max_abs historical))
+           modes grams
       && List.for_all
         (fun size ->
           with_pool size (fun () ->
@@ -138,6 +149,32 @@ let test_gram_pass_allocation () =
   check_true
     (Printf.sprintf "allocated %.0f bytes < one N×N matrix (%.0f)" allocated nxn)
     (allocated < nxn)
+
+(* Each mode Gram of the pass is w²·(X + Xᵀ), so cell (a, c) and cell
+   (c, a) add the same two numbers: bitwise symmetric. *)
+let prop_gram_pass_symmetric =
+  qtest ~count:40 "streamed mode Grams are bitwise symmetric" gen_pass_case
+    (fun ((_, _, weight, _) as case) ->
+      let op = Op_tensor.factored ~weight (pass_factors case) in
+      Array.for_all
+        (fun g -> bits_equal g (Mat.transpose g))
+        (snd (Op_tensor.norm2_and_mode_grams op)))
+
+(* trace(M₍ₖ₎M₍ₖ₎ᵀ) = ‖M‖² for every mode k, to within 1e−12 of the
+   scale of their terms: the norm of the same operator on the factors'
+   magnitudes, w²·1ᵀ(⊛ₚ|Zₚ|ᵀ|Zₚ|)1, which bounds every term either sum
+   adds.  (Relative to ‖M‖² itself the check would be flaky: the terms
+   can cancel to a norm far below them.)  A pass that took all of Hₖ's
+   diagonal into X instead of half would add each diagonal term of the
+   norm a second time to every trace. *)
+let prop_gram_pass_trace =
+  qtest ~count:40 "trace of every streamed mode Gram = norm2 (1e-12 relative)" gen_pass_case
+    (fun ((_, _, weight, _) as case) ->
+      let zs = pass_factors case in
+      let norm, grams = Op_tensor.norm2_and_mode_grams (Op_tensor.factored ~weight zs) in
+      let magnitudes = Op_tensor.factored ~weight (Array.map (Mat.map Float.abs) zs) in
+      let scale = Op_tensor.norm2 magnitudes in
+      Array.for_all (fun g -> Float.abs (Mat.trace g -. norm) <= 1e-12 *. scale) grams)
 
 (* ------------------------------------------------------------------ *)
 (* The blocked Khatri–Rao × GEMM materialization against the historical
@@ -376,19 +413,20 @@ let test_tcca_factored_matches_dense () =
     (Mat.map Float.abs (Tcca.transform mf views))
 
 (* The route function on named shapes: the paper's SecStr views (3 × 105)
-   flip from factored to dense between N = 2 500 and 3 000; the ℓ-space
-   Nyström operator of fit-nystrom (64³, N = 10 000) and SecStr quick
-   (3 × 60, N = 1 200) are dense; 5 × 40 is above the cap. *)
+   flip from factored to dense between N = 3 000 and 4 000, SecStr quick
+   (3 × 60) between N = 1 200 and 2 000; the ℓ-space Nyström operator of
+   fit-nystrom (64³, N = 10 000) is dense; 5 × 40 is above the cap. *)
 let route_table =
   let secstr = [| 105; 105; 105 |] in
   [ ("SecStr paper, N = 1 000", secstr, 1000, false);
     ("SecStr paper, N = 2 000", secstr, 2000, false);
     ("SecStr paper, N = 2 500", secstr, 2500, false);
-    ("SecStr paper, N = 3 000", secstr, 3000, true);
+    ("SecStr paper, N = 3 000", secstr, 3000, false);
     ("SecStr paper, N = 4 000", secstr, 4000, true);
     ("SecStr paper, N = 8 000", secstr, 8000, true);
     ("Nyström ℓ-space 64³, N = 10 000", [| 64; 64; 64 |], 10_000, true);
-    ("SecStr quick, N = 1 200", [| 60; 60; 60 |], 1200, true);
+    ("SecStr quick, N = 1 200", [| 60; 60; 60 |], 1200, false);
+    ("SecStr quick, N = 2 000", [| 60; 60; 60 |], 2000, true);
     (* The model alone would materialize this one. *)
     ("5 views at d = 40, N = 10⁶ (above the cap)", Array.make 5 40, 1_000_000, false) ]
 
@@ -454,7 +492,9 @@ let () =
           prop_shape_accessors ];
       qsuite "gram-pass"
         [ prop_gram_pass_bitwise;
-          Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation ];
+          Alcotest.test_case "no N×N allocation" `Quick test_gram_pass_allocation;
+          prop_gram_pass_symmetric;
+          prop_gram_pass_trace ];
       qsuite "materialize"
         [ prop_to_tensor_bitwise;
           Alcotest.test_case "tail blocks" `Quick test_to_tensor_tail_blocks;
