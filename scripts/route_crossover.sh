@@ -5,7 +5,7 @@
 # they fit.  Options are those of scripts/route_crossover.ml:
 #
 #   bash scripts/route_crossover.sh [--pairs P] [--shapes a,b,…]
-#                                   [--grid f₁,f₂,…] [--ns N₁,N₂,…]
+#                                   [--ns N₁,N₂,…]
 #
 # Run it from inside the repository, with no other CPU work running: the
 # default (3 pairs, 6 shapes, 6 instance counts each) takes about three
