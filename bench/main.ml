@@ -358,7 +358,6 @@ let micro_tests () =
   let pchol_oracle = (sketch_oracles 4096).(0) in
   let ny_oracles_4096 = sketch_oracles 4096 in
   let ny_oracles_20k = sketch_oracles 20_000 in
-  let rand_svd_a = Mat.init 4096 512 (fun _ _ -> Rng.gaussian sketch_rng) in
   let open Bechamel in
   [ (* Fig. 3 / Table 1: TCCA fit on SecStr-sim (decomposition only). *)
     Test.make ~name:"fig3/tcca-cp-als-r8"
@@ -492,9 +491,8 @@ let micro_tests () =
               ~checkpoint:(Checkpoint.config ~every:25 ~resume:false path)
               ~r:8 tcca_dense_p));
     (* Sketched scaling path: rank-revealing partial Cholesky on a kernel
-       oracle, the Nyström KTCCA pipeline end to end (pchol → ℓ-space
-       whitening → CP → duals), and the randomized range-finder SVD behind
-       Pca's route for tall views. *)
+       oracle and the Nyström KTCCA pipeline end to end (pchol → ℓ-space
+       whitening → CP → duals). *)
     Test.make ~name:"sketch/pchol-n4096-l256"
       (Staged.stage (fun () -> Pchol.decompose ~rank:256 ~tol:0. pchol_oracle));
     Test.make ~name:"ktcca/nystrom-n4096"
@@ -509,8 +507,6 @@ let micro_tests () =
            Ktcca.fit_oracles
              ~approx:(Ktcca.Nystrom { rank = 32; tol = 1e-8 })
              ~r:6 ny_oracles_20k));
-    Test.make ~name:"svd/randomized-4096x512"
-      (Staged.stage (fun () -> Svd.randomized ~rank:32 rand_svd_a));
     (* Fig. 10: Gram-matrix construction (chi-squared kernel). *)
     Test.make ~name:"fig10/chi2-gram"
       (Staged.stage (fun () ->
@@ -549,10 +545,6 @@ let flops_of_kernel =
   | "op/mttkrp-dense" -> Some (2 * 8 * 810_000)
   | "op/mttkrp-factored" -> Some ((3 * mulf 200 30 8) + (3 * 200 * 8) + mulf 30 200 8)
   | "op/gram-pass-factored" -> Some ((2 * 1000 * 1000 * (3 * 60)) + (3 * mulf 60 1000 60))
-  (* Randomized SVD: six m×n×k GEMM passes (sketch, 2×2 power-iteration
-     half-steps, final B = QᵀA) at k = rank + oversample = 40; the small
-     k-space eig is not counted. *)
-  | "svd/randomized-4096x512" -> Some (6 * mulf 4096 512 40)
   (* Partial Cholesky: the residual-column update at step k is 2·N·k flops;
      summed over ℓ = 256 steps (kernel-entry evaluations not counted). *)
   | "sketch/pchol-n4096-l256" -> Some (4096 * 256 * 255)

@@ -1,7 +1,5 @@
 type scale = Quick | Paper
 
-let name = "ads-sim"
-
 let config = function
   | Paper ->
     { Synth.dims = [| 120; 100; 90 |];

@@ -1,6 +1,5 @@
 type scale = Quick | Paper
 
-let name = "nuswide-sim"
 let bow_view = 0
 
 let config = function

@@ -11,9 +11,7 @@
 
 type scale = Quick | Paper
 
-val config : scale -> Synth.config
 val world : ?seed:int -> scale -> Synth.world
-val name : string
 
 val bow_view : int
 (** Index of the view treated as the visual-word histogram (χ² kernel). *)

@@ -1,7 +1,5 @@
 type scale = Quick | Paper
 
-let name = "secstr-sim"
-
 (* Knob choices (see DESIGN.md §1 and EXPERIMENTS.md): sparse skewed topics
    carry the class signal in all three context windows; pairwise confounders
    are stronger than topics in pairwise canonical correlation (they load on

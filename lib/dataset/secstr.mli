@@ -12,4 +12,3 @@ type scale = Quick | Paper
 
 val config : scale -> Synth.config
 val world : ?seed:int -> scale -> Synth.world
-val name : string

@@ -199,5 +199,3 @@ let run_prepared st meth ~r =
   | Spec.Kcca_bst -> run_kcca_bst st ~r
   | Spec.Kcca_avg -> run_kcca_avg st ~r
   | Spec.Ktcca -> run_ktcca st ~r
-
-let run config meth ~r ~seed = run_prepared (prepare config ~seed) meth ~r

@@ -21,8 +21,6 @@ val default_config : ?per_class:int -> ?n_subset:int -> Synth.world -> config
 
 type result = { val_acc : float; test_acc : float; chosen_k : int }
 
-val run : config -> Spec.kernel_method -> r:int -> seed:int -> result
-
 val build_kernels : config -> Multiview.t -> Mat.t array
 (** The per-view Gram matrices of the paper (exposed for benches/tests). *)
 

@@ -246,5 +246,3 @@ let run_prepared st meth ~r =
         in
         Dse.transform_prepared prepared ~r)
   | Spec.Ssmvd -> run_transductive st ~r (fun ~r views -> Ssmvd.fit_transform ~r views)
-
-let run config meth ~r ~seed = run_prepared (prepare config ~seed) meth ~r

@@ -28,5 +28,3 @@ type state
 
 val prepare : config -> seed:int -> state
 val run_prepared : state -> Spec.linear_method -> r:int -> result
-
-val run : config -> Spec.linear_method -> r:int -> seed:int -> result

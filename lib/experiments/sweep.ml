@@ -41,12 +41,6 @@ let sweep_prepared ~prepare ~run ~label ~methods ~rs ~seeds =
          { label = label meth; points })
        methods)
 
-let sweep ~run ~label ~methods ~rs ~seeds =
-  sweep_prepared
-    ~prepare:(fun ~seed -> seed)
-    ~run:(fun seed meth ~r -> run meth ~r ~seed)
-    ~label ~methods ~rs ~seeds
-
 let figure ~title curves =
   match curves with
   | [] -> invalid_arg "Sweep.figure: no curves"

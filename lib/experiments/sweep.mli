@@ -12,12 +12,6 @@ type point = {
 
 type curve = { label : string; points : point array }
 
-val sweep :
-  run:('m -> r:int -> seed:int -> float * float) ->
-  label:('m -> string) ->
-  methods:'m list -> rs:int array -> seeds:int -> curve list
-(** [run] returns [(val_acc, test_acc)]; seeds are [0 .. seeds−1]. *)
-
 val sweep_prepared :
   prepare:(seed:int -> 'state) ->
   run:('state -> 'm -> r:int -> float * float) ->

@@ -110,10 +110,6 @@ let solve f b =
   done;
   x
 
-let inverse f =
-  let n, _ = Mat.dims f.g in
-  solve f (Mat.identity n)
-
 let solve_lower_vec { g } b = forward g b
 
 let solve_lower_transpose f b =
@@ -134,13 +130,5 @@ let inverse_lower f =
     Mat.set_col inv j (forward f.g e)
   done;
   inv
-
-let log_det { g } =
-  let n, _ = Mat.dims g in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. log (Mat.get g i i)
-  done;
-  2. *. !acc
 
 let solve_system a b = solve (decompose a) b

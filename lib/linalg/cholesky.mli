@@ -2,7 +2,7 @@
 
     KTCCA (paper Sec. 4.4) rests on the unique factorization
     [K²pp + εKpp = Lᵀp Lp]; this module provides the lower factor, triangular
-    solves, SPD inverses and log-determinants.  Note the paper writes the
+    solves and the explicit inverse of the factor.  Note the paper writes the
     factorization as [LᵀL] with [L] *upper*; we return the conventional lower
     [G] with [A = G Gᵀ], so the paper's [Lp] is our [Gᵀ]. *)
 
@@ -17,11 +17,6 @@ exception Not_positive_definite of { pivot : int; value : float }
 val decompose : Mat.t -> t
 (** Raises [Invalid_argument] on a non-square input,
     [Not_positive_definite] when a pivot is ≤ 0 or NaN (up to roundoff). *)
-
-val decompose_checked : ?stage:string -> Mat.t -> (t, Robust.failure) result
-(** Guarded variant: [Error Non_finite] on a NaN/Inf input, [Error
-    Not_positive_definite] (with the pivot payload) instead of the
-    exception.  [stage] (default ["cholesky"]) labels the failure. *)
 
 val decompose_jittered :
   ?stage:string ->
@@ -44,7 +39,6 @@ val solve_vec : t -> Vec.t -> Vec.t
 (** Solve [A x = b] via two triangular solves. *)
 
 val solve : t -> Mat.t -> Mat.t
-val inverse : t -> Mat.t
 
 val solve_lower_vec : t -> Vec.t -> Vec.t
 (** Solve [G y = b] (forward substitution only). *)
@@ -54,9 +48,6 @@ val solve_lower_transpose : t -> Mat.t -> Mat.t
 
 val inverse_lower : t -> Mat.t
 (** [G⁻¹], explicitly. *)
-
-val log_det : t -> float
-(** [log det A]. *)
 
 val solve_system : Mat.t -> Mat.t -> Mat.t
 (** One-shot SPD solve. *)

@@ -268,9 +268,3 @@ let decompose_checked ?(stage = "eigen") ?max_sweeps ?eps a0 =
 let top_k { vectors; values } k =
   if k > Array.length values then invalid_arg "Eigen.top_k: k too large";
   Mat.sub_cols vectors 0 k
-
-let reconstruct { values; vectors } =
-  let scaled = Mat.init (fst (Mat.dims vectors)) (Array.length values)
-      (fun i j -> Mat.get vectors i j *. values.(j))
-  in
-  Mat.mul_nt scaled vectors

@@ -48,6 +48,3 @@ val decompose_checked :
 
 val top_k : t -> int -> Mat.t
 (** Eigenvectors of the [k] largest eigenvalues, as columns. *)
-
-val reconstruct : t -> Mat.t
-(** [V diag(λ) Vᵀ] — for testing. *)

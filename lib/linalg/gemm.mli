@@ -34,13 +34,6 @@
 
 (** {2 Blocking parameters} *)
 
-val mr : int
-(** Register-tile rows: the microkernel keeps [mr]×[nr] accumulators live
-    in registers across the depth loop. *)
-
-val nr : int
-(** Register-tile columns. *)
-
 val small_cutoff : unit -> int
 (** Products with fewer than this many flops (2·m·n·k) run [Mat]'s plain
     loops instead of the microkernel — packing overhead dominates tiny

@@ -91,7 +91,6 @@ let sub_rows a i0 n =
   { rows = n; cols = a.cols; data = Array.sub a.data (i0 * a.cols) (n * a.cols) }
 
 let select_cols a idx = init a.rows (Array.length idx) (fun i j -> get a i idx.(j))
-let to_arrays a = Array.init a.rows (row a)
 
 let check_same_dims name a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg (name ^ ": dimension mismatch")

@@ -54,7 +54,6 @@ val sub_rows : t -> int -> int -> t
 val select_cols : t -> int array -> t
 (** Gather the given columns, in order. *)
 
-val to_arrays : t -> float array array
 
 (** {1 Arithmetic} *)
 

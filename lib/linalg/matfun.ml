@@ -1,11 +1,3 @@
-let apply_spectral f a =
-  let { Eigen.values; vectors } = Eigen.decompose a in
-  let n, k = Mat.dims vectors in
-  let scaled = Mat.init n k (fun i j -> Mat.get vectors i j *. f values.(j)) in
-  Mat.mul_nt scaled vectors
-
-let sqrt_psd a = apply_spectral (fun l -> sqrt (Float.max l 0.)) a
-
 let inv_sqrt_of_eig ?floor { Eigen.values; vectors } =
   let lmax = Float.max values.(0) 0. in
   let fl = match floor with Some f -> f | None -> 1e-12 *. Float.max lmax 1. in
@@ -45,13 +37,3 @@ let inv_psd ?floor a =
   let n, k = Mat.dims vectors in
   let scaled = Mat.init n k (fun i j -> Mat.get vectors i j /. Float.max values.(j) fl) in
   Mat.mul_nt scaled vectors
-
-let pinv ?(tol = 1e-12) a =
-  let { Svd.u; sigma; v } = Svd.decompose a in
-  let s0 = if Array.length sigma = 0 then 0. else sigma.(0) in
-  let n, k = Mat.dims v in
-  let scaled =
-    Mat.init n k (fun i j ->
-        if sigma.(j) > tol *. s0 && sigma.(j) > 0. then Mat.get v i j /. sigma.(j) else 0.)
-  in
-  Mat.mul_nt scaled u

@@ -7,10 +7,6 @@
     Every spectral function runs on {!Eigen.decompose}, the two-stage
     tridiagonal solver. *)
 
-val sqrt_psd : Mat.t -> Mat.t
-(** Symmetric square root; negative eigenvalues from roundoff are clamped
-    to 0. *)
-
 val inv_sqrt_psd : ?floor:float -> Mat.t -> Mat.t
 (** Symmetric inverse square root.  Eigenvalues below [floor] (default
     [1e-12] × λ_max) are treated as [floor], making the result a regularized
@@ -32,10 +28,3 @@ val inv_sqrt_psd_checked :
 
 val inv_psd : ?floor:float -> Mat.t -> Mat.t
 (** Symmetric (pseudo-)inverse through the spectrum. *)
-
-val pinv : ?tol:float -> Mat.t -> Mat.t
-(** Moore–Penrose pseudo-inverse of any rectangular matrix via SVD;
-    singular values below [tol·σ₀] (default [1e-12]) are dropped. *)
-
-val apply_spectral : (float -> float) -> Mat.t -> Mat.t
-(** [apply_spectral f a = V diag(f λᵢ) Vᵀ] for symmetric [a]. *)

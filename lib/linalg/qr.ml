@@ -50,22 +50,6 @@ let decompose a0 =
   done;
   { a; beta; m; n }
 
-(* Apply Qᵀ to a length-m vector in place. *)
-let apply_qt { a; beta; m; n } x =
-  for k = 0 to n - 1 do
-    if beta.(k) <> 0. then begin
-      let dot = ref x.(k) in
-      for i = k + 1 to m - 1 do
-        dot := !dot +. (Mat.get a i k *. x.(i))
-      done;
-      let s = beta.(k) *. !dot in
-      x.(k) <- x.(k) -. s;
-      for i = k + 1 to m - 1 do
-        x.(i) <- x.(i) -. (s *. Mat.get a i k)
-      done
-    end
-  done
-
 (* Apply Q to a length-m vector in place (reflectors in reverse order). *)
 let apply_q { a; beta; m; n } x =
   for k = n - 1 downto 0 do
@@ -93,33 +77,3 @@ let q_thin f =
   q
 
 let r f = Mat.init f.n f.n (fun i j -> if j >= i then Mat.get f.a i j else 0.)
-
-let back_substitute f y =
-  let x = Array.make f.n 0. in
-  for i = f.n - 1 downto 0 do
-    let rii = Mat.get f.a i i in
-    if Float.abs rii < 1e-300 then failwith "Qr.solve_ls: singular R";
-    let acc = ref y.(i) in
-    for j = i + 1 to f.n - 1 do
-      acc := !acc -. (Mat.get f.a i j *. x.(j))
-    done;
-    x.(i) <- !acc /. rii
-  done;
-  x
-
-let solve_ls f b =
-  if Array.length b <> f.m then invalid_arg "Qr.solve_ls: dimension mismatch";
-  let y = Array.copy b in
-  apply_qt f y;
-  back_substitute f y
-
-let least_squares a b =
-  let f = decompose a in
-  let _, ncols = Mat.dims b in
-  let x = Mat.create f.n ncols in
-  for j = 0 to ncols - 1 do
-    Mat.set_col x j (solve_ls f (Mat.col b j))
-  done;
-  x
-
-let orthonormalize a = q_thin (decompose a)

@@ -1,7 +1,7 @@
 (** Householder QR factorization.
 
-    Used for least-squares solves (CCA-LS deflation steps) and for
-    re-orthonormalizing iterate blocks in the spectral-embedding baseline. *)
+    Its one production caller is {!Svd}'s tall route, which factors
+    [A = QR] and takes the eigendecomposition of [RᵀR]. *)
 
 type t
 
@@ -13,13 +13,3 @@ val q_thin : t -> Mat.t
 
 val r : t -> Mat.t
 (** The [n × n] upper-triangular factor. *)
-
-val solve_ls : t -> Vec.t -> Vec.t
-(** Minimum-residual solution of [A x ≈ b].  Raises [Failure] if [R] is
-    numerically singular. *)
-
-val least_squares : Mat.t -> Mat.t -> Mat.t
-(** [least_squares a b] solves [min ‖A X − B‖_F] column-wise. *)
-
-val orthonormalize : Mat.t -> Mat.t
-(** Orthonormal basis for the column space (thin Q). *)

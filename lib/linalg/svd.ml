@@ -160,76 +160,6 @@ let decompose ?method_ ?max_sweeps ?eps a =
     Robust.warnf "Svd.decompose: sweep cap hit after %d sweeps" info.sweeps;
   svd
 
-let decompose_checked ?(stage = "svd") ?method_ ?max_sweeps ?eps a =
-  if not (Mat.all_finite a) then Error (Robust.Non_finite { stage; where = "input matrix" })
-  else begin
-    let svd, info = decompose_info ?method_ ?max_sweeps ?eps a in
-    if not info.converged then
-      Error
-        (Robust.Not_converged { stage; sweeps = info.sweeps; residual = info.residual })
-    else Ok svd
-  end
-
-(* Halko–Martinsson–Tropp randomized range finder: sketch the column space
-   with a Gaussian test matrix, tighten it with power iterations
-   (re-orthonormalized each half-step so roundoff cannot collapse the
-   basis), then solve the small problem exactly — QB with B = QᵀA and the
-   symmetric eigendecomposition of BBᵀ.  Singular values are recovered as
-   ‖Bᵀwⱼ‖ rather than √λⱼ to undo the Gram product's conditioning squaring,
-   mirroring the QR+eig route above.  The test matrix comes from the
-   deterministic [Rng], so the factorization is replayable from the seed
-   alone; all products run on [Mat]'s bitwise-deterministic kernels. *)
-let randomized ?(oversample = 8) ?(power_iters = 2) ?(seed = 0x51ED) ~rank a =
-  if rank < 1 then invalid_arg "Svd.randomized: rank must be >= 1";
-  if oversample < 0 then invalid_arg "Svd.randomized: oversample must be >= 0";
-  let m, n = Mat.dims a in
-  let ell = min (min m n) (rank + oversample) in
-  let rng = Rng.create seed in
-  let omega = Mat.init n ell (fun _ _ -> Rng.gaussian rng) in
-  let y = ref (Mat.mul a omega) in
-  for _ = 1 to power_iters do
-    let z = Qr.orthonormalize (Mat.mul_tn a !y) in
-    y := Mat.mul a z
-  done;
-  let q = Qr.orthonormalize !y in
-  let b = Mat.mul_tn q a in
-  let eig, einfo = Eigen.decompose_info (Mat.gram b) in
-  let keep = min rank ell in
-  let w = Eigen.top_k eig keep in
-  let u = Mat.mul q w in
-  let btw = Mat.mul_tn b w in
-  let sigma = Array.init keep (fun j -> Vec.norm (Mat.col btw j)) in
-  let v = Mat.create n keep in
-  for j = 0 to keep - 1 do
-    let s = sigma.(j) in
-    if s > 0. then Mat.set_col v j (Vec.scale (1. /. s) (Mat.col btw j))
-    else begin
-      (* Same deterministic zero-σ fallback as the exact routes. *)
-      let e = Array.make n 0. in
-      e.(j mod n) <- 1.;
-      Mat.set_col v j e
-    end
-  done;
-  ( { u; sigma; v },
-    { sweeps = einfo.Eigen.sweeps;
-      residual = einfo.Eigen.residual;
-      converged = einfo.Eigen.converged } )
-
 let truncated { u; sigma; v } r =
   if r > Array.length sigma then invalid_arg "Svd.truncated: r too large";
   (Mat.sub_cols u 0 r, Array.sub sigma 0 r, Mat.sub_cols v 0 r)
-
-let reconstruct { u; sigma; v } =
-  let m, k = Mat.dims u in
-  let scaled = Mat.init m k (fun i j -> Mat.get u i j *. sigma.(j)) in
-  Mat.mul_nt scaled v
-
-let nuclear_norm { sigma; _ } = Vec.sum sigma
-
-let rank ?(tol = 1e-10) { sigma; _ } =
-  if Array.length sigma = 0 then 0
-  else begin
-    let s0 = sigma.(0) in
-    if s0 = 0. then 0
-    else Array.fold_left (fun acc s -> if s > tol *. s0 then acc + 1 else acc) 0 sigma
-  end

@@ -1,10 +1,6 @@
 type t = float array
 
 let create n = Array.make n 0.
-let init = Array.init
-let of_list = Array.of_list
-let copy = Array.copy
-let dim = Array.length
 
 let check_same_dim name x y =
   if Array.length x <> Array.length y then invalid_arg (name ^ ": dimension mismatch")
@@ -40,7 +36,7 @@ let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. x
 
 let normalize x =
   let n = norm x in
-  if n = 0. then copy x else scale (1. /. n) x
+  if n = 0. then Array.copy x else scale (1. /. n) x
 
 let sum x = Array.fold_left ( +. ) 0. x
 let mean x = sum x /. float_of_int (Array.length x)
@@ -48,7 +44,6 @@ let center x =
   let m = mean x in
   Array.map (fun v -> v -. m) x
 
-let map = Array.map
 
 let outer x y = Array.map (fun xi -> scale xi y) x
 
@@ -71,9 +66,3 @@ let all_finite x =
     incr i
   done;
   !i = n
-
-let pp fmt x =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ";@ ")
-       (fun f v -> Format.fprintf f "%g" v))
-    (Array.to_list x)

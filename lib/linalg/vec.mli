@@ -9,10 +9,6 @@ type t = float array
 val create : int -> t
 (** Zero vector. *)
 
-val init : int -> (int -> float) -> t
-val of_list : float list -> t
-val copy : t -> t
-val dim : t -> int
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -42,7 +38,6 @@ val mean : t -> float
 val center : t -> t
 (** Subtract the mean. *)
 
-val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 
 val outer : t -> t -> float array array
@@ -55,4 +50,3 @@ val all_finite : t -> bool
 (** [true] iff no component is NaN or infinite.  One linear pass with early
     exit — cheap enough to guard every stage boundary of a fit. *)
 
-val pp : Format.formatter -> t -> unit

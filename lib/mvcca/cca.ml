@@ -33,4 +33,3 @@ let correlations t = Array.copy t.correlations
 let transform1 t x = Mat.mul_tn t.proj1 (Mat.sub_col_vec x t.mean1)
 let transform2 t x = Mat.mul_tn t.proj2 (Mat.sub_col_vec x t.mean2)
 let transform_concat t x1 x2 = Mat.vcat (transform1 t x1) (transform2 t x2)
-let projections t = (Mat.copy t.proj1, Mat.copy t.proj2)

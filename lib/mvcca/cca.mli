@@ -28,5 +28,3 @@ val transform_concat : t -> Mat.t -> Mat.t -> Mat.t
 (** Concatenated [2r × N] representation — the paper's "reduce to 2r"
     convention for downstream learners. *)
 
-val projections : t -> Mat.t * Mat.t
-(** The [d₁×r] and [d₂×r] projection matrices (whitening included). *)

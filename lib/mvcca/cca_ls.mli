@@ -52,10 +52,6 @@ module Online : sig
 
   val samples_seen : t -> int
 
-  val canonical_vectors : t -> Vec.t array
-  (** Current per-view filters [hₚ], normalized to unit canonical-variable
-      variance under the running statistics. *)
-
   val transform_view : t -> int -> Mat.t -> Vec.t
   (** Project a view's columns with the current filter (running mean
       subtracted): returns the 1-D canonical variable per instance. *)

@@ -1,60 +1,16 @@
-type t = { mean : Vec.t; components : Mat.t; variances : Vec.t; intensity : float }
+type t = { mean : Vec.t; components : Mat.t; variances : Vec.t }
 
-type method_ = [ `Auto | `Cov_eig | `Randomized ]
-
-(* Below this feature dimension the d×d eigendecomposition is cheap enough
-   that sketching cannot pay for itself; `Auto only reaches for the
-   randomized range finder above it (and when the kept rank leaves room for
-   the oversampled sketch to be genuinely truncated). *)
-let randomized_dim_threshold = 512
-
-let fit ?(center = true) ?(method_ = `Auto) ?(shrinkage = `None) ~r x =
+let fit ?(center = true) ~r x =
   let d, n = Mat.dims x in
   if n = 0 then invalid_arg "Pca.fit: no instances";
   let mean = if center then Mat.row_means x else Array.make d 0. in
   let centered = Mat.sub_col_vec x mean in
   let keep = min r d in
-  let nf = float_of_int n in
-  (* `Lw/`Oas need the covariance itself, which the sketched route exists to
-     avoid — they pin the covariance route. *)
-  let needs_cov = match shrinkage with `None | `Fixed _ -> false | `Lw | `Oas -> true in
-  let use_randomized =
-    match method_ with
-    | `Cov_eig -> false
-    | `Randomized ->
-      if needs_cov then
-        Robust.warnf
-          "Pca.fit: `Lw/`Oas shrinkage needs the covariance — using the `Cov_eig route";
-      not needs_cov
-    | `Auto -> (not needs_cov) && d >= randomized_dim_threshold && 4 * (keep + 8) <= d
-  in
-  if use_randomized then begin
-    let svd, _info = Svd.randomized ~rank:keep centered in
-    let rho = match shrinkage with `Fixed f -> Float.max 0. (Float.min 1. f) | _ -> 0. in
-    (* μ = tr(C)/d = ‖X̄‖²_F/(n·d), without forming C. *)
-    let fro = Mat.frobenius centered in
-    let mu = fro *. fro /. (nf *. float_of_int d) in
-    let variances =
-      Array.map
-        (fun s -> ((1. -. rho) *. (s *. s) /. nf) +. (rho *. mu))
-        svd.Svd.sigma
-    in
-    { mean; components = svd.Svd.u; variances; intensity = rho }
-  end
-  else begin
-    let cov = Mat.scale (1. /. nf) (Mat.gram centered) in
-    let { Shrink.cov = sh; intensity; target = _ } =
-      Shrink.apply ~x:centered ~n shrinkage cov
-    in
-    let eig = Eigen.decompose sh in
-    { mean;
-      components = Eigen.top_k eig keep;
-      variances = Array.sub eig.Eigen.values 0 keep;
-      intensity }
-  end
+  let cov = Mat.scale (1. /. float_of_int n) (Mat.gram centered) in
+  let eig = Eigen.decompose cov in
+  { mean; components = Eigen.top_k eig keep; variances = Array.sub eig.Eigen.values 0 keep }
 
 let transform t x = Mat.mul_tn t.components (Mat.sub_col_vec x t.mean)
 let components t = Mat.copy t.components
 let explained_variance t = Array.copy t.variances
 let mean t = Array.copy t.mean
-let shrinkage_intensity t = t.intensity

@@ -1,30 +1,15 @@
 (** Principal component analysis.
 
-    Used as the per-view preprocessing step of the DSE and SSMVD baselines
-    (the paper reduces each view to 100 dimensions with PCA before running
-    them) and as the best one-dimensional representation in CCA-MAXVAR. *)
+    Used as the per-view preprocessing step of the DSE and SSMVD baselines:
+    the paper reduces each view to 100 dimensions with PCA before running
+    them.  The components are the top eigenvectors of the [d × d] sample
+    covariance. *)
 
 type t
 
-type method_ = [ `Auto | `Cov_eig | `Randomized ]
-(** [`Cov_eig] is the classical route (d×d covariance, symmetric eig).
-    [`Randomized] skips the covariance entirely: {!Svd.randomized} on the
-    centered instances gives the top components in O(d·N·(r+8)) instead of
-    O(d²·N + d³).  [`Auto] (default) picks the sketched route only for
-    genuinely tall views — [d ≥ 512] with [r] small enough that the
-    oversampled sketch truncates ([4·(r+8) ≤ d]) — so every small-d fit is
-    bit-identical to the classical path. *)
-
-val fit :
-  ?center:bool -> ?method_:method_ -> ?shrinkage:Shrink.t -> r:int -> Mat.t -> t
-(** Instances as columns; keeps the top [min r d] components.  [shrinkage]
-    (default [`None], bit-identical to no shrinkage) conditions the
-    covariance with {!Shrink.apply} before the eigendecomposition —
-    components are unchanged by construction (the scaled-identity target
-    shares every eigenbasis), but the explained variances are the shrunk
-    eigenvalues [(1−ρ)λ + ρμ].  [`Lw]/[`Oas] need the covariance and
-    therefore pin the [`Cov_eig] route (a warning is logged if
-    [`Randomized] was forced); [`Fixed ρ] composes with either route. *)
+val fit : ?center:bool -> r:int -> Mat.t -> t
+(** Instances as columns; keeps the top [min r d] components.  [center]
+    (default [true]) subtracts the instance mean first. *)
 
 val transform : t -> Mat.t -> Mat.t
 (** [r × N] scores. *)
@@ -33,9 +18,6 @@ val components : t -> Mat.t
 (** [d × r] orthonormal loadings. *)
 
 val explained_variance : t -> Vec.t
-(** Eigenvalues of the (shrunk) covariance for the kept components. *)
+(** Eigenvalues of the covariance for the kept components. *)
 
 val mean : t -> Vec.t
-
-val shrinkage_intensity : t -> float
-(** The ρ actually used — [0.] without shrinkage. *)

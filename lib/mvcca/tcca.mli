@@ -24,8 +24,6 @@
 
 type solver = Als of Cp_als.options  (** CP-ALS with these options (Sec. 4.3). *)
 
-val default_solver : solver
-
 type t
 
 val fit :

@@ -30,8 +30,6 @@ val float : t -> float -> float
 val uniform : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

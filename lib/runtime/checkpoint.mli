@@ -91,8 +91,7 @@ val load : path:string -> (t, load_error) result
 
 val crc32 : string -> int
 (** The checksum used by the format (IEEE 802.3 / zlib polynomial); exposed
-    for tests and for digesting models elsewhere.  Alias of
-    {!Wire.crc32}. *)
+    for tests and for digesting models elsewhere. *)
 
 (** {1 Wire-format toolkit}
 
@@ -101,24 +100,16 @@ val crc32 : string -> int
     exact framing, integrity checks and typed {!load_error}s of the
     snapshot format instead of reinventing them. *)
 module Wire : sig
-  val crc32 : string -> int
-
-  val header_bytes : int
-  (** Fixed frame header size: magic (4) + version (4) + length (8) +
-      CRC32 (4) = 20 bytes. *)
-
   (** {2 Field-stream encoders}
 
       Everything is written as little-endian i64s (floats by bit pattern),
       strings and arrays length-prefixed. *)
 
-  val add_i64 : Buffer.t -> int64 -> unit
   val add_int : Buffer.t -> int -> unit
   val add_f64 : Buffer.t -> float -> unit
   val add_bool : Buffer.t -> bool -> unit
   val add_string : Buffer.t -> string -> unit
   val add_f_array : Buffer.t -> float array -> unit
-  val add_int_opt : Buffer.t -> int option -> unit
 
   (** {2 Field-stream decoders} *)
 
@@ -129,7 +120,6 @@ module Wire : sig
   type cursor
 
   val cursor : string -> cursor
-  val get_i64 : cursor -> int64
   val get_int : cursor -> int
   val get_nat : cursor -> string -> int
   (** [get_nat c what] reads an int and raises {!Decode} if negative;
@@ -141,7 +131,6 @@ module Wire : sig
       {!Decode} unless that many items fit in the bytes left — so a decoder
       never allocates for items the payload cannot hold. *)
 
-  val get_f64 : cursor -> float
   val get_bool : cursor -> bool
   val get_string : cursor -> string
   val get_f_array : cursor -> float array
@@ -150,8 +139,6 @@ module Wire : sig
   (** [get_shape c what] reads a [rows], [cols] header and its row-major
       data; raises {!Decode} when a dimension exceeds the payload length or
       [rows·cols] overflows or differs from the data length. *)
-
-  val get_int_opt : cursor -> int option
 
   val expect_end : cursor -> unit
   (** Raises {!Decode} unless the cursor consumed the whole payload. *)
@@ -173,19 +160,17 @@ module Wire : sig
       a {!direction}), declared payload length, CRC — returning the verified
       payload.  Never raises on bad content. *)
 
-  val write_atomic : path:string -> string -> unit
-  (** Temp file in the same directory + atomic [Sys.rename].  Raises
-      [Sys_error] if the directory is unwritable. *)
-
   val write_durable : path:string -> string -> unit
-  (** {!write_atomic} hardened against power loss: the temp file is
+  (** Temp file in the same directory + atomic [Sys.rename], hardened
+      against power loss: the temp file is
       fsynced before the rename and the containing directory after it, so
       a crash at any point leaves either the previous complete file or the
       new complete file durably on disk — never a zero-length or torn one
       behind a valid-looking name.  Directory fsync is best-effort; a
       failed data fsync raises [Sys_error].  Model files (the unit of
       serving recovery) use this; solver checkpoints keep the cheaper
-      {!write_atomic} (a torn checkpoint only costs a cold-started fit). *)
+      rename without the fsyncs (a torn checkpoint only costs a
+      cold-started fit). *)
 
   val read : path:string -> (string, load_error) result
   (** Whole-file read; an unreadable path maps to [Corrupt]. *)

@@ -55,6 +55,3 @@ val parallel_for_reduce :
     in chunk order (lowest indices first), starting from [init], so a given
     [n] and chunk count reduce in a fixed order. *)
 
-val shutdown : unit -> unit
-(** Join all pool domains.  Idempotent; also registered [at_exit].  The pool
-    is re-created lazily if a parallel call happens afterwards. *)

@@ -47,7 +47,6 @@ exception Error of failure
     when their [result]-returning [_checked] twin would return [Error].
     A printer is registered, so an uncaught one renders readably. *)
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 val fail : failure -> 'a

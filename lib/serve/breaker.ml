@@ -24,7 +24,6 @@ let create ?(now = Unix.gettimeofday) cfg =
   if cfg.half_open_successes < 1 then invalid_arg "Breaker.create: half_open_successes < 1";
   { cfg; now; st = Closed { failures = 0 } }
 
-let state t = t.st
 
 let state_name t =
   match t.st with

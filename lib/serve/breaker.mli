@@ -40,8 +40,6 @@ type t
 val create : ?now:(unit -> float) -> config -> t
 (** [now] defaults to [Unix.gettimeofday]; tests inject a fake clock. *)
 
-val state : t -> state
-
 val state_name : t -> string
 (** ["closed"] / ["open"] / ["half-open"] — the wire/CLI rendering. *)
 

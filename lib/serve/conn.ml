@@ -41,7 +41,6 @@ let create ?(now = Unix.gettimeofday ()) fd =
     alive = true;
     last_progress = now }
 
-let fd c = c.fd
 
 let begin_request c =
   let seq = c.next_seq in

@@ -31,8 +31,6 @@ val create : ?now:float -> Unix.file_descr -> t
 (** Fresh state for a connected (nonblocking) socket.  [now] seeds the
     stall clock. *)
 
-val fd : t -> Unix.file_descr
-
 val begin_request : t -> int
 (** Claim the next sequence number (and count it in flight). *)
 
@@ -45,8 +43,6 @@ val flush : chunk:bytes -> t -> [ `Ok | `Closed ]
 (** Write as much buffered output as the socket accepts (one [write],
     staged through [chunk]; short writes and [EAGAIN] are fine — call
     again when writable).  [`Closed]: the peer is gone. *)
-
-val unwritten : t -> int
 
 val wants_write : t -> bool
 (** Buffered bytes are waiting for the socket. *)

@@ -9,12 +9,6 @@
     {!Checkpoint.load_error}s the snapshot loader uses, so the daemon can
     refuse it precisely and keep serving its current version. *)
 
-val magic : string
-(** ["TCCM"]. *)
-
-val version : int
-(** Model-file format version (independent of the snapshot format's). *)
-
 val save : path:string -> Tcca.t -> unit
 (** Durable atomic write of the full model (means, projections, warm-start
     factors, correlations, solver note) via {!Checkpoint.Wire.write_durable}:

@@ -63,6 +63,9 @@ let id_char_ok c =
 let alnum c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
+(* Model ids are path- and wire-safe: 1–64 chars from [A-Za-z0-9._-], the
+   first alphanumeric, which rules out "..", path separators, the empty id
+   and hidden-file names. *)
 let valid_id id =
   let n = String.length id in
   n >= 1 && n <= 64 && alnum id.[0] && String.for_all id_char_ok id

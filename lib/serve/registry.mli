@@ -66,11 +66,6 @@ val create : ?root:string -> breaker:Breaker.config -> unit -> t
     missing); without it nothing persists.  Recovery is separate
     ({!recover}) so the server can wire workers to recovered entries. *)
 
-val valid_id : string -> bool
-(** Model ids are path- and wire-safe: 1–64 chars from
-    [[A-Za-z0-9._-]], first char alphanumeric.  (Rules out [".."], path
-    separators, empty, and hidden-file names by construction.) *)
-
 val find : t -> string -> entry option
 
 val find_or_create : t -> string -> (entry * bool, string) result
@@ -80,9 +75,6 @@ val find_or_create : t -> string -> (entry * bool, string) result
 
 val list : t -> entry list
 (** All entries, sorted by id (deterministic listing order). *)
-
-val model_dir : t -> string -> string option
-(** [<root>/<id>], created on demand; [None] without a root. *)
 
 val snapshot : t -> entry -> unit
 (** Durably write the entry's current model to its own directory as

@@ -99,7 +99,6 @@ type t = {
 }
 
 let config t = t.cfg
-let registry t = t.reg
 let draining t = Atomic.get t.drain_flag
 
 let add_drain_hook t f =
@@ -983,7 +982,6 @@ let handle t req =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle. *)
 
-let snapshot t = List.iter (Registry.snapshot t.reg) (Registry.list t.reg)
 
 let create ?model cfg =
   let reg = Registry.create ?root:cfg.state_dir ~breaker:cfg.breaker () in

@@ -103,9 +103,6 @@ val create : ?model:Tcca.t -> config -> t
 val config : t -> config
 (** The engine's configuration (the reactor reads [io_timeout_s]). *)
 
-val registry : t -> Registry.t
-(** The model registry (tests inspect entries through it). *)
-
 val version : t -> int
 (** The ["default"] model's version: 0 = cold, bumped on every install. *)
 
@@ -152,7 +149,3 @@ val drain_and_stop : t -> unit
 (** Graceful daemon shutdown: refuse new work, then drain every model
     (flush its queue — in-flight batches complete, nothing half-answered —
     stop its workers, snapshot it), then stop the control thread. *)
-
-val snapshot : t -> unit
-(** Snapshot every model to its own state directory now (no-op for cold
-    models or without a state root; failed writes warn and continue). *)

@@ -1,7 +1,6 @@
 type t = { weights : Vec.t; factors : Mat.t array }
 
 let rank t = Array.length t.weights
-let order t = Array.length t.factors
 
 let validate t =
   let r = rank t in

@@ -9,8 +9,6 @@ type t = {
 }
 
 val rank : t -> int
-val order : t -> int
-
 val validate : t -> unit
 (** Raises [Invalid_argument] unless all factors share the weight count. *)
 

@@ -24,11 +24,6 @@ let dims = function
   | Dense x -> Array.copy x.Tensor.dims
   | Factored { factors; _ } -> Array.map (fun z -> fst (Mat.dims z)) factors
 
-let dim op k =
-  match op with
-  | Dense x -> Tensor.dim x k
-  | Factored { factors; _ } -> fst (Mat.dims factors.(k))
-
 let size op = Array.fold_left ( * ) 1 (dims op)
 
 let n_components = function

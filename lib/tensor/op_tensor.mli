@@ -34,7 +34,6 @@ val factored : weight:float -> Mat.t array -> t
 
 val order : t -> int
 val dims : t -> int array
-val dim : t -> int -> int
 
 val size : t -> int
 (** Logical entry count ∏ₚ dₚ — what {!to_tensor} would allocate, [not] what
@@ -156,12 +155,9 @@ val to_tensor_block_rows : int -> int
     [Tcca.Builder]'s statistics, which keep no instances, is dense from
     the start and only checked finite here.) *)
 
-val dense_entry_cap : int
-(** 10⁸ entries (800 MB): {!route} never materializes a larger tensor. *)
-
 val materializes : dims:int array -> n:int -> bool
 (** Whether {!route} materializes a factored operator with mode sizes
-    [dims] and [n] components: never above {!dense_entry_cap}; below it,
+    [dims] and [n] components: never above 10⁸ entries (800 MB); below it,
     as pinned by {!pin_route}, else iff [∏dₚ·(2n + κ) < 2n²·Σdₚ] — one
     {!to_tensor} pass plus the dense solve costs less than the factored
     Gram pass of {!norm2_and_mode_grams}.  κ = 700 is the dense norm,

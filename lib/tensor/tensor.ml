@@ -214,10 +214,3 @@ let equal ?(eps = 1e-9) a b =
        done;
        !ok
      end
-
-let pp fmt t =
-  Format.fprintf fmt "tensor%a"
-    (fun f dims ->
-      Format.fprintf f "[%s]"
-        (String.concat "x" (Array.to_list (Array.map string_of_int dims))))
-    t.dims

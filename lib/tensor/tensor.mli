@@ -77,4 +77,3 @@ val multilinear_form : t -> Vec.t array -> float
     high-order canonical correlation of Theorem 1. *)
 
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -37,25 +37,3 @@ let unfold (a : Tensor.t) k =
     Mat.set out idx.(k) !col a.Tensor.data.(flat)
   done;
   out
-
-let refold mat dims k =
-  let m = Array.length dims in
-  if k < 0 || k >= m then invalid_arg "Unfold.refold: bad mode";
-  let rows, cols = Mat.dims mat in
-  if rows <> dims.(k) || cols * rows <> Array.fold_left ( * ) 1 dims then
-    invalid_arg "Unfold.refold: shape mismatch";
-  let jstr = col_strides dims k in
-  Tensor.init dims (fun idx ->
-      let col = ref 0 in
-      for q = 0 to m - 1 do
-        if q <> k then col := !col + (idx.(q) * jstr.(q))
-      done;
-      Mat.get mat idx.(k) !col)
-
-let mode_product_via_unfold a k u =
-  let dims = Array.copy a.Tensor.dims in
-  let j, _ = Mat.dims u in
-  let unfolded = unfold a k in
-  let product = Mat.mul u unfolded in
-  dims.(k) <- j;
-  refold product dims k

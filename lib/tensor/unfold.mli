@@ -7,10 +7,3 @@
     with [⊙] the Khatri–Rao product of {!Khatri_rao}. *)
 
 val unfold : Tensor.t -> int -> Mat.t
-
-val refold : Mat.t -> int array -> int -> Tensor.t
-(** [refold m dims k] inverts [unfold] for a tensor of shape [dims]. *)
-
-val mode_product_via_unfold : Tensor.t -> int -> Mat.t -> Tensor.t
-(** Reference implementation of the k-mode product as [refold (U · unfold)]
-    (paper Eq. 4.3); used to cross-check {!Tensor.mode_product} in tests. *)

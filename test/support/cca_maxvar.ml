@@ -1,3 +1,19 @@
+(* CCA-MAXVAR (Kettenring 1971): the classical multi-view CCA that finds a
+   common variate [z] maximizing the summed squared correlations with every
+   view — equivalently, minimizing [Σₚ ‖z − Xₚᵀhₚ‖²] (paper Eq. 3.2).
+
+   Solved exactly: the optimal [z]'s are the top right singular vectors of
+   the stacked ridge-whitened data [B = vcat_p (XₚXₚᵀ + NεI)^{−1/2} Xₚ],
+   obtained from the (Σdₚ)² eigenproblem of [BBᵀ], so the cost is
+   independent of N.  The reference solution that CCA-LS (lib/mvcca/cca_ls)
+   must agree with; no experiment runs it.
+
+   [fit] takes views with instances as columns and centers them internally;
+   [transform] gives the concatenated [m·r × N] representation,
+   [common_variates] the [N_train × r] orthonormal optimal variates and
+   [score] the eigenvalues of [Σₚ Pₚ] for the kept components, each in
+   [0, m]. *)
+
 type t = {
   means : Vec.t array;
   projections : Mat.t array; (* dₚ × r *)

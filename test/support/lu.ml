@@ -1,3 +1,11 @@
+(* LU factorization with partial pivoting, for general square systems.
+
+   No library code needs it: CP-ALS solves its Khatri–Rao Gram systems by
+   Cholesky, with [Matfun]'s spectral inverse as the fallback.  The tests use
+   it as an independent solver to check the Cholesky and spectral routes
+   against.  [decompose] raises [Invalid_argument] on a non-square input and
+   [Singular] when a pivot is exactly zero. *)
+
 type t = { lu : Mat.t; perm : int array; sign : float }
 
 exception Singular

@@ -1,5 +1,9 @@
 (* Shared helpers for the alcotest/qcheck suites. *)
 
+(* Test-only oracles, one file each in this directory. *)
+module Lu = Lu
+module Cca_maxvar = Cca_maxvar
+
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
@@ -35,7 +39,7 @@ let random_spd rng n =
 
 let random_tensor rng dims = Tensor.init dims (fun _ -> Rng.gaussian rng)
 
-let random_orthonormal rng n k = Qr.orthonormalize (random_mat rng n k)
+let random_orthonormal rng n k = Qr.q_thin (Qr.decompose (random_mat rng n k))
 
 (* qcheck generators; sizes kept small so property tests stay fast. *)
 let small_dim = QCheck2.Gen.int_range 1 8
@@ -102,6 +106,104 @@ let with_route route f =
   let saved = Op_tensor.pinned_route () in
   Op_tensor.pin_route (Some route);
   Fun.protect ~finally:(fun () -> Op_tensor.pin_route saved) f
+
+(* ------------------------------------------------------------------ *)
+(* Reference products and matrix functions, built on the public
+   factorizations: the tests check the library's routes against them. *)
+
+(* V diag(f λᵢ) Vᵀ from an eigendecomposition. *)
+let of_spectrum f { Eigen.values; vectors } =
+  let n, k = Mat.dims vectors in
+  Mat.mul_nt (Mat.init n k (fun i j -> Mat.get vectors i j *. f values.(j))) vectors
+
+let eigen_reconstruct eig = of_spectrum Fun.id eig
+
+(* V diag(f λᵢ) Vᵀ for symmetric [a]. *)
+let apply_spectral f a = of_spectrum f (Eigen.decompose a)
+
+(* U diag(σ) Vᵀ. *)
+let svd_reconstruct { Svd.u; sigma; v } =
+  let m, k = Mat.dims u in
+  let scaled = Mat.init m k (fun i j -> Mat.get u i j *. sigma.(j)) in
+  Mat.mul_nt scaled v
+
+let svd_nuclear_norm { Svd.sigma; _ } = Vec.sum sigma
+
+(* Numerical rank: the count of σᵢ > 1e-10·σ₀. *)
+let svd_rank { Svd.sigma; _ } =
+  if Array.length sigma = 0 || sigma.(0) = 0. then 0
+  else Array.fold_left (fun acc s -> if s > 1e-10 *. sigma.(0) then acc + 1 else acc) 0 sigma
+
+(* [Error Non_finite] on a NaN/Inf input, [Error Not_converged] on a sweep
+   cap hit. *)
+let svd_decompose_checked a =
+  let stage = "svd" in
+  if not (Mat.all_finite a) then Error (Robust.Non_finite { stage; where = "input matrix" })
+  else begin
+    let svd, info = Svd.decompose_info a in
+    if info.Svd.converged then Ok svd
+    else
+      Error
+        (Robust.Not_converged { stage; sweeps = info.Svd.sweeps; residual = info.Svd.residual })
+  end
+
+(* Symmetric square root; negative eigenvalues from roundoff clamp to 0. *)
+let sqrt_psd a = apply_spectral (fun l -> sqrt (Float.max l 0.)) a
+
+(* Moore–Penrose pseudo-inverse through the SVD; singular values below
+   1e-12·σ₀ are dropped. *)
+let pinv a =
+  let { Svd.u; sigma; v } = Svd.decompose a in
+  let s0 = if Array.length sigma = 0 then 0. else sigma.(0) in
+  let n, k = Mat.dims v in
+  let scaled =
+    Mat.init n k (fun i j ->
+        if sigma.(j) > 1e-12 *. s0 && sigma.(j) > 0. then Mat.get v i j /. sigma.(j) else 0.)
+  in
+  Mat.mul_nt scaled u
+
+let cholesky_inverse f =
+  let n, _ = Mat.dims (Cholesky.lower f) in
+  Cholesky.solve f (Mat.identity n)
+
+(* log det A = 2·Σ log gᵢᵢ for A = G Gᵀ. *)
+let cholesky_log_det f =
+  let g = Cholesky.lower f in
+  let acc = ref 0. in
+  for i = 0 to fst (Mat.dims g) - 1 do
+    acc := !acc +. log (Mat.get g i i)
+  done;
+  2. *. !acc
+
+(* The inverse of [Unfold.unfold]: the entry (i_0, …, i_{m-1}) sits in
+   column Σ_{q≠k} i_q·J_q with J_q = Π_{p<q, p≠k} dims.(p). *)
+let refold mat dims k =
+  let m = Array.length dims in
+  if k < 0 || k >= m then invalid_arg "refold: bad mode";
+  let rows, cols = Mat.dims mat in
+  if rows <> dims.(k) || cols * rows <> Array.fold_left ( * ) 1 dims then
+    invalid_arg "refold: shape mismatch";
+  let jstr = Array.make m 0 in
+  let acc = ref 1 in
+  for q = 0 to m - 1 do
+    if q <> k then begin
+      jstr.(q) <- !acc;
+      acc := !acc * dims.(q)
+    end
+  done;
+  Tensor.init dims (fun idx ->
+      let col = ref 0 in
+      for q = 0 to m - 1 do
+        if q <> k then col := !col + (idx.(q) * jstr.(q))
+      done;
+      Mat.get mat idx.(k) !col)
+
+(* The k-mode product as [refold (U · unfold)] (paper Eq. 4.3): the
+   reference for [Tensor.mode_product]. *)
+let mode_product_via_unfold a k u =
+  let dims = Array.copy a.Tensor.dims in
+  dims.(k) <- fst (Mat.dims u);
+  refold (Mat.mul u (Unfold.unfold a k)) dims k
 
 (* ------------------------------------------------------------------ *)
 (* Reference eigensolver: cyclic Jacobi.  O(d³) per sweep × 6–10 sweeps,

@@ -19,7 +19,7 @@ let test_reconstruction () =
   for _ = 1 to 10 do
     let a = random_spd r 8 in
     let eig = Eigen.decompose a in
-    check_mat ~eps:1e-7 "V Λ Vᵀ = A" a (Eigen.reconstruct eig)
+    check_mat ~eps:1e-7 "V Λ Vᵀ = A" a (eigen_reconstruct eig)
   done
 
 let test_orthonormal_vectors () =
@@ -103,7 +103,7 @@ let gen_near_degenerate =
     array_size (return (n * n)) (float_range (-10.) 10.) >>= fun qdata ->
     array_size (return n) (oneofl [ 1.; 2.; 7. ]) >>= fun base ->
     array_size (return n) (oneofl [ 0.; 1e-11; -1e-11 ]) >|= fun jitter ->
-    let q = Qr.orthonormalize (Mat.unsafe_of_flat ~rows:n ~cols:n qdata) in
+    let q = Qr.q_thin (Qr.decompose (Mat.unsafe_of_flat ~rows:n ~cols:n qdata)) in
     let lam = Array.mapi (fun i b -> b +. jitter.(i)) base in
     let scaled = Mat.init n n (fun i j -> Mat.get q i j *. lam.(j)) in
     Mat.mul_nt scaled q)

@@ -2,13 +2,13 @@ open Test_support
 
 let test_sqrt_known () =
   let a = Mat.diag_of_vec [| 4.; 9. |] in
-  check_mat ~eps:1e-10 "sqrt diag" (Mat.diag_of_vec [| 2.; 3. |]) (Matfun.sqrt_psd a)
+  check_mat ~eps:1e-10 "sqrt diag" (Mat.diag_of_vec [| 2.; 3. |]) (sqrt_psd a)
 
 let test_sqrt_squares () =
   let r = rng () in
   for _ = 1 to 8 do
     let a = random_spd r 6 in
-    let s = Matfun.sqrt_psd a in
+    let s = sqrt_psd a in
     check_mat ~eps:1e-7 "S·S = A" a (Mat.mul s s);
     check_true "sqrt symmetric" (Mat.is_symmetric ~eps:1e-8 s)
   done
@@ -35,12 +35,12 @@ let test_pinv_square () =
   let r = rng () in
   let a = Mat.add_scaled_identity 1. (random_mat r 5 5) in
   check_mat ~eps:1e-7 "pinv = inverse when invertible" (Lu.inverse (Lu.decompose a))
-    (Matfun.pinv a)
+    (pinv a)
 
 let test_pinv_moore_penrose () =
   let r = rng () in
   let a = random_mat r 7 4 in
-  let p = Matfun.pinv a in
+  let p = pinv a in
   (* A A⁺ A = A and A⁺ A A⁺ = A⁺. *)
   check_mat ~eps:1e-7 "A A+ A = A" a (Mat.mul a (Mat.mul p a));
   check_mat ~eps:1e-7 "A+ A A+ = A+" p (Mat.mul p (Mat.mul a p));
@@ -49,14 +49,14 @@ let test_pinv_moore_penrose () =
 
 let test_pinv_rank_deficient () =
   let a = Mat.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  let p = Matfun.pinv a in
+  let p = pinv a in
   check_mat ~eps:1e-8 "A A+ A = A (singular)" a (Mat.mul a (Mat.mul p a))
 
 let test_apply_spectral () =
   let r = rng () in
   let a = random_spd r 5 in
-  check_mat ~eps:1e-7 "identity function" a (Matfun.apply_spectral (fun l -> l) a);
-  let sq = Matfun.apply_spectral (fun l -> l *. l) a in
+  check_mat ~eps:1e-7 "identity function" a (apply_spectral (fun l -> l) a);
+  let sq = apply_spectral (fun l -> l *. l) a in
   check_mat ~eps:1e-6 "square function = A·A" (Mat.mul a a) sq
 
 let prop_inv_sqrt_spd =

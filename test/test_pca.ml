@@ -72,63 +72,6 @@ let test_reconstruction_quality () =
   check_true "low rank recovered"
     (Mat.frobenius (Mat.sub x reconstructed) < 1e-6 *. (1. +. Mat.frobenius x))
 
-(* --- Sketched route and shrinkage. --- *)
-
-let test_randomized_matches_cov_eig () =
-  let r = rng () in
-  let x = stretched r ~n:400 in
-  let classic = Pca.fit ~method_:`Cov_eig ~r:2 x in
-  let sketched = Pca.fit ~method_:`Randomized ~r:2 x in
-  let zc = Pca.transform classic x and zs = Pca.transform sketched x in
-  for k = 0 to 1 do
-    check_true
-      (Printf.sprintf "score %d matches (up to sign)" k)
-      (Float.abs (Stats.pearson (Mat.row zc k) (Mat.row zs k)) > 0.999)
-  done;
-  check_vec ~eps:1e-6 "same explained variance" (Pca.explained_variance classic)
-    (Pca.explained_variance sketched)
-
-let test_auto_small_d_is_classic () =
-  (* d = 3 ≪ 512: `Auto must be bit-identical to the classical route. *)
-  let r = rng () in
-  let x = stretched r ~n:120 in
-  let auto = Pca.fit ~method_:`Auto ~r:2 x in
-  let classic = Pca.fit ~method_:`Cov_eig ~r:2 x in
-  check_mat ~eps:0. "bitwise components" (Pca.components classic) (Pca.components auto);
-  check_vec ~eps:0. "bitwise variances" (Pca.explained_variance classic)
-    (Pca.explained_variance auto)
-
-let test_shrinkage_keeps_components () =
-  (* The scaled-identity target shares every eigenbasis, so shrinkage must
-     leave the loadings untouched and only re-scale the spectrum. *)
-  let r = rng () in
-  let x = stretched r ~n:300 in
-  let plain = Pca.fit ~r:3 x in
-  let shrunk = Pca.fit ~shrinkage:(`Fixed 0.4) ~r:3 x in
-  check_float "recorded ρ" 0.4 (Pca.shrinkage_intensity shrunk);
-  check_float "plain ρ = 0" 0. (Pca.shrinkage_intensity plain);
-  for k = 0 to 2 do
-    let a = Mat.col (Pca.components plain) k and b = Mat.col (Pca.components shrunk) k in
-    check_float ~eps:1e-8 (Printf.sprintf "loading %d unchanged" k) 1.
-      (Float.abs (Vec.dot a b))
-  done;
-  let vp = Pca.explained_variance plain and vs = Pca.explained_variance shrunk in
-  let mu = Array.fold_left ( +. ) 0. vp /. 3. in
-  (* Careful: μ here is the mean over d = 3 kept = all eigenvalues. *)
-  for k = 0 to 2 do
-    check_float ~eps:1e-6
-      (Printf.sprintf "λ%d shrunk toward μ" k)
-      ((0.6 *. vp.(k)) +. (0.4 *. mu))
-      vs.(k)
-  done
-
-let test_oas_shrinkage_estimated () =
-  let r = rng () in
-  let x = random_mat r 4 200 in
-  let fitted = Pca.fit ~shrinkage:`Oas ~r:2 x in
-  let rho = Pca.shrinkage_intensity fitted in
-  check_true "estimated ρ ∈ (0,1]" (rho > 0. && rho <= 1.)
-
 let () =
   Alcotest.run "pca"
     [ ( "fitting",
@@ -139,9 +82,4 @@ let () =
       ( "transform",
         [ Alcotest.test_case "centers" `Quick test_transform_centers;
           Alcotest.test_case "variance" `Quick test_transform_variance_matches;
-          Alcotest.test_case "reconstruction" `Quick test_reconstruction_quality ] );
-      ( "sketched",
-        [ Alcotest.test_case "randomized = cov_eig" `Quick test_randomized_matches_cov_eig;
-          Alcotest.test_case "auto small-d bitwise" `Quick test_auto_small_d_is_classic;
-          Alcotest.test_case "shrinkage keeps loadings" `Quick test_shrinkage_keeps_components;
-          Alcotest.test_case "oas estimate" `Quick test_oas_shrinkage_estimated ] ) ]
+          Alcotest.test_case "reconstruction" `Quick test_reconstruction_quality ] ) ]

@@ -24,25 +24,6 @@ let test_r_upper_triangular () =
     done
   done
 
-let test_least_squares_exact () =
-  (* Consistent system: LS must recover the exact solution. *)
-  let r = rng () in
-  let a = random_mat r 8 4 in
-  let x_true = random_vec r 4 in
-  let b = Mat.mul_vec a x_true in
-  let x = Qr.solve_ls (Qr.decompose a) b in
-  check_vec ~eps:1e-8 "exact recovery" x_true x
-
-let test_least_squares_normal_equations () =
-  (* LS residual must be orthogonal to the column space. *)
-  let r = rng () in
-  let a = random_mat r 10 3 in
-  let b = random_vec r 10 in
-  let x = Qr.solve_ls (Qr.decompose a) b in
-  let residual = Vec.sub (Mat.mul_vec a x) b in
-  let against = Mat.tmul_vec a residual in
-  check_true "AᵀR = 0" (Vec.norm against < 1e-8)
-
 let test_wide_rejected () =
   Alcotest.check_raises "wide rejected"
     (Invalid_argument "Qr.decompose: requires rows >= cols") (fun () ->
@@ -50,15 +31,8 @@ let test_wide_rejected () =
 
 let test_orthonormalize () =
   let r = rng () in
-  let q = Qr.orthonormalize (random_mat r 12 5) in
+  let q = Qr.q_thin (Qr.decompose (random_mat r 12 5)) in
   check_mat ~eps:1e-8 "orthonormal" (Mat.identity 5) (Mat.tgram q)
-
-let test_least_squares_matrix () =
-  let r = rng () in
-  let a = random_mat r 7 3 in
-  let x_true = random_mat r 3 2 in
-  let b = Mat.mul a x_true in
-  check_mat ~eps:1e-8 "matrix LS" x_true (Qr.least_squares a b)
 
 let prop_preserves_norms =
   qtest ~count:50 "‖Qx‖ = ‖x‖ for Q columns combinations"
@@ -70,7 +44,7 @@ let prop_preserves_norms =
         (array_size (return n) (float_range (-3.) 3.))
       >|= fun (a, x) -> (Mat.unsafe_of_flat ~rows:m ~cols:n a, x))
     (fun (a, x) ->
-      let q = Qr.orthonormalize a in
+      let q = Qr.q_thin (Qr.decompose a) in
       (* Orthonormalization can produce fewer effective directions when a is
          rank deficient, but Q is always orthonormal, so norms are preserved. *)
       Float.abs (Vec.norm (Mat.mul_vec q x) -. Vec.norm x) < 1e-6 *. (1. +. Vec.norm x))
@@ -82,9 +56,5 @@ let () =
           Alcotest.test_case "orthonormal Q" `Quick test_q_orthonormal;
           Alcotest.test_case "triangular R" `Quick test_r_upper_triangular;
           Alcotest.test_case "orthonormalize" `Quick test_orthonormalize ] );
-      ( "least squares",
-        [ Alcotest.test_case "exact" `Quick test_least_squares_exact;
-          Alcotest.test_case "normal equations" `Quick test_least_squares_normal_equations;
-          Alcotest.test_case "matrix rhs" `Quick test_least_squares_matrix ] );
       ("errors", [ Alcotest.test_case "wide" `Quick test_wide_rejected ]);
       ("properties", [ prop_preserves_norms ]) ]

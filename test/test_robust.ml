@@ -176,7 +176,7 @@ let test_svd_info_converges () =
 
 let test_svd_checked_nan () =
   let a = Mat.of_arrays [| [| 1.; infinity |]; [| 0.; 1. |] |] in
-  match Svd.decompose_checked a with
+  match svd_decompose_checked a with
   | Error (Robust.Non_finite _) -> ()
   | _ -> Alcotest.fail "Inf input must be Non_finite"
 

@@ -252,28 +252,146 @@ let test_wire_compat_decodes_legacy () =
    exceptions — through the reactor, a crash of the whole daemon — or
    decoded as a phantom matrix.  Each must come back as a typed [Error]. *)
 
+let probe_body fields =
+  let b = Buffer.create 64 in
+  List.iter
+    (function
+      | `I v -> Checkpoint.Wire.add_int b v
+      | `F v -> Checkpoint.Wire.add_f64 b v)
+    fields;
+  Buffer.contents b
+
+let decoder_probes =
+  [ ("Model_health string length max_int-2", [ `I 9; `I (max_int - 2) ]);
+    ("Transform f-array length 2^60", [ `I 2; `I (-1); `I 1; `I 1; `I 1; `I (1 lsl 60) ]);
+    ( "view count 2^40 before one valid 1x1 matrix",
+      [ `I 2; `I (-1); `I (1 lsl 40); `I 1; `I 1; `I 1; `F 1. ] );
+    ( "2^32 x 2^31 matrix with no data",
+      [ `I 2; `I (-1); `I 1; `I (1 lsl 32); `I (1 lsl 31); `I 0 ] ) ]
+
 let test_decoder_probes_refused () =
-  let body fields =
-    let b = Buffer.create 64 in
-    List.iter
-      (function
-        | `I v -> Checkpoint.Wire.add_int b v
-        | `F v -> Checkpoint.Wire.add_f64 b v)
-      fields;
-    Buffer.contents b
-  in
   List.iter
     (fun (name, fields) ->
-      match Protocol.request_of_string (body fields) with
+      match Protocol.request_of_string (probe_body fields) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: decoded Ok" name
       | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
-    [ ("Model_health string length max_int-2", [ `I 9; `I (max_int - 2) ]);
-      ("Transform f-array length 2^60", [ `I 2; `I (-1); `I 1; `I 1; `I 1; `I (1 lsl 60) ]);
-      ( "view count 2^40 before one valid 1x1 matrix",
-        [ `I 2; `I (-1); `I (1 lsl 40); `I 1; `I 1; `I 1; `F 1. ] );
-      ( "2^32 x 2^31 matrix with no data",
-        [ `I 2; `I (-1); `I 1; `I (1 lsl 32); `I (1 lsl 31); `I 0 ] ) ]
+    decoder_probes
+
+(* The decoder allocates O(frame bytes): every count it reads is bounded by
+   the bytes left ([Checkpoint.Wire.get_count ~min_bytes]), so a frame of F
+   bytes allocates at most 1.25·F + 512 bytes, whatever its counts claim
+   (measured: at most 1.01·F + 31).  The frames: the four probes above, and
+   one frame of each request and response kind, valid and then with one
+   count field at a time overwritten by 2³², 2⁶⁰, max_int or the number of
+   bytes left after it (the largest count a one-byte-per-item bound lets
+   through).  The larger frames carry 2 KiB of numbers, so a float-array
+   bound of one byte per item instead of eight allocates about 8·F on them.
+   [Gc.allocated_bytes] also sees arrays allocated straight in the major
+   heap; each decode is measured three times and the least taken, so an
+   allocation by another thread cannot fail the case. *)
+type wire_field = Count of int | Word of int | Real of float | Raw of string
+
+let wire_string s = [ Count (String.length s); Raw s ]
+
+let wire_mat rows cols =
+  [ Count rows; Count cols; Count (rows * cols) ]
+  @ List.init (rows * cols) (fun i -> Real (float_of_int i))
+
+let wire_views = [ Count 2 ] @ wire_mat 8 16 @ wire_mat 16 8
+
+let encode_fields fields =
+  let b = Buffer.create 4096 in
+  List.iter
+    (function
+      | Count v | Word v -> Checkpoint.Wire.add_int b v
+      | Real v -> Checkpoint.Wire.add_f64 b v
+      | Raw s -> Buffer.add_string b s)
+    fields;
+  Buffer.contents b
+
+let field_bytes = function Count _ | Word _ | Real _ -> 8 | Raw s -> String.length s
+
+(* One frame per count field and hostile value, with that field
+   overwritten. *)
+let overwritten_counts fields =
+  let fields = Array.of_list fields in
+  let total = Array.fold_left (fun acc f -> acc + field_bytes f) 0 fields in
+  let frames = ref [] and offset = ref 0 in
+  Array.iteri
+    (fun i field ->
+      offset := !offset + field_bytes field;
+      match field with
+      | Count _ ->
+        List.iter
+          (fun v ->
+            let damaged = Array.copy fields in
+            damaged.(i) <- Count v;
+            frames := encode_fields (Array.to_list damaged) :: !frames)
+          [ 1 lsl 32; 1 lsl 60; max_int; total - !offset ]
+      | _ -> ())
+    fields;
+  encode_fields (Array.to_list fields) :: List.rev !frames
+
+let request_frames =
+  let model = wire_string "default" in
+  [ [ Word 1 ];
+    [ Word 2; Word 1000 ] @ wire_views @ model;
+    [ Word 3; Word 1000 ] @ wire_views @ model;
+    [ Word 4 ] @ wire_views @ model;
+    [ Word 5; Word 1000 ] @ model;
+    [ Word 6 ] @ wire_string "/models/m.tccm" @ model;
+    [ Word 7 ] @ model;
+    [ Word 8 ];
+    [ Word 9 ] @ model ]
+
+let response_frames =
+  let ints n = Count n :: List.init n (fun i -> Word i) in
+  let info id = wire_string id @ [ Word 3; Word 2 ] @ wire_string "closed" @ [ Word 0 ] in
+  [ [ Word 1; Word 4; Word 2 ] @ ints 256 @ [ Word 1; Word 8; Word 2; Word 40; Word 0; Word 0 ];
+    [ Word 2 ] @ wire_mat 16 16;
+    [ Word 3; Count 256 ] @ List.init 256 (fun i -> Real (float_of_int i));
+    [ Word 4; Word 7 ] @ wire_string "installed";
+    [ Word 6 ] @ wire_string "queue" @ [ Word 12 ];
+    [ Word 7 ] @ wire_string "bad_request" @ wire_string "malformed view";
+    [ Word 8 ] @ wire_string "default" @ [ Word 250 ];
+    [ Word 9; Count 2 ] @ info "default" @ info "b";
+    [ Word 10 ] @ wire_string "default" @ [ Word 2; Word 2 ] @ ints 256
+    @ [ Word 1; Word 8; Word 2 ] @ wire_string "half-open"
+    @ [ Word 0; Word 0; Word 1; Word 40; Word 0 ] @ wire_string "installed v2" @ [ Word 0 ] ]
+
+let test_decoder_allocation_bounded () =
+  let least_allocation decode frame =
+    let once () =
+      let before = Gc.allocated_bytes () in
+      (try ignore (Sys.opaque_identity (decode frame)) with _ -> ());
+      Gc.allocated_bytes () -. before
+    in
+    List.fold_left Float.min (once ()) [ once (); once () ]
+  in
+  let check decode frames =
+    List.iter
+      (fun frame ->
+        let bytes = String.length frame in
+        let allocated = least_allocation decode frame in
+        if allocated > (1.25 *. float_of_int bytes) +. 512. then
+          Alcotest.failf "a %d-byte frame allocated %.0f bytes (bound 1.25·F + 512)" bytes
+            allocated)
+      frames
+  in
+  check Protocol.request_of_string
+    (List.map (fun (_, fields) -> probe_body fields) decoder_probes);
+  check Protocol.request_of_string (List.concat_map overwritten_counts request_frames);
+  check Protocol.response_of_string (List.concat_map overwritten_counts response_frames);
+  (* The unmodified frames are valid: the case measures real decodes, not
+     only refusals. *)
+  let valid decode fields =
+    match decode (encode_fields fields) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "valid frame refused: %s" e
+  in
+  List.iter (valid Protocol.request_of_string) request_frames;
+  List.iter (valid Protocol.response_of_string) response_frames
 
 (* Every request and response kind, encoded validly, then damaged one way:
    truncated, one bit flipped, or 8 bytes at any offset — so every length
@@ -1318,7 +1436,9 @@ let () =
           Alcotest.test_case "crafted decoder probes refused" `Quick
             test_decoder_probes_refused;
           QCheck_alcotest.to_alcotest prop_request_decoder_total;
-          QCheck_alcotest.to_alcotest prop_response_decoder_total ] );
+          QCheck_alcotest.to_alcotest prop_response_decoder_total;
+          Alcotest.test_case "decoder allocation O(frame bytes)" `Quick
+            test_decoder_allocation_bounded ] );
       ( "model-store",
         [ Alcotest.test_case "roundtrip" `Quick test_model_store_roundtrip;
           Alcotest.test_case "rejects damage" `Quick test_model_store_rejects_damage;

@@ -66,7 +66,7 @@ let test_mode_product_vs_unfold () =
     let u = random_mat r 6 (Tensor.dim a mode) in
     check_tensor ~eps:1e-9
       (Printf.sprintf "mode %d" mode)
-      (Unfold.mode_product_via_unfold a mode u)
+      (mode_product_via_unfold a mode u)
       (Tensor.mode_product a mode u)
   done
 

@@ -24,7 +24,7 @@ let test_refold_roundtrip () =
   let r = rng () in
   for mode = 0 to 2 do
     let a = random_tensor r [| 3; 4; 2 |] in
-    let back = Unfold.refold (Unfold.unfold a mode) [| 3; 4; 2 |] mode in
+    let back = refold (Unfold.unfold a mode) [| 3; 4; 2 |] mode in
     check_tensor ~eps:1e-12 (Printf.sprintf "roundtrip mode %d" mode) a back
   done
 
@@ -59,7 +59,7 @@ let prop_roundtrip =
       let dims = Array.init 3 (Tensor.dim a) in
       let ok = ref true in
       for mode = 0 to 2 do
-        if not (Tensor.equal ~eps:1e-10 a (Unfold.refold (Unfold.unfold a mode) dims mode))
+        if not (Tensor.equal ~eps:1e-10 a (refold (Unfold.unfold a mode) dims mode))
         then ok := false
       done;
       !ok)
