@@ -128,6 +128,112 @@ let test_tall_zero () =
   Alcotest.(check int) "rank 0" 0 (svd_rank svd);
   check_vec "zero sigma" [| 0.; 0.; 0. |] svd.Svd.sigma
 
+(* --- Route selection and the convergence record: `Auto picks a route from
+   the aspect ratio alone, and both routes run in production (Cca and Kcca). --- *)
+
+let svd_bits_equal (a : Svd.t) (b : Svd.t) =
+  bits_equal a.u b.u && bits_equal a.v b.v && Array.for_all2 same_bits a.sigma b.sigma
+
+(* [`Auto] on each [rows × cols] shape must be bitwise the forced [route] —
+   and differ from the other route, so the comparison can tell them apart. *)
+let check_auto_route (route : [ `Jacobi | `Qr_eig ]) shapes =
+  let other = match route with `Jacobi -> `Qr_eig | `Qr_eig -> `Jacobi in
+  let route = (route :> Svd.method_) in
+  let r = rng () in
+  List.iter
+    (fun (rows, cols) ->
+      let a = random_mat r rows cols in
+      let auto = Svd.decompose a in
+      let label = Printf.sprintf "%d×%d" rows cols in
+      check_true (label ^ ": auto = forced route")
+        (svd_bits_equal auto (Svd.decompose ~method_:route a));
+      check_true (label ^ ": routes distinguishable")
+        (not (svd_bits_equal auto (Svd.decompose ~method_:other a))))
+    shapes
+
+let test_auto_tall () =
+  (* max_dim ≥ 3 · min_dim, at the boundary and past it, either orientation. *)
+  check_auto_route `Qr_eig [ (18, 6); (40, 5); (6, 18); (4, 30) ]
+
+let test_auto_near_square () = check_auto_route `Jacobi [ (17, 6); (6, 6); (6, 17); (9, 4) ]
+
+let test_info_converged () =
+  let r = rng () in
+  let a = random_mat r 12 5 in
+  let _, jacobi = Svd.decompose_info ~method_:`Jacobi a in
+  check_true "jacobi converged" jacobi.Svd.converged;
+  check_true "jacobi swept" (jacobi.Svd.sweeps >= 1);
+  check_float "jacobi residual unmeasured" 0. jacobi.Svd.residual;
+  let { Svd.sigma = s; _ }, qr_eig = Svd.decompose_info ~method_:`Qr_eig a in
+  check_true "qr_eig converged" qr_eig.Svd.converged;
+  (* The QL deflation threshold is 1e-12 relative per entry, so what remains
+     of the tridiagonal's off-diagonal is tiny next to ‖AᵀA‖ = σ₁². *)
+  check_true "qr_eig residual small" (qr_eig.Svd.residual <= 1e-10 *. (s.(0) *. s.(0)))
+
+let test_sweep_cap_reported () =
+  (* One Jacobi sweep cannot orthogonalize 8 random columns: the record must
+     say so and carry the remaining off-orthogonality. *)
+  let r = rng () in
+  let a = random_mat r 10 8 in
+  let _, info = Svd.decompose_info ~method_:`Jacobi ~max_sweeps:1 a in
+  check_true "not converged" (not info.Svd.converged);
+  Alcotest.(check int) "one sweep" 1 info.Svd.sweeps;
+  check_true "residual measured" (info.Svd.residual > 1e-12 && info.Svd.residual <= 1.)
+
+let test_deterministic () =
+  let r = rng () in
+  let a = random_mat r 24 6 in
+  List.iter
+    (fun route ->
+      check_true "bitwise repeatable"
+        (svd_bits_equal (Svd.decompose ~method_:route a) (Svd.decompose ~method_:route a)))
+    [ `Jacobi; `Qr_eig ]
+
+let test_exact_low_rank () =
+  (* Rank 3, 20 × 8: both routes leave σ₄.. at roundoff and rebuild A. *)
+  let r = rng () in
+  let a = Mat.mul (random_mat r 20 3) (random_mat r 3 8) in
+  List.iter
+    (fun (name, route) ->
+      let svd = Svd.decompose ~method_:route a in
+      let s = svd.Svd.sigma in
+      check_true (name ^ ": three singular values") (s.(2) > 1e-3 *. s.(0));
+      for k = 3 to 7 do
+        check_true (Printf.sprintf "%s: σ%d at roundoff" name (k + 1)) (s.(k) <= 1e-12 *. s.(0))
+      done;
+      check_mat ~eps:1e-9 (name ^ ": reconstruction") a (svd_reconstruct svd))
+    [ ("jacobi", `Jacobi); ("qr_eig", `Qr_eig) ]
+
+let test_scale_and_transpose () =
+  let r = rng () in
+  let a = random_mat r 7 5 in
+  let s = (Svd.decompose a).Svd.sigma in
+  check_vec ~eps:1e-9 "σ(−2.5 A) = 2.5 σ(A)" (Vec.scale 2.5 s)
+    (Svd.decompose (Mat.scale (-2.5) a)).Svd.sigma;
+  let t = Svd.decompose (Mat.transpose a) in
+  check_vec ~eps:1e-9 "σ(Aᵀ) = σ(A)" s t.Svd.sigma;
+  Alcotest.(check (pair int int)) "Aᵀ: u is 5 × 5" (5, 5) (Mat.dims t.Svd.u);
+  Alcotest.(check (pair int int)) "Aᵀ: v is 7 × 5" (7, 5) (Mat.dims t.Svd.v)
+
+let prop_singular_pairs =
+  qtest ~count:50 "A vⱼ = σⱼ uⱼ" gen_mat (fun a ->
+      let { Svd.u; sigma; v } = Svd.decompose a in
+      let s1 = if Array.length sigma = 0 then 0. else sigma.(0) in
+      let ok = ref true in
+      Array.iteri
+        (fun j sj ->
+          let lhs = Mat.mul_vec a (Mat.col v j) and rhs = Vec.scale sj (Mat.col u j) in
+          if Vec.norm (Vec.sub lhs rhs) > 1e-8 *. (1. +. s1) then ok := false)
+        sigma;
+      !ok)
+
+let prop_routes_agree =
+  qtest ~count:50 "jacobi σ = qr_eig σ" gen_mat (fun a ->
+      let sj = (Svd.decompose ~method_:`Jacobi a).Svd.sigma in
+      let sq = (Svd.decompose ~method_:`Qr_eig a).Svd.sigma in
+      let s1 = if Array.length sj = 0 then 0. else sj.(0) in
+      Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-8 *. (1. +. s1)) sj sq)
+
 let prop_spectral_bound =
   qtest ~count:50 "‖Ax‖ <= σ₁‖x‖" gen_mat (fun a ->
       let _, n = Mat.dims a in
@@ -163,5 +269,16 @@ let () =
           Alcotest.test_case "wide via transpose" `Quick test_wide_qr_eig;
           Alcotest.test_case "rank deficient" `Quick test_tall_rank_deficient;
           Alcotest.test_case "zero" `Quick test_tall_zero ] );
+      ( "routes",
+        [ Alcotest.test_case "auto: tall takes qr+eig" `Quick test_auto_tall;
+          Alcotest.test_case "auto: near-square takes jacobi" `Quick test_auto_near_square;
+          Alcotest.test_case "info converged" `Quick test_info_converged;
+          Alcotest.test_case "sweep cap reported" `Quick test_sweep_cap_reported;
+          Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "exact on low rank" `Quick test_exact_low_rank;
+          Alcotest.test_case "scale and transpose" `Quick test_scale_and_transpose ] );
       ( "properties",
-        [ prop_spectral_bound; prop_frobenius_is_sigma_norm ] ) ]
+        [ prop_spectral_bound;
+          prop_frobenius_is_sigma_norm;
+          prop_singular_pairs;
+          prop_routes_agree ] ) ]
