@@ -174,6 +174,13 @@ let model_arg =
   Arg.(value & opt string "default" & info [ "model" ] ~docv:"ID"
        ~doc:"Target model id in the daemon's registry.")
 
+(* Every client subcommand's error mapping: a refused or broken connection
+   and a [Failure] from the exchange both end the subcommand in an error. *)
+let client f =
+  try f () with
+  | Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
+  | Failure msg -> `Error (false, msg)
+
 let with_conn addr f =
   let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -268,45 +275,43 @@ let print_response = function
 
 let health_cmd =
   let action connect =
-    try
-      with_conn connect (fun fd ->
-          match Protocol.call fd Protocol.List_models with
-          | Protocol.R_models infos ->
-            let healths =
-              Array.to_list infos
-              |> List.filter_map (fun { Protocol.mi_id; _ } ->
-                     match
-                       Protocol.call fd (Protocol.Model_health { model_id = mi_id })
-                     with
-                     | Protocol.R_model_health h -> Some h
-                     | _ -> None)
-            in
-            Printf.printf "%-16s %-9s %7s %3s %7s %7s %8s %9s %8s  %s\n" "MODEL"
-              "BREAKER" "VERSION" "R" "QUEUE" "WORKERS" "INGESTED" "SINCE-FIT"
-              "RESPAWNS" "LAST-REFIT";
-            List.iter
-              (fun h ->
-                Printf.printf "%-16s %-9s %7d %3d %3d/%-3d %7d %8d %9d %8d  %s%s\n"
-                  h.Protocol.mh_id h.Protocol.mh_breaker h.Protocol.mh_version
-                  h.Protocol.mh_r h.Protocol.mh_queue_depth
-                  h.Protocol.mh_queue_capacity h.Protocol.mh_workers
-                  h.Protocol.mh_ingested h.Protocol.mh_since_fit
-                  h.Protocol.mh_respawns h.Protocol.mh_last_refit
-                  (if h.Protocol.mh_draining then "  [draining]" else ""))
-              healths;
-            let open_models =
-              List.filter (fun h -> h.Protocol.mh_breaker = "open") healths
-            in
-            if open_models = [] then `Ok ()
-            else
-              `Error
-                ( false,
-                  Printf.sprintf "breaker open: %s"
-                    (String.concat ", "
-                       (List.map (fun h -> h.Protocol.mh_id) open_models)) )
-          | resp -> print_response resp)
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            match Protocol.call fd Protocol.List_models with
+            | Protocol.R_models infos ->
+              let healths =
+                Array.to_list infos
+                |> List.filter_map (fun { Protocol.mi_id; _ } ->
+                       match
+                         Protocol.call fd (Protocol.Model_health { model_id = mi_id })
+                       with
+                       | Protocol.R_model_health h -> Some h
+                       | _ -> None)
+              in
+              Printf.printf "%-16s %-9s %7s %3s %7s %7s %8s %9s %8s  %s\n" "MODEL"
+                "BREAKER" "VERSION" "R" "QUEUE" "WORKERS" "INGESTED" "SINCE-FIT"
+                "RESPAWNS" "LAST-REFIT";
+              List.iter
+                (fun h ->
+                  Printf.printf "%-16s %-9s %7d %3d %3d/%-3d %7d %8d %9d %8d  %s%s\n"
+                    h.Protocol.mh_id h.Protocol.mh_breaker h.Protocol.mh_version
+                    h.Protocol.mh_r h.Protocol.mh_queue_depth
+                    h.Protocol.mh_queue_capacity h.Protocol.mh_workers
+                    h.Protocol.mh_ingested h.Protocol.mh_since_fit
+                    h.Protocol.mh_respawns h.Protocol.mh_last_refit
+                    (if h.Protocol.mh_draining then "  [draining]" else ""))
+                healths;
+              let open_models =
+                List.filter (fun h -> h.Protocol.mh_breaker = "open") healths
+              in
+              if open_models = [] then `Ok ()
+              else
+                `Error
+                  ( false,
+                    Printf.sprintf "breaker open: %s"
+                      (String.concat ", "
+                         (List.map (fun h -> h.Protocol.mh_id) open_models)) )
+            | resp -> print_response resp))
   in
   Cmd.v
     (Cmd.info "health"
@@ -315,20 +320,17 @@ let health_cmd =
 
 let list_models_cmd =
   let action connect =
-    try with_conn connect (fun fd -> print_response (Protocol.call fd Protocol.List_models))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd -> print_response (Protocol.call fd Protocol.List_models)))
   in
   Cmd.v (Cmd.info "list-models" ~doc:"List the models in the daemon's registry.")
     Term.(ret (const action $ connect_arg))
 
 let model_health_cmd =
   let action connect model_id =
-    try
-      with_conn connect (fun fd ->
-          print_response (Protocol.call fd (Protocol.Model_health { model_id })))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            print_response (Protocol.call fd (Protocol.Model_health { model_id }))))
   in
   Cmd.v (Cmd.info "model-health" ~doc:"Full health record for one model.")
     Term.(ret (const action $ connect_arg $ model_arg))
@@ -340,11 +342,9 @@ let drain_cmd =
                drain and stop the whole daemon.")
   in
   let action connect model_id =
-    try
-      with_conn connect (fun fd ->
-          print_response (Protocol.call fd (Protocol.Drain { model_id })))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            print_response (Protocol.call fd (Protocol.Drain { model_id }))))
   in
   Cmd.v
     (Cmd.info "drain" ~doc:"Drain one model, or the whole daemon without --model.")
@@ -353,11 +353,9 @@ let drain_cmd =
 let swap_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let action connect model_id path =
-    try
-      with_conn connect (fun fd ->
-          print_response (Protocol.call fd (Protocol.Swap { path; model_id })))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            print_response (Protocol.call fd (Protocol.Swap { path; model_id }))))
   in
   Cmd.v (Cmd.info "swap" ~doc:"Hot-swap one model from a file.")
     Term.(ret (const action $ connect_arg $ model_arg $ path))
@@ -368,12 +366,10 @@ let refit_cmd =
            ~doc:"Refit deadline (negative = server default).")
   in
   let action connect model_id deadline_ms =
-    try
-      with_conn connect (fun fd ->
-          print_response
-            (Protocol.call ~timeout_s:600. fd (Protocol.Refit { deadline_ms; model_id })))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            print_response
+              (Protocol.call ~timeout_s:600. fd (Protocol.Refit { deadline_ms; model_id }))))
   in
   Cmd.v (Cmd.info "refit" ~doc:"Warm-started incremental refit from ingested samples.")
     Term.(ret (const action $ connect_arg $ model_arg $ deadline))
@@ -391,21 +387,19 @@ let ingest_cmd =
            ~doc:"Per-view dimension (required when the model is cold).")
   in
   let action connect model_id seed n views dim =
-    try
-      with_conn connect (fun fd ->
-          let dims =
-            match (views, dim) with
-            | Some m, Some d -> Ok (Array.make m d)
-            | _ -> fetch_dims fd ~model_id
-          in
-          match dims with
-          | Error msg -> `Error (false, msg ^ " (pass --views and --dim)")
-          | Ok dims ->
-            let batch = synth_from_dims ~dims ~n ~seed in
-            print_response
-              (Protocol.call fd (Protocol.Ingest { views = batch; model_id })))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            let dims =
+              match (views, dim) with
+              | Some m, Some d -> Ok (Array.make m d)
+              | _ -> fetch_dims fd ~model_id
+            in
+            match dims with
+            | Error msg -> `Error (false, msg ^ " (pass --views and --dim)")
+            | Ok dims ->
+              let batch = synth_from_dims ~dims ~n ~seed in
+              print_response
+                (Protocol.call fd (Protocol.Ingest { views = batch; model_id }))))
   in
   Cmd.v (Cmd.info "ingest" ~doc:"Ingest a deterministic synthetic sample batch.")
     Term.(ret (const action $ connect_arg $ model_arg $ seed_arg $ n_arg $ views $ dim))
@@ -416,15 +410,13 @@ let batch_query_cmd name doc mk =
            ~doc:"Request deadline (negative = server default).")
   in
   let action connect model_id seed n deadline_ms =
-    try
-      with_conn connect (fun fd ->
-          match fetch_dims fd ~model_id with
-          | Error msg -> `Error (false, msg)
-          | Ok dims ->
-            let batch = synth_from_dims ~dims ~n ~seed in
-            print_response (Protocol.call fd (mk ~deadline_ms ~views:batch ~model_id)))
-    with Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-       | Failure msg -> `Error (false, msg)
+    client (fun () ->
+        with_conn connect (fun fd ->
+            match fetch_dims fd ~model_id with
+            | Error msg -> `Error (false, msg)
+            | Ok dims ->
+              let batch = synth_from_dims ~dims ~n ~seed in
+              print_response (Protocol.call fd (mk ~deadline_ms ~views:batch ~model_id))))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(ret (const action $ connect_arg $ model_arg $ seed_arg $ n_arg $ deadline))
@@ -484,7 +476,7 @@ let load_cmd =
       Unix.connect fd connect;
       fd
     in
-    try
+    client @@ fun () ->
       (* Reference pass: one sequential connection captures the expected
          bytes for each request variant. *)
       let variants = 4 in
@@ -618,9 +610,6 @@ let load_cmd =
       else if !kept > 0 then
         `Error (false, Printf.sprintf "load: %d stalled connections not dropped" !kept)
       else `Ok ()
-    with
-    | Unix.Unix_error (e, _, _) -> `Error (false, "connect: " ^ Unix.error_message e)
-    | Failure msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "load"

@@ -16,9 +16,9 @@
       consecutive probe successes re-close the breaker, any probe failure
       re-opens it with a fresh cooldown.
 
-    The module is {e not} thread-safe by itself: the server calls it under
-    the owning model's entry lock.  The clock is injected ([?now]) so unit
-    tests drive every transition without sleeping. *)
+    Every transition is a pure function of a {!state} value and the time
+    [now] its caller passes in, so a test drives each one with a fake clock
+    and no sleeping; {!Model_state} keeps one model's breaker state. *)
 
 type config = {
   failure_threshold : int;  (** Consecutive failures that trip Closed→Open. *)
@@ -35,15 +35,14 @@ type state =
   | Open of { until : float }  (** Absolute [now]-clock time of the next probe. *)
   | Half_open of { successes : int; probing : bool }
 
-type t
+val init : config -> state
+(** Closed with no failures.  Raises [Invalid_argument] on a threshold or
+    a success count below 1. *)
 
-val create : ?now:(unit -> float) -> config -> t
-(** [now] defaults to [Unix.gettimeofday]; tests inject a fake clock. *)
-
-val state_name : t -> string
+val state_name : state -> string
 (** ["closed"] / ["open"] / ["half-open"] — the wire/CLI rendering. *)
 
-val failures : t -> int
+val failures : config -> state -> int
 (** Consecutive-failure count while Closed, [failure_threshold] while
     Open, [0] while Half-open. *)
 
@@ -54,23 +53,23 @@ type admission =
   | Reject of { retry_after_ms : int }  (** Open (or a probe already in
                                             flight): refuse immediately. *)
 
-val admit : t -> admission
-(** Ask to serve one request now.  May transition Open→Half-open when the
+val admit : now:float -> state -> admission * state
+(** Ask to serve one request at [now].  May move Open→Half-open when the
     cooldown has elapsed.  A [Probe] admission marks the single-flight
     probe slot taken until {!record} reports its outcome. *)
 
-val record : t -> ok:bool -> unit
+val record : config -> now:float -> ok:bool -> state -> state
 (** Report one served request's outcome.  Closed: success resets the
     consecutive count, failure increments it and trips at the threshold.
     Half-open: the probe's outcome — success counts toward re-closing,
     failure re-opens with a fresh cooldown.  Open: ignored (a straggler
     that was admitted before the trip proves nothing either way). *)
 
-val force_open : t -> cooldown_s:float -> unit
-(** Trip to Open unconditionally with the given cooldown — the server's
-    lever for structural faults that are not request outcomes (a model
-    whose worker-respawn budget is exhausted gets an effectively
-    permanent cooldown). *)
+val force_open : now:float -> cooldown_s:float -> state -> state
+(** Trip to Open unconditionally with the given cooldown — the lever for
+    structural faults that are not request outcomes (a model whose
+    worker-respawn budget is exhausted gets an effectively permanent
+    cooldown). *)
 
-val retry_after_ms : t -> int
+val retry_after_ms : now:float -> state -> int
 (** Remaining cooldown while Open (never negative), [0] otherwise. *)

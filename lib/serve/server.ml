@@ -11,13 +11,16 @@
                              ≤ batch_window_us) into ONE stacked-column
                              GEMM, scattered back per request
 
-   Every model owns its queue, workers, breaker, builder, and state dir —
-   its failure domain.  The entry mutex guards the model/version/builder
-   cell (plus breaker and worker accounting) and is only ever held for
-   O(state) work — never across a fit or a transform, so a model serves at
-   its old version while its refit runs, and siblings never wait on it at
-   all.  Deadlines ride each job as a [Budget] created at *enqueue* time,
-   so time spent queued counts against the request.
+   Every model owns its queue, workers, breaker, accumulator, and state
+   dir — its failure domain.  Its serving state is one immutable
+   {!Model_state.t} in an [Atomic.t]: readers take a snapshot and no lock;
+   writers take the entry mutex and publish the result of one
+   {!Model_state.step}.  The mutex also guards the accumulator's in-place
+   folds and the worker accounting, and is only ever held for O(state)
+   work — never across a fit or a transform, so a model serves at its old
+   version while its refit runs, and siblings never wait on it at all.
+   Deadlines ride each job as a [Budget] created at *enqueue* time, so time
+   spent queued counts against the request.
 
    Jobs carry a completion callback instead of a mailbox: the event loop
    submits asynchronously ({!submit}) and gets the response posted back to
@@ -25,7 +28,7 @@
    parks the caller on a condition variable until the callback fires.
 
    Micro-batching is bitwise-exact: stacking request columns into one
-   matrix and projecting with a single GEMM yields每 column the same bits
+   matrix and projecting with a single GEMM yields each column the same bits
    as projecting it alone, because the packed kernel accumulates each
    output element independently in ascending-k order (the PR-6 contract).
    Requests whose shape does not match the serving model never enter a
@@ -87,9 +90,37 @@ type control = {
   mutable c_thread : Thread.t option;
 }
 
+type task = {
+  req : Protocol.request;
+  budget : Budget.t;
+  deliver : Protocol.response -> unit;
+      (* Completion callback: invoked exactly once, on whichever thread
+         finished the job (a worker, a flush, or the submitter itself for
+         refusals).  Must not block and must not raise — the event loop's
+         callback just posts to its completion queue. *)
+}
+
+type job = Job of task | Stop
+
+(* One model's serving slot.  [lock] serializes the writers of [state],
+   the accumulator's folds and the worker accounting; [q_mutex] + [q_cond]
+   guard the queue; [refit_lock] single-flights refits.  All three are
+   leaf-level and never held across a fit or a transform. *)
+type entry = {
+  id : string;
+  state : Model_state.t Atomic.t;
+  lock : Mutex.t;
+  refit_lock : Mutex.t;
+  q_mutex : Mutex.t;
+  q_cond : Condition.t;
+  queue : job Queue.t;
+  mutable live_workers : int;
+  mutable threads : Thread.t list;  (* Every worker ever spawned. *)
+}
+
 type t = {
   cfg : config;
-  reg : Registry.t;
+  reg : entry Registry.t;
   drain_flag : bool Atomic.t;
   ctl : control;
   (* Immutable snapshot under an Atomic so {!request_drain} can run the
@@ -124,28 +155,31 @@ let request_drain t =
      latency is bounded by a syscall, not a poll interval. *)
   List.iter (fun (_, f) -> try f () with _ -> ()) (Atomic.get t.drain_hooks)
 
-let with_entry (e : Registry.entry) f =
-  Mutex.lock e.Registry.e_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock e.Registry.e_mutex) f
+let state e = Atomic.get e.state
+
+let locked e f =
+  Mutex.lock e.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
+
+(* The one write of a model's serving state; the caller holds [e.lock]. *)
+let advance e ev =
+  let s, answer = Model_state.step (state e) ~now:(Unix.gettimeofday ()) ev in
+  Atomic.set e.state s;
+  (s, answer)
+
+let apply e ev = locked e (fun () -> advance e ev)
 
 let default_entry t =
   match Registry.find_or_create t.reg "default" with
   | Ok (e, _) -> e
   | Error _ -> assert false (* "default" is a valid id *)
 
-let version t =
-  let e = default_entry t in
-  with_entry e (fun () -> e.Registry.version)
-
-let model t =
-  let e = default_entry t in
-  with_entry e (fun () -> e.Registry.model)
-
 let batch_stats t id =
-  match Registry.find t.reg id with
-  | None -> None
-  | Some e ->
-    Some (with_entry e (fun () -> (e.Registry.batches, e.Registry.batched_jobs)))
+  Option.map
+    (fun e ->
+      let s = state e in
+      (s.Model_state.batches, s.batched_jobs))
+    (Registry.find t.reg id)
 
 (* Guardrail events accumulated in Robust's ring (whitening escalations,
    warm-start fallbacks, supervision notices, recovery degradations) are
@@ -167,32 +201,10 @@ let deadline_reply = function
     Protocol.R_deadline { stage; elapsed_ms = int_of_float (elapsed *. 1000.) }
   | f -> Protocol.R_error { code = "internal"; message = Robust.failure_to_string f }
 
-(* ------------------------------------------------------------------ *)
-(* Breaker plumbing.  The breaker judges *served* outcomes: things that
-   prove the model's serving path broken (crashes, internal errors, failed
-   refits, blown deadlines) count against it; deterministic typed refusals
-   (no-model, bad-request, refit-busy) count as successes — the path
-   answered exactly as specified; load shedding and admission decisions
-   are not outcomes at all. *)
-
-let breaker_outcome = function
-  | Protocol.R_deadline _ -> Some false
-  | Protocol.R_error { code = "internal" | "worker-crash" | "refit-failed"; _ } ->
-    Some false
-  | Protocol.R_matrix _ | Protocol.R_scores _ | Protocol.R_ok _ -> Some true
-  | Protocol.R_error { code = "no-model" | "bad-request" | "refit-busy"; _ } ->
-    Some true
-  | _ -> None
-
-let record_breaker (e : Registry.entry) resp =
-  match breaker_outcome resp with
-  | None -> ()
-  | Some ok -> with_entry e (fun () -> Breaker.record e.Registry.breaker ~ok)
-
-(* Record + deliver: every job gets exactly one of these. *)
-let answer e (j : Registry.task) resp =
-  record_breaker e resp;
-  j.Registry.deliver resp
+(* Judge + deliver: every job gets exactly one of these. *)
+let answer e (j : task) resp =
+  ignore (apply e (Model_state.Served resp));
+  j.deliver resp
 
 (* ------------------------------------------------------------------ *)
 (* Compute handlers (worker side). *)
@@ -237,36 +249,20 @@ let predict_reply m views budget =
         let n = snd (Mat.dims zs.(0)) in
         Protocol.R_scores (scores_of_projections m zs ~off:0 ~n))
 
-let refit_reply t (e : Registry.entry) budget =
-  if not (Mutex.try_lock e.Registry.refit_mutex) then
+let refit_reply t e budget =
+  if not (Mutex.try_lock e.refit_lock) then
     Protocol.R_error { code = "refit-busy"; message = "another refit is in progress" }
   else
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock e.Registry.refit_mutex)
+      ~finally:(fun () -> Mutex.unlock e.refit_lock)
       (fun () ->
-        let live, since, builder =
-          with_entry e (fun () -> (e.model, e.since_fit, e.builder))
-        in
-        let retained () =
-          let v =
-            with_entry e (fun () ->
-                e.last_refit <- "retained";
-                e.version)
-          in
-          Protocol.R_ok
-            { version = v;
-              note = "no new samples since last fit — serving model retained" }
-        in
-        match builder with
-        (* Nothing new: skip the solve entirely so the reply provably
-           serves the bit-identical live model. *)
-        | None -> retained ()
-        | Some _ when since = 0 -> retained ()
-        | Some b -> (
+        let s = state e in
+        match s.acc with
+        | Some acc when s.since_fit > 0 -> (
           let attempt () =
-            (* Builder folds race with Ingest; finalize under the entry
-               lock (O(statistics), not O(fit)). *)
-            let raw = with_entry e (fun () -> Tcca.Builder.finalize b) in
+            (* Ingest folds into the builder in place; finalize under the
+               entry lock (O(statistics), not O(fit)). *)
+            let raw = locked e (fun () -> Tcca.Builder.finalize acc.builder) in
             let prep () = Tcca.prepare_of_raw_checked ~eps:t.cfg.eps raw in
             let prepared =
               (* [Refit_nan] reuses the fit path's own covariance-poison
@@ -279,7 +275,7 @@ let refit_reply t (e : Registry.entry) budget =
             | Error f -> Error f
             | Ok prepared ->
               let solver, rank =
-                match live with
+                match s.model with
                 | Some m -> (Tcca.warm_solver ~options:t.cfg.refit_options m, Tcca.r m)
                 | None -> (Tcca.Als t.cfg.refit_options, t.cfg.rank)
               in
@@ -288,23 +284,16 @@ let refit_reply t (e : Registry.entry) budget =
           let on_retry ~attempt ~delay err =
             Log.warn (fun m ->
                 m "[%s] refit attempt %d failed (%s) — retrying in %.0f ms"
-                  e.Registry.id attempt (Robust.failure_to_string err)
+                  e.id attempt (Robust.failure_to_string err)
                   (delay *. 1000.))
           in
           match Retry.run ~policy:t.cfg.refit_retry ~on_retry attempt with
           | Ok model' ->
-            let v =
-              with_entry e (fun () ->
-                  e.model <- Some model';
-                  e.version <- e.version + 1;
-                  e.since_fit <- 0;
-                  e.last_refit <- Printf.sprintf "installed v%d" e.version;
-                  e.version)
-            in
-            Registry.snapshot t.reg e;
+            let s = fst (apply e (Model_state.Refit_installed model')) in
+            Registry.snapshot t.reg e.id s;
             ship_warnings ();
             Protocol.R_ok
-              { version = v; note = "refit installed: " ^ Tcca.solver_info model' }
+              { version = s.version; note = "refit installed: " ^ Tcca.solver_info model' }
           | Error gu ->
             ship_warnings ();
             let message =
@@ -313,8 +302,14 @@ let refit_reply t (e : Registry.entry) budget =
                 gu.Retry.ga_attempts
                 (gu.Retry.ga_total_delay *. 1000.)
             in
-            with_entry e (fun () -> e.last_refit <- "failed: " ^ message);
-            Protocol.R_error { code = "refit-failed"; message }))
+            ignore (apply e (Model_state.Refit_failed message));
+            Protocol.R_error { code = "refit-failed"; message })
+        | _ ->
+          (* Nothing new: skip the solve entirely so the reply provably
+             serves the bit-identical live model. *)
+          Protocol.R_ok
+            { version = (fst (apply e Model_state.Refit_retained)).version;
+              note = "no new samples since last fit — serving model retained" })
 
 let no_model = Protocol.R_error { code = "no-model"; message = "serving cold: no model" }
 
@@ -323,15 +318,15 @@ let no_model = Protocol.R_error { code = "no-model"; message = "serving cold: no
    compute wrapper and kills the thread, exercising supervision. *)
 exception Crashed
 
-let compute t (e : Registry.entry) req budget =
+let compute t e req budget =
   if Robust.Inject.(active Worker_crash) then raise Crashed;
   match req with
   | Protocol.Transform { views; _ } -> (
-    match with_entry e (fun () -> e.model) with
+    match (state e).model with
     | None -> no_model
     | Some m -> transform_reply m views budget ~stage:"serve.transform")
   | Protocol.Predict { views; _ } -> (
-    match with_entry e (fun () -> e.model) with
+    match (state e).model with
     | None -> no_model
     | Some m -> predict_reply m views budget)
   | Protocol.Refit _ -> refit_reply t e budget
@@ -345,9 +340,9 @@ let worker_crashed =
 
 (* The plain sequential path: one job, exactly the PR-8/9 behavior.  Also
    the fallback for anything the batcher declines. *)
-let run_single t (e : Registry.entry) (j : Registry.task) =
+let run_single t e (j : task) =
   let outcome =
-    match compute t e j.Registry.req j.Registry.budget with
+    match compute t e j.req j.budget with
     | resp -> Ok resp
     | exception Crashed -> Error ()
     | exception ex ->
@@ -405,30 +400,28 @@ let compatible a b =
    once a Stop or an incompatible job reaches the head (drain must flush
    in arrival order, and a batch begun before drain always completes:
    Stop tokens are queued behind real jobs and are never popped here). *)
-let collect_batch t (e : Registry.entry) (first : Registry.task) =
-  if t.cfg.batch_max <= 1 || not (coalescable first.Registry.req) then [ first ]
+let collect_batch t e (first : task) =
+  if t.cfg.batch_max <= 1 || not (coalescable first.req) then [ first ]
   else begin
     let acc = ref [ first ] in
     let count = ref 1 in
     (* Take compatible jobs off the head; true iff the queue is empty
        afterwards (head incompatible → false → stop lingering). *)
     let grab () =
-      Mutex.lock e.Registry.q_mutex;
+      Mutex.lock e.q_mutex;
       let rec take () =
         if !count < t.cfg.batch_max then
-          match Queue.peek_opt e.Registry.queue with
-          | Some (Registry.Job j2)
-            when coalescable j2.Registry.req
-                 && compatible first.Registry.req j2.Registry.req ->
-            ignore (Queue.pop e.Registry.queue);
+          match Queue.peek_opt e.queue with
+          | Some (Job j2) when coalescable j2.req && compatible first.req j2.req ->
+            ignore (Queue.pop e.queue);
             acc := j2 :: !acc;
             incr count;
             take ()
           | _ -> ()
       in
       take ();
-      let empty = Queue.is_empty e.Registry.queue in
-      Mutex.unlock e.Registry.q_mutex;
+      let empty = Queue.is_empty e.queue in
+      Mutex.unlock e.q_mutex;
       empty
     in
     let empty = grab () in
@@ -447,18 +440,18 @@ let collect_batch t (e : Registry.entry) (first : Registry.task) =
     List.rev !acc
   end
 
-let batch_cols (j : Registry.task) = snd (Mat.dims (views_of j.Registry.req).(0))
+let batch_cols (j : task) = snd (Mat.dims (views_of j.req).(0))
 
 (* ≥ 2 jobs, same kind, per-view rows agree, all rectangular. *)
-let process_coalesced t (e : Registry.entry) jobs =
+let process_coalesced t e jobs =
   if Robust.Inject.(active Worker_crash) then begin
     List.iter (fun j -> answer e j worker_crashed) jobs;
     raise Crashed
   end;
-  match with_entry e (fun () -> e.model) with
+  match (state e).model with
   | None -> List.iter (fun j -> answer e j no_model) jobs
   | Some m ->
-    let first_views = views_of (List.hd jobs).Registry.req in
+    let first_views = views_of (List.hd jobs).req in
     let shape_ok =
       Array.length first_views = Tcca.n_views m
       && Array.for_all2
@@ -470,12 +463,12 @@ let process_coalesced t (e : Registry.entry) jobs =
          exact ones a lone request would have gotten. *)
       List.iter (run_single t e) jobs
     else begin
-      let is_transform = batch_kind (List.hd jobs).Registry.req = 1 in
+      let is_transform = batch_kind (List.hd jobs).req = 1 in
       let stage = if is_transform then "serve.transform" else "serve.predict" in
       let live, dead =
         List.partition_map
-          (fun (j : Registry.task) ->
-            match Budget.expired ~stage ~sweeps:0 j.Registry.budget with
+          (fun (j : task) ->
+            match Budget.expired ~stage ~sweeps:0 j.budget with
             | Some f -> Right (j, f)
             | None -> Left j)
           jobs
@@ -485,28 +478,19 @@ let process_coalesced t (e : Registry.entry) jobs =
       | [] -> ()
       | [ j ] -> run_single t e j
       | live -> (
-        let nb = List.length live in
         let stacked =
           Array.init (Array.length first_views) (fun p ->
               Mat.hcat_list
-                (List.map (fun j -> (views_of j.Registry.req).(p)) live))
+                (List.map (fun (j : task) -> (views_of j.req).(p)) live))
         in
         let outcome =
           if is_transform then
             match Tcca.transform m stacked with
-            | z ->
-              Ok
-                (fun (j : Registry.task) off n ->
-                  ignore j;
-                  Protocol.R_matrix (Mat.sub_cols z off n))
+            | z -> Ok (fun off n -> Protocol.R_matrix (Mat.sub_cols z off n))
             | exception ex -> Error ex
           else
             match Array.mapi (fun p x -> Tcca.transform_view m p x) stacked with
-            | zs ->
-              Ok
-                (fun (j : Registry.task) off n ->
-                  ignore j;
-                  Protocol.R_scores (scores_of_projections m zs ~off ~n))
+            | zs -> Ok (fun off n -> Protocol.R_scores (scores_of_projections m zs ~off ~n))
             | exception ex -> Error ex
         in
         match outcome with
@@ -515,12 +499,10 @@ let process_coalesced t (e : Registry.entry) jobs =
             (List.fold_left
                (fun off j ->
                  let n = batch_cols j in
-                 answer e j (slice j off n);
+                 answer e j (slice off n);
                  off + n)
                0 live);
-          with_entry e (fun () ->
-              e.batches <- e.batches + 1;
-              e.batched_jobs <- e.batched_jobs + nb)
+          ignore (apply e (Model_state.Batch (List.length live)))
         | Error ex ->
           (* Shapes were prechecked, so this is genuinely unexpected. *)
           let resp =
@@ -532,32 +514,28 @@ let process_coalesced t (e : Registry.entry) jobs =
 (* ------------------------------------------------------------------ *)
 (* Queue, workers, supervision. *)
 
-let unavailable (e : Registry.entry) =
+let unavailable e =
   Protocol.R_unavailable
-    { model_id = e.Registry.id;
-      retry_after_ms = with_entry e (fun () -> Breaker.retry_after_ms e.breaker) }
+    { model_id = e.id;
+      retry_after_ms = Breaker.retry_after_ms ~now:(Unix.gettimeofday ()) (state e).breaker }
 
-let flush_queue (e : Registry.entry) resp_of =
-  Mutex.lock e.Registry.q_mutex;
-  Queue.iter
-    (function
-      | Registry.Job j -> j.Registry.deliver (resp_of ())
-      | Registry.Stop -> ())
-    e.queue;
+let flush_queue e resp_of =
+  Mutex.lock e.q_mutex;
+  Queue.iter (function Job j -> j.deliver (resp_of ()) | Stop -> ()) e.queue;
   Queue.clear e.queue;
   Mutex.unlock e.q_mutex
 
-let worker_loop t (e : Registry.entry) =
+let worker_loop t e =
   let rec loop () =
-    Mutex.lock e.Registry.q_mutex;
+    Mutex.lock e.q_mutex;
     while Queue.is_empty e.queue do
       Condition.wait e.q_cond e.q_mutex
     done;
     let job = Queue.pop e.queue in
     Mutex.unlock e.q_mutex;
     match job with
-    | Registry.Stop -> ()
-    | Registry.Job j ->
+    | Stop -> ()
+    | Job j ->
       (match collect_batch t e j with
       | [ lone ] -> run_single t e lone
       | batch -> process_coalesced t e batch);
@@ -565,8 +543,8 @@ let worker_loop t (e : Registry.entry) =
   in
   loop ()
 
-let rec spawn_worker t (e : Registry.entry) =
-  with_entry e (fun () ->
+let rec spawn_worker t e =
+  locked e (fun () ->
       e.live_workers <- e.live_workers + 1;
       e.threads <- Thread.create (fun () -> supervised_loop t e) () :: e.threads)
 
@@ -574,31 +552,27 @@ let rec spawn_worker t (e : Registry.entry) =
    capped budget, so a persistently crashing model converges to "breaker
    open, queue flushed" instead of a respawn storm, and its siblings never
    notice. *)
-and supervised_loop t (e : Registry.entry) =
+and supervised_loop t e =
   try worker_loop t e
   with Crashed ->
     let respawn, last =
-      with_entry e (fun () ->
+      locked e (fun () ->
           e.live_workers <- e.live_workers - 1;
-          let ok =
-            e.respawns < t.cfg.max_respawns
-            && (not e.draining)
-            && not (Atomic.get t.drain_flag)
+          let last = e.live_workers = 0 in
+          let crash =
+            Model_state.Crash { budget = t.cfg.max_respawns; stopping = draining t; last }
           in
-          if ok then e.respawns <- e.respawns + 1;
-          (ok, e.live_workers = 0))
+          (snd (advance e crash), last))
     in
-    Robust.warnf "tccad[%s]: worker crashed — %s" e.Registry.id
+    Robust.warnf "tccad[%s]: worker crashed — %s" e.id
       (if respawn then "respawning"
        else "respawn budget exhausted; model unavailable");
     if respawn then spawn_worker t e
-    else if last then begin
-      (* No worker will ever pop this queue again: force the breaker open
-         (effectively permanently) and answer everything queued, so no
-         client blocks on a dead model. *)
-      with_entry e (fun () -> Breaker.force_open e.breaker ~cooldown_s:86400.);
+    else if last then
+      (* No worker will ever pop this queue again, and the crash forced the
+         breaker open: answer everything queued, so no client blocks on a
+         dead model. *)
       flush_queue e (fun () -> unavailable e)
-    end
 
 let deadline_of = function
   | Protocol.Transform { deadline_ms; _ }
@@ -609,20 +583,20 @@ let deadline_of = function
 
 (* Asynchronous enqueue: refusals (breaker, shed) are delivered on the
    calling thread; accepted jobs are answered later by a worker. *)
-let enqueue_compute t (e : Registry.entry) req deliver =
+let enqueue_compute t e req deliver =
   (* Admission first: an open breaker answers *before* any queueing, so a
      broken model costs its clients one frame round trip, not a deadline. *)
-  let admission = with_entry e (fun () -> Breaker.admit e.Registry.breaker) in
+  let admission = snd (apply e Model_state.Admit) in
   match admission with
   | Breaker.Reject { retry_after_ms } ->
-    deliver (Protocol.R_unavailable { model_id = e.Registry.id; retry_after_ms })
+    deliver (Protocol.R_unavailable { model_id = e.id; retry_after_ms })
   | Breaker.Probe when Robust.Inject.(active Breaker_probe_fail) ->
     (* Injected probe failure: the half-open probe dies before compute, so
        the breaker must re-open with a fresh cooldown. *)
-    with_entry e (fun () -> Breaker.record e.breaker ~ok:false);
-    deliver (Protocol.R_error { code = "internal"; message = "injected probe failure" })
+    let resp = Protocol.R_error { code = "internal"; message = "injected probe failure" } in
+    ignore (apply e (Model_state.Served resp));
+    deliver resp
   | Breaker.Admit | Breaker.Probe -> (
-    let is_probe = admission = Breaker.Probe in
     let budget = budget_of_deadline t (deadline_of req) in
     Mutex.lock e.q_mutex;
     let depth = Queue.length e.queue in
@@ -632,11 +606,11 @@ let enqueue_compute t (e : Registry.entry) req deliver =
          later; the client owns the retry decision.  A shed *probe* must
          still report an outcome or the single-flight slot stays taken
          forever; overload while half-open reads as "not recovered yet". *)
-      if is_probe then with_entry e (fun () -> Breaker.record e.breaker ~ok:false);
+      ignore (apply e (Model_state.Shed { probe = admission = Breaker.Probe }));
       deliver (Protocol.R_shed { depth; capacity = t.cfg.queue_capacity })
     end
     else begin
-      Queue.push (Registry.Job { Registry.req; budget; deliver }) e.queue;
+      Queue.push (Job { req; budget; deliver }) e.queue;
       Condition.signal e.q_cond;
       Mutex.unlock e.q_mutex;
       (* Close the admission/death race: if the model's last worker died
@@ -647,8 +621,9 @@ let enqueue_compute t (e : Registry.entry) req deliver =
          the two flushes is guaranteed to see this job.) *)
       let dead =
         t.cfg.workers > 0
-        && with_entry e (fun () ->
-               e.live_workers = 0 && Breaker.retry_after_ms e.breaker > 0)
+        && locked e (fun () ->
+               e.live_workers = 0
+               && Breaker.retry_after_ms ~now:(Unix.gettimeofday ()) (state e).breaker > 0)
       in
       if dead then flush_queue e (fun () -> unavailable e)
     end)
@@ -656,119 +631,92 @@ let enqueue_compute t (e : Registry.entry) req deliver =
 (* ------------------------------------------------------------------ *)
 (* Inline handlers (control side). *)
 
-let queue_depth (e : Registry.entry) =
-  Mutex.lock e.Registry.q_mutex;
+let queue_depth e =
+  Mutex.lock e.q_mutex;
   let d = Queue.length e.queue in
   Mutex.unlock e.q_mutex;
   d
+
+(* Rank and view dimensions; (0, [||]) when cold. *)
+let shape (s : Model_state.t) =
+  match s.model with None -> (0, [||]) | Some m -> (Tcca.r m, Tcca.view_dims m)
 
 let health t =
   ship_warnings ();
   (* Single-model-era health: answered with the "default" model's numbers
      so PR-8 monitoring keeps reading sense. *)
   let e = default_entry t in
-  let version, r, dims, ingested, since_fit, e_draining =
-    with_entry e (fun () ->
-        let r, dims =
-          match e.model with
-          | None -> (0, [||])
-          | Some m -> (Tcca.r m, Tcca.view_dims m)
-        in
-        (e.version, r, dims, e.ingested, e.since_fit, e.draining))
-  in
+  let s = state e in
+  let r, dims = shape s in
   Protocol.R_health
-    { version;
+    { version = s.version;
       r;
       dims;
       queue_depth = queue_depth e;
       queue_capacity = t.cfg.queue_capacity;
       workers = t.cfg.workers;
-      ingested;
-      since_fit;
-      draining = draining t || e_draining }
+      ingested = s.ingested;
+      since_fit = s.since_fit;
+      draining = draining t || s.draining }
 
-let model_info (e : Registry.entry) =
-  with_entry e (fun () ->
-      { Protocol.mi_id = e.id;
-        mi_version = e.version;
-        mi_r = (match e.model with None -> 0 | Some m -> Tcca.r m);
-        mi_breaker = Breaker.state_name e.breaker;
-        mi_draining = e.draining })
+let model_info e =
+  let s = state e in
+  { Protocol.mi_id = e.id;
+    mi_version = s.version;
+    mi_r = fst (shape s);
+    mi_breaker = Breaker.state_name s.breaker;
+    mi_draining = s.draining }
 
-let model_health t (e : Registry.entry) =
-  let depth = queue_depth e in
-  with_entry e (fun () ->
-      let r, dims =
-        match e.model with
-        | None -> (0, [||])
-        | Some m -> (Tcca.r m, Tcca.view_dims m)
-      in
-      { Protocol.mh_id = e.id;
-        mh_version = e.version;
-        mh_r = r;
-        mh_dims = dims;
-        mh_queue_depth = depth;
-        mh_queue_capacity = t.cfg.queue_capacity;
-        mh_workers = e.live_workers;
-        mh_breaker = Breaker.state_name e.breaker;
-        mh_retry_after_ms = Breaker.retry_after_ms e.breaker;
-        mh_failures = Breaker.failures e.breaker;
-        mh_respawns = e.respawns;
-        mh_ingested = e.ingested;
-        mh_since_fit = e.since_fit;
-        mh_last_refit = e.last_refit;
-        mh_draining = e.draining })
+let model_health t e =
+  let s = state e in
+  let r, dims = shape s in
+  { Protocol.mh_id = e.id;
+    mh_version = s.version;
+    mh_r = r;
+    mh_dims = dims;
+    mh_queue_depth = queue_depth e;
+    mh_queue_capacity = t.cfg.queue_capacity;
+    mh_workers = e.live_workers;
+    mh_breaker = Breaker.state_name s.breaker;
+    mh_retry_after_ms = Breaker.retry_after_ms ~now:(Unix.gettimeofday ()) s.breaker;
+    mh_failures = Breaker.failures s.breaker_config s.breaker;
+    mh_respawns = s.respawns;
+    mh_ingested = s.ingested;
+    mh_since_fit = s.since_fit;
+    mh_last_refit = s.last_refit;
+    mh_draining = s.draining }
 
-let ingest (e : Registry.entry) views =
+let ingest e views =
   if Array.length views = 0 then
     Protocol.R_error { code = "bad-request"; message = "empty view array" }
   else
-    let outcome =
-      with_entry e (fun () ->
-          match
-            let b =
-              match e.builder with
-              | Some b -> b
-              | None ->
-                let dims =
-                  match e.model with
-                  | Some m -> Tcca.view_dims m
-                  | None -> Array.map (fun v -> fst (Mat.dims v)) views
-                in
-                let b = Tcca.Builder.create ~dims in
-                e.builder <- Some b;
-                b
-            in
-            Tcca.Builder.add_batch b views
-          with
-          | () ->
-            let n = snd (Mat.dims views.(0)) in
-            e.ingested <- e.ingested + n;
-            e.since_fit <- e.since_fit + n;
-            Ok (e.version, n, e.ingested)
-          | exception Invalid_argument msg -> Error msg)
-    in
-    match outcome with
-    | Ok (version, n, total) ->
+    let n = snd (Mat.dims views.(0)) in
+    match
+      locked e (fun () ->
+          let acc = Model_state.accumulator (state e) views in
+          match Tcca.Builder.add_batch acc.builder views with
+          | () -> fst (advance e (Model_state.Ingested { acc; n }))
+          | exception (Invalid_argument _ as refused) ->
+            (* A refused batch still keeps a new accumulator, shape and all. *)
+            ignore (advance e (Model_state.Ingested { acc; n = 0 }));
+            raise refused)
+    with
+    | s ->
       Protocol.R_ok
-        { version; note = Printf.sprintf "ingested %d instances (total %d)" n total }
-    | Error msg -> Protocol.R_error { code = "bad-request"; message = msg }
+        { version = s.version;
+          note = Printf.sprintf "ingested %d instances (total %d)" n s.ingested }
+    | exception Invalid_argument msg -> Protocol.R_error { code = "bad-request"; message = msg }
 
-let swap t (e : Registry.entry) path =
+let swap t e path =
   match Retry.run ~policy:t.cfg.swap_retry (fun () -> Model_store.load ~path) with
   | Ok model' ->
     (* Validation (framing, CRC, version, structure, finiteness) happened
        before this point, so installation cannot need a rollback: a bad
        file simply never reaches the serving slot. *)
-    let v =
-      with_entry e (fun () ->
-          e.model <- Some model';
-          e.version <- e.version + 1;
-          e.version)
-    in
-    Registry.snapshot t.reg e;
+    let s = fst (apply e (Model_state.Swap_installed model')) in
+    Registry.snapshot t.reg e.id s;
     ship_warnings ();
-    Protocol.R_ok { version = v; note = "swapped in " ^ path }
+    Protocol.R_ok { version = s.version; note = "swapped in " ^ path }
   | Error gu ->
     let code =
       match gu.Retry.ga_last_error with
@@ -783,43 +731,35 @@ let swap t (e : Registry.entry) path =
         message =
           Printf.sprintf "%s (%d attempts) — serving version %d unchanged"
             (Checkpoint.load_error_to_string gu.Retry.ga_last_error)
-            gu.Retry.ga_attempts
-            (with_entry e (fun () -> e.version)) }
+            gu.Retry.ga_attempts (state e).version }
 
 (* Per-model drain: flush this model's queue through its own workers, stop
    them, snapshot — while every sibling keeps serving untouched. *)
-let drain_entry t (e : Registry.entry) =
+let drain_entry t e =
   let live =
-    with_entry e (fun () ->
-        e.draining <- true;
+    locked e (fun () ->
+        ignore (advance e Model_state.Drain);
         e.live_workers)
   in
-  Mutex.lock e.Registry.q_mutex;
-  if live = 0 then begin
+  if live = 0 then
     (* No workers to flush the queue: answer leftovers inline so no client
        blocks forever on its callback. *)
-    Queue.iter
-      (function
-        | Registry.Job j ->
-          j.Registry.deliver
-            (Protocol.R_error { code = "draining"; message = "model stopped" })
-        | Registry.Stop -> ())
-      e.queue;
-    Queue.clear e.queue
-  end
-  else
+    flush_queue e (fun () -> Protocol.R_error { code = "draining"; message = "model stopped" })
+  else begin
     (* One Stop per live worker, queued *behind* the real jobs: in-flight
        work flushes — whole batches included — before the workers exit. *)
+    Mutex.lock e.q_mutex;
     for _ = 1 to live do
-      Queue.push Registry.Stop e.queue
+      Queue.push Stop e.queue
     done;
-  Condition.broadcast e.q_cond;
-  Mutex.unlock e.q_mutex;
+    Condition.broadcast e.q_cond;
+    Mutex.unlock e.q_mutex
+  end;
   List.iter Thread.join e.threads;
-  with_entry e (fun () ->
+  locked e (fun () ->
       e.threads <- [];
       e.live_workers <- 0);
-  Registry.snapshot t.reg e
+  Registry.snapshot t.reg e.id (state e)
 
 (* ------------------------------------------------------------------ *)
 (* Routing and dispatch. *)
@@ -828,27 +768,30 @@ let unknown_model id =
   Protocol.R_error
     { code = "unknown-model"; message = Printf.sprintf "no model %S in registry" id }
 
-(* Transform/Predict target an existing model; Ingest/Swap/Refit/Drain may
-   create one (a cold entry with fresh workers) when the id is new and
-   valid — how a second model is born on a live daemon. *)
-let resolve t id = Registry.find t.reg id
+(* Transform/Predict/Drain/Model_health target an existing model;
+   Ingest/Swap/Refit may create one (a cold entry with fresh workers) when
+   the id is new and valid — how a second model is born on a live daemon. *)
+let resolve t ~create id =
+  if not create then Option.to_result ~none:(unknown_model id) (Registry.find t.reg id)
+  else
+    match Registry.find_or_create t.reg id with
+    | Error msg -> Error (Protocol.R_error { code = "bad-request"; message = msg })
+    | Ok (e, created) ->
+      if created then
+        for _ = 1 to t.cfg.workers do
+          spawn_worker t e
+        done;
+      Ok e
 
-let resolve_or_create t id =
-  match Registry.find_or_create t.reg id with
-  | Error msg -> Error (Protocol.R_error { code = "bad-request"; message = msg })
-  | Ok (e, created) ->
-    if created then
-      for _ = 1 to t.cfg.workers do
-        spawn_worker t e
-      done;
-    Ok e
-
-let entry_draining (e : Registry.entry) = with_entry e (fun () -> e.draining)
-
-let model_draining_reply (e : Registry.entry) =
-  Protocol.R_error
-    { code = "draining";
-      message = Printf.sprintf "model %S is draining" e.Registry.id }
+(* The target of a request that uses or changes a model: refused while
+   that model drains. *)
+let serving t ~create id =
+  Result.bind (resolve t ~create id) (fun e ->
+      if (state e).draining then
+        Error
+          (Protocol.R_error
+             { code = "draining"; message = Printf.sprintf "model %S is draining" id })
+      else Ok e)
 
 (* One routing function behind both {!handle} and {!submit}.  [run_control]
    decides where a control thunk executes (inline for the synchronous
@@ -863,53 +806,42 @@ let dispatch t req ~deliver ~run_control =
         Protocol.R_models (Array.of_list (List.map model_info (Registry.list t.reg))))
   | Protocol.Model_health { model_id } ->
     run_control (fun () ->
-        match resolve t model_id with
-        | None -> unknown_model model_id
-        | Some e -> Protocol.R_model_health (model_health t e))
+        match resolve t ~create:false model_id with
+        | Error refusal -> refusal
+        | Ok e -> Protocol.R_model_health (model_health t e))
   | Protocol.Drain { model_id = "" } ->
     run_control (fun () ->
         request_drain t;
-        Protocol.R_ok { version = version t; note = "draining" })
+        Protocol.R_ok { version = (state (default_entry t)).version; note = "draining" })
   | _ when draining t ->
     deliver
       (Protocol.R_error
          { code = "draining"; message = "server is draining — retry elsewhere" })
   | Protocol.Drain { model_id } ->
     run_control (fun () ->
-        match resolve t model_id with
-        | None -> unknown_model model_id
-        | Some e ->
-          if entry_draining e then model_draining_reply e
-          else begin
-            drain_entry t e;
-            ship_warnings ();
-            Protocol.R_ok
-              { version = with_entry e (fun () -> e.version);
-                note = Printf.sprintf "model %S drained" model_id }
-          end)
-  | (Protocol.Transform { model_id; _ } | Protocol.Predict { model_id; _ }) as req
-    -> (
-    match resolve t model_id with
-    | None -> deliver (unknown_model model_id)
-    | Some e ->
-      if entry_draining e then deliver (model_draining_reply e)
-      else enqueue_compute t e req deliver)
+        match serving t ~create:false model_id with
+        | Error refusal -> refusal
+        | Ok e ->
+          drain_entry t e;
+          ship_warnings ();
+          Protocol.R_ok
+            { version = (state e).version; note = Printf.sprintf "model %S drained" model_id })
+  | Protocol.Transform { model_id; _ } | Protocol.Predict { model_id; _ }
   | Protocol.Refit { model_id; _ } -> (
-    match resolve_or_create t model_id with
-    | Error resp -> deliver resp
-    | Ok e ->
-      if entry_draining e then deliver (model_draining_reply e)
-      else enqueue_compute t e req deliver)
+    let create = match req with Protocol.Refit _ -> true | _ -> false in
+    match serving t ~create model_id with
+    | Error refusal -> deliver refusal
+    | Ok e -> enqueue_compute t e req deliver)
   | Protocol.Ingest { views; model_id } ->
     run_control (fun () ->
-        match resolve_or_create t model_id with
-        | Error resp -> resp
-        | Ok e -> if entry_draining e then model_draining_reply e else ingest e views)
+        match serving t ~create:true model_id with
+        | Error refusal -> refusal
+        | Ok e -> ingest e views)
   | Protocol.Swap { path; model_id } ->
     run_control (fun () ->
-        match resolve_or_create t model_id with
-        | Error resp -> resp
-        | Ok e -> if entry_draining e then model_draining_reply e else swap t e path)
+        match serving t ~create:true model_id with
+        | Error refusal -> refusal
+        | Ok e -> swap t e path)
 
 (* Control-thread plumbing. *)
 
@@ -982,9 +914,18 @@ let handle t req =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle. *)
 
+let new_entry cfg id =
+  { id;
+    state = Atomic.make (Model_state.init cfg.breaker);
+    lock = Mutex.create ();
+    refit_lock = Mutex.create ();
+    q_mutex = Mutex.create ();
+    q_cond = Condition.create ();
+    queue = Queue.create ();
+    live_workers = 0;
+    threads = [] }
 
 let create ?model cfg =
-  let reg = Registry.create ?root:cfg.state_dir ~breaker:cfg.breaker () in
   let ctl =
     { c_mutex = Mutex.create ();
       c_cond = Condition.create ();
@@ -994,28 +935,25 @@ let create ?model cfg =
   in
   let t =
     { cfg;
-      reg;
+      reg = Registry.create ?root:cfg.state_dir (new_entry cfg);
       drain_flag = Atomic.make false;
       ctl;
       drain_hooks = Atomic.make [];
       hook_seq = Atomic.make 0 }
   in
   ctl.c_thread <- Some (Thread.create control_loop ctl);
-  Registry.recover reg;
-  let d =
-    match Registry.find_or_create reg "default" with
-    | Ok (e, _) -> e
-    | Error _ -> assert false
-  in
-  (match model with
-  | Some m ->
-    (* An explicitly provided model seeds "default" at version 1, taking
-       precedence over whatever recovery found for that model. *)
-    with_entry d (fun () ->
-        d.model <- Some m;
-        d.version <- 1)
-  | None -> ());
-  if with_entry d (fun () -> d.model) = None then
+  let seed e (model, version) = ignore (apply e (Model_state.Seed { model; version })) in
+  List.iter
+    (fun (id, loaded) ->
+      match Registry.find_or_create t.reg id with
+      | Ok (e, _) -> Option.iter (seed e) loaded
+      | Error _ -> ())
+    (Registry.recover t.reg);
+  let d = default_entry t in
+  (* An explicitly provided model seeds "default" at version 1, taking
+     precedence over whatever recovery found for that model. *)
+  Option.iter (fun m -> seed d (m, 1)) model;
+  if (state d).model = None then
     Log.info (fun m ->
         m "starting cold: no default model (transform requests will be refused)");
   List.iter
@@ -1023,13 +961,13 @@ let create ?model cfg =
       for _ = 1 to cfg.workers do
         spawn_worker t e
       done)
-    (Registry.list reg);
+    (Registry.list t.reg);
   t
 
 let drain_and_stop t =
   request_drain t;
   List.iter
-    (fun e -> if not (entry_draining e) then drain_entry t e)
+    (fun e -> if not (state e).draining then drain_entry t e)
     (Registry.list t.reg);
   stop_control t;
   ship_warnings ()

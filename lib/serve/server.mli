@@ -103,12 +103,6 @@ val create : ?model:Tcca.t -> config -> t
 val config : t -> config
 (** The engine's configuration (the reactor reads [io_timeout_s]). *)
 
-val version : t -> int
-(** The ["default"] model's version: 0 = cold, bumped on every install. *)
-
-val model : t -> Tcca.t option
-(** The ["default"] model. *)
-
 val batch_stats : t -> string -> (int * int) option
 (** [(batches, batched_jobs)] for the named model: coalesced GEMM batches
     executed and requests served through them.  [None] for unknown ids. *)

@@ -400,3 +400,24 @@ let planted_views rng ~loadings ~noise ~n =
       loadings
   done;
   views
+
+(* Crafted request bodies that once escaped the wire decoder as exceptions
+   — through the reactor, a crash of the whole daemon — or decoded as a
+   phantom matrix: each must be refused as a typed error.  [probe_body]
+   encodes one from its integer and float fields. *)
+let probe_body fields =
+  let b = Buffer.create 64 in
+  List.iter
+    (function
+      | `I v -> Checkpoint.Wire.add_int b v
+      | `F v -> Checkpoint.Wire.add_f64 b v)
+    fields;
+  Buffer.contents b
+
+let decoder_probes =
+  [ ("Model_health string length max_int-2", [ `I 9; `I (max_int - 2) ]);
+    ("Transform f-array length 2^60", [ `I 2; `I (-1); `I 1; `I 1; `I 1; `I (1 lsl 60) ]);
+    ( "view count 2^40 before one valid 1x1 matrix",
+      [ `I 2; `I (-1); `I (1 lsl 40); `I 1; `I 1; `I 1; `F 1. ] );
+    ( "2^32 x 2^31 matrix with no data",
+      [ `I 2; `I (-1); `I 1; `I (1 lsl 32); `I (1 lsl 31); `I 0 ] ) ]

@@ -14,6 +14,9 @@
    - a client that stalls mid-frame is dropped after io_timeout_s while a
      sibling connection on the same reactor is served, promptly and
      bitwise-correct, throughout the stall;
+   - each crafted decoder probe gets a typed bad-request and its connection
+     is closed, while a sibling's pipelined replies stay byte-identical to
+     the sequential reference and a new connection is served afterwards;
    - concurrent same-model requests actually coalesce into stacked-column
      GEMM batches, and the batched responses are bitwise identical to the
      library's own per-request transforms. *)
@@ -254,6 +257,64 @@ let test_slow_loris_sibling_unaffected () =
       Thread.join th)
 
 (* ------------------------------------------------------------------ *)
+(* Crafted decoder probes: each costs its own connection, nothing else. *)
+
+let test_decoder_probes_over_reactor () =
+  with_server ~model:(fit_model ()) (cfg ()) (fun t ->
+      let reqs =
+        List.init 6 (fun i ->
+            Protocol.Transform
+              { deadline_ms = -1;
+                views = synth_views ~views:3 ~dim:6 ~n:(1 + (i mod 3)) ~seed:(120 + i);
+                model_id = "default" })
+      in
+      let expected = List.map (fun r -> Protocol.response_to_string (Server.handle t r)) reqs in
+      let probes =
+        List.map
+          (fun (name, fields) ->
+            let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            (name, Test_support.probe_body fields, client, server))
+          Test_support.decoder_probes
+      in
+      let sib_c, sib_s = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let th =
+        Thread.create
+          (fun () -> Event_loop.serve_fds t (sib_s :: List.map (fun (_, _, _, s) -> s) probes))
+          ()
+      in
+      List.iter (fun (_, body, c, _) -> Protocol.write_frame c body) probes;
+      let b = Buffer.create 4096 in
+      List.iter (Protocol.buffer_request b) reqs;
+      write_all sib_c (Buffer.contents b);
+      List.iter
+        (fun (name, _, c, _) ->
+          (match Protocol.read_frame ~timeout_s:5. c with
+          | Protocol.Frame body -> (
+            match Protocol.response_of_string body with
+            | Ok (Protocol.R_error { code = "bad-request"; _ }) -> ()
+            | _ -> Alcotest.failf "%s: expected a typed bad-request" name)
+          | _ -> Alcotest.failf "%s: no reply" name);
+          (match Protocol.read_frame ~timeout_s:5. c with
+          | Protocol.Closed -> ()
+          | _ -> Alcotest.failf "%s: the connection must be closed" name);
+          Unix.close c)
+        probes;
+      let got =
+        List.map
+          (fun _ ->
+            match Protocol.read_frame ~timeout_s:30. sib_c with
+            | Protocol.Frame body -> body
+            | _ -> Alcotest.fail "sibling reply missing")
+          reqs
+      in
+      check_true "sibling replies ≡ sequential reference, bytewise"
+        (List.equal String.equal expected got);
+      Unix.close sib_c;
+      Thread.join th;
+      check_true "a new connection is served afterwards"
+        (List.equal String.equal expected (run_pipelined t reqs)))
+
+(* ------------------------------------------------------------------ *)
 (* Micro-batching: concurrent requests actually coalesce, bitwise. *)
 
 let test_batching_coalesces_bitwise () =
@@ -326,6 +387,9 @@ let () =
       ( "slow-loris",
         [ Alcotest.test_case "sibling unaffected" `Quick
             test_slow_loris_sibling_unaffected ] );
+      ( "decoder-probes",
+        [ Alcotest.test_case "refused per connection over a live reactor" `Quick
+            test_decoder_probes_over_reactor ] );
       ( "batching",
         [ Alcotest.test_case "coalesces bitwise" `Quick test_batching_coalesces_bitwise;
           Alcotest.test_case "drain hook fires" `Quick test_drain_hook_fires ] ) ]

@@ -250,33 +250,17 @@ let test_wire_compat_decodes_legacy () =
 (* ------------------------------------------------------------------ *)
 (* Decoder totality.  Crafted bodies that once escaped the decoder as
    exceptions — through the reactor, a crash of the whole daemon — or
-   decoded as a phantom matrix.  Each must come back as a typed [Error]. *)
-
-let probe_body fields =
-  let b = Buffer.create 64 in
-  List.iter
-    (function
-      | `I v -> Checkpoint.Wire.add_int b v
-      | `F v -> Checkpoint.Wire.add_f64 b v)
-    fields;
-  Buffer.contents b
-
-let decoder_probes =
-  [ ("Model_health string length max_int-2", [ `I 9; `I (max_int - 2) ]);
-    ("Transform f-array length 2^60", [ `I 2; `I (-1); `I 1; `I 1; `I 1; `I (1 lsl 60) ]);
-    ( "view count 2^40 before one valid 1x1 matrix",
-      [ `I 2; `I (-1); `I (1 lsl 40); `I 1; `I 1; `I 1; `F 1. ] );
-    ( "2^32 x 2^31 matrix with no data",
-      [ `I 2; `I (-1); `I 1; `I (1 lsl 32); `I (1 lsl 31); `I 0 ] ) ]
+   decoded as a phantom matrix ([Test_support.decoder_probes]).  Each must
+   come back as a typed [Error]. *)
 
 let test_decoder_probes_refused () =
   List.iter
     (fun (name, fields) ->
-      match Protocol.request_of_string (probe_body fields) with
+      match Protocol.request_of_string (Test_support.probe_body fields) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: decoded Ok" name
       | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
-    decoder_probes
+    Test_support.decoder_probes
 
 (* The decoder allocates O(frame bytes): every count it reads is bounded by
    the bytes left ([Checkpoint.Wire.get_count ~min_bytes]), so a frame of F
@@ -380,7 +364,7 @@ let test_decoder_allocation_bounded () =
       frames
   in
   check Protocol.request_of_string
-    (List.map (fun (_, fields) -> probe_body fields) decoder_probes);
+    (List.map (fun (_, fields) -> Test_support.probe_body fields) Test_support.decoder_probes);
   check Protocol.request_of_string (List.concat_map overwritten_counts request_frames);
   check Protocol.response_of_string (List.concat_map overwritten_counts response_frames);
   (* The unmodified frames are valid: the case measures real decodes, not
@@ -608,54 +592,206 @@ let test_torn_model_write_refused_on_load () =
 
 let test_breaker_state_machine () =
   let now = ref 0. in
-  let b =
-    Breaker.create ~now:(fun () -> !now)
-      { Breaker.failure_threshold = 3; open_cooldown_s = 5.; half_open_successes = 2 }
+  let cfg = { Breaker.failure_threshold = 3; open_cooldown_s = 5.; half_open_successes = 2 } in
+  let b = ref (Breaker.init cfg) in
+  let admit () =
+    let admission, next = Breaker.admit ~now:!now !b in
+    b := next;
+    admission
   in
-  check_true "starts closed" (Breaker.state_name b = "closed");
-  check_true "closed admits" (Breaker.admit b = Breaker.Admit);
-  Breaker.record b ~ok:false;
-  Breaker.record b ~ok:false;
-  check_true "two failures: still closed" (Breaker.state_name b = "closed");
-  check_true "counts consecutive failures" (Breaker.failures b = 2);
-  Breaker.record b ~ok:true;
-  check_true "success resets the count" (Breaker.failures b = 0);
-  Breaker.record b ~ok:false;
-  Breaker.record b ~ok:false;
-  Breaker.record b ~ok:false;
-  check_true "threshold trips open" (Breaker.state_name b = "open");
-  (match Breaker.admit b with
+  let record ~ok = b := Breaker.record cfg ~now:!now ~ok !b in
+  check_true "starts closed" (Breaker.state_name !b = "closed");
+  check_true "closed admits" (admit () = Breaker.Admit);
+  record ~ok:false;
+  record ~ok:false;
+  check_true "two failures: still closed" (Breaker.state_name !b = "closed");
+  check_true "counts consecutive failures" (Breaker.failures cfg !b = 2);
+  record ~ok:true;
+  check_true "success resets the count" (Breaker.failures cfg !b = 0);
+  record ~ok:false;
+  record ~ok:false;
+  record ~ok:false;
+  check_true "threshold trips open" (Breaker.state_name !b = "open");
+  (match admit () with
   | Breaker.Reject { retry_after_ms } ->
     check_true "full cooldown reported" (retry_after_ms = 5000)
   | _ -> Alcotest.fail "open must reject");
   now := 2.;
-  (match Breaker.admit b with
+  (match admit () with
   | Breaker.Reject { retry_after_ms } ->
     check_true "remaining cooldown reported" (retry_after_ms = 3000)
   | _ -> Alcotest.fail "open must still reject");
   now := 5.;
-  check_true "cooldown elapsed: probe" (Breaker.admit b = Breaker.Probe);
-  check_true "now half-open" (Breaker.state_name b = "half-open");
-  (match Breaker.admit b with
+  check_true "cooldown elapsed: probe" (admit () = Breaker.Probe);
+  check_true "now half-open" (Breaker.state_name !b = "half-open");
+  (match admit () with
   | Breaker.Reject { retry_after_ms = 1 } -> ()
   | _ -> Alcotest.fail "probes are single-flight");
-  Breaker.record b ~ok:true;
-  check_true "one success: still half-open" (Breaker.state_name b = "half-open");
-  check_true "second probe allowed" (Breaker.admit b = Breaker.Probe);
-  Breaker.record b ~ok:true;
-  check_true "enough successes re-close" (Breaker.state_name b = "closed");
+  record ~ok:true;
+  check_true "one success: still half-open" (Breaker.state_name !b = "half-open");
+  check_true "second probe allowed" (admit () = Breaker.Probe);
+  record ~ok:true;
+  check_true "enough successes re-close" (Breaker.state_name !b = "closed");
   (* A failed probe re-opens with a fresh cooldown. *)
-  Breaker.record b ~ok:false;
-  Breaker.record b ~ok:false;
-  Breaker.record b ~ok:false;
+  record ~ok:false;
+  record ~ok:false;
+  record ~ok:false;
   now := 10.;
-  check_true "probe after second trip" (Breaker.admit b = Breaker.Probe);
-  Breaker.record b ~ok:false;
-  check_true "failed probe re-opens" (Breaker.state_name b = "open");
-  check_true "fresh cooldown" (Breaker.retry_after_ms b = 5000);
+  check_true "probe after second trip" (admit () = Breaker.Probe);
+  record ~ok:false;
+  check_true "failed probe re-opens" (Breaker.state_name !b = "open");
+  check_true "fresh cooldown" (Breaker.retry_after_ms ~now:!now !b = 5000);
   (* force_open is the supervisor's lever for structural faults. *)
-  Breaker.force_open b ~cooldown_s:100.;
-  check_true "forced cooldown" (Breaker.retry_after_ms b = 100_000)
+  b := Breaker.force_open ~now:!now ~cooldown_s:100. !b;
+  check_true "forced cooldown" (Breaker.retry_after_ms ~now:!now !b = 100_000)
+
+(* ------------------------------------------------------------------ *)
+(* Model_state.step: properties of random event sequences (no daemon) *)
+
+type op =
+  | Ingest of { n : int; wide : bool }
+  | Refit_installed of bool  (* a wide model? *)
+  | Refit_retained
+  | Refit_failed
+  | Swap of bool
+  | Drain
+  | Admit
+  | Served of bool
+  | Shed of bool
+  | Batch of int
+  | Crash of bool  (* the last worker? *)
+
+(* Two shapes of model and accumulator: 3 views of 6 and of 8 dims. *)
+let narrow_model = fit_model ()
+let wide_model = Tcca.fit ~r:2 (synth_views ~views:3 ~dim:8 ~n:40 ~seed:7)
+
+let accumulator_of_width wide =
+  let dims = Array.make 3 (if wide then 8 else 6) in
+  { Model_state.builder = Tcca.Builder.create ~dims; dims }
+
+let narrow_acc = accumulator_of_width false
+let wide_acc = accumulator_of_width true
+let model_of_width wide = if wide then wide_model else narrow_model
+
+let gen_op =
+  let open QCheck2.Gen in
+  oneof
+    [ map2 (fun n wide -> Ingest { n; wide }) (int_range 0 50) bool;
+      map (fun w -> Refit_installed w) bool;
+      return Refit_retained;
+      return Refit_failed;
+      map (fun w -> Swap w) bool;
+      return Drain;
+      return Admit;
+      map (fun ok -> Served ok) bool;
+      map (fun probe -> Shed probe) bool;
+      map (fun jobs -> Batch jobs) (int_range 2 8);
+      map (fun last -> Crash last) bool ]
+
+let print_op = function
+  | Ingest { n; wide } -> Printf.sprintf "Ingest %d%s" n (if wide then " wide" else "")
+  | Refit_installed w -> if w then "Refit_installed wide" else "Refit_installed"
+  | Refit_retained -> "Refit_retained"
+  | Refit_failed -> "Refit_failed"
+  | Swap w -> if w then "Swap wide" else "Swap"
+  | Drain -> "Drain"
+  | Admit -> "Admit"
+  | Served ok -> Printf.sprintf "Served %b" ok
+  | Shed probe -> Printf.sprintf "Shed %b" probe
+  | Batch jobs -> Printf.sprintf "Batch %d" jobs
+  | Crash last -> Printf.sprintf "Crash %b" last
+
+(* One op as its event, applied at [now]. *)
+let apply_op s ~now op =
+  let step ev = fst (Model_state.step s ~now ev) in
+  match op with
+  | Ingest { n; wide } ->
+    step (Model_state.Ingested { acc = (if wide then wide_acc else narrow_acc); n })
+  | Refit_installed w -> step (Model_state.Refit_installed (model_of_width w))
+  | Refit_retained -> step Model_state.Refit_retained
+  | Refit_failed -> step (Model_state.Refit_failed "poisoned")
+  | Swap w -> step (Model_state.Swap_installed (model_of_width w))
+  | Drain -> step Model_state.Drain
+  | Admit -> step Model_state.Admit
+  | Served ok ->
+    step
+      (Model_state.Served
+         (if ok then Protocol.R_ok { version = 0; note = "" }
+          else Protocol.R_error { code = "internal"; message = "" }))
+  | Shed probe -> step (Model_state.Shed { probe })
+  | Batch jobs -> step (Model_state.Batch jobs)
+  | Crash last -> step (Model_state.Crash { budget = 2; stopping = false; last })
+
+(* Every state along the run, the initial one first; the clock advances
+   0.3 s per event so breaker cooldowns lapse within a run. *)
+let run_ops ops =
+  let s0 =
+    Model_state.init
+      { Breaker.failure_threshold = 2; open_cooldown_s = 1.; half_open_successes = 1 }
+  in
+  let _, _, states =
+    List.fold_left
+      (fun (i, s, states) op ->
+        let s = apply_op s ~now:(0.3 *. float_of_int i) op in
+        (i + 1, s, s :: states))
+      (0, s0, [ s0 ]) ops
+  in
+  List.rev states
+
+(* [check before op after] on every step of a run. *)
+let every_step check ops =
+  let rec go states ops =
+    match (states, ops) with
+    | before :: (after :: _ as rest), op :: ops -> check before op after && go rest ops
+    | _ -> true
+  in
+  go (run_ops ops) ops
+
+let step_property name check =
+  QCheck2.Test.make ~count:500 ~name
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 0 60) gen_op)
+    check
+
+let prop_version_counts_installs =
+  step_property "step: the version grows by one per installed refit or swap, else not"
+    (every_step (fun (before : Model_state.t) op (after : Model_state.t) ->
+         let installs = match op with Refit_installed _ | Swap _ -> 1 | _ -> 0 in
+         after.version = before.version + installs))
+
+let prop_ingested_sums_counts =
+  step_property "step: ingested is the sum of the ingested counts" (fun ops ->
+      let total =
+        List.fold_left (fun acc -> function Ingest { n; _ } -> acc + n | _ -> acc) 0 ops
+      in
+      (List.hd (List.rev (run_ops ops))).Model_state.ingested = total)
+
+(* The reference: since-fit sums the counts since the last installed refit
+   or the last swap to a model whose dims differ from the accumulator's. *)
+let prop_since_fit_counts_since_reset =
+  step_property "step: since-fit sums the counts since the last install or reshaping swap"
+    (fun ops ->
+      let _, _, expected =
+        List.fold_left
+          (fun (acc_wide, since, trace) op ->
+            let acc_wide, since =
+              match op with
+              | Ingest { n; wide } -> (Some wide, since + n)
+              | Refit_installed _ -> (acc_wide, 0)
+              | Swap w when acc_wide <> None && acc_wide <> Some w -> (None, 0)
+              | _ -> (acc_wide, since)
+            in
+            (acc_wide, since, since :: trace))
+          (None, 0, []) ops
+      in
+      List.for_all2
+        (fun (s : Model_state.t) since -> s.since_fit = since)
+        (List.tl (run_ops ops)) (List.rev expected))
+
+let prop_draining_absorbing =
+  step_property "step: draining is absorbing, and set by Drain alone"
+    (every_step (fun (before : Model_state.t) op (after : Model_state.t) ->
+         after.draining = (before.draining || op = Drain)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: serving correctness *)
@@ -695,7 +831,7 @@ let test_predict_formula () =
 
 let test_cold_start_refuses_typed () =
   with_server (cfg ()) (fun t ->
-      check_true "cold version is 0" (Server.version t = 0);
+      check_true "cold version is 0" ((model_health t "default").Protocol.mh_version = 0);
       let x = synth_views ~views:3 ~dim:6 ~n:3 ~seed:1 in
       match transform t x with
       | Protocol.R_error { code = "no-model"; _ } -> ()
@@ -795,7 +931,7 @@ let unchanged_after_bad_swap t serving x code path =
   | Protocol.R_error { code = c; _ } ->
     Alcotest.fail (Printf.sprintf "expected %s, got %s" code c)
   | _ -> Alcotest.fail "bad swap must be refused");
-  check_true "version unchanged" (Server.version t = 1);
+  check_true "version unchanged" ((model_health t "default").Protocol.mh_version = 1);
   let z = expect_matrix "transform after refused swap" (transform t x) in
   check_true "projections unchanged bitwise" (mat_equal_bits z (Tcca.transform serving x))
 
@@ -830,6 +966,50 @@ let test_version_skew_swap_refused () =
       let x = synth_views ~views:3 ~dim:6 ~n:5 ~seed:34 in
       unchanged_after_bad_swap t serving x "version-newer" path);
   Sys.remove path
+
+(* A swap to a model of other view dimensions drops the accumulator and
+   its since-fit count: the swapped model's ingests fold into a fresh one
+   of its own shape, and its refit installs a model of that shape.  A
+   same-dims swap keeps both. *)
+let ingest_default t ~dim ~seed =
+  match
+    Server.handle t
+      (Protocol.Ingest { views = synth_views ~views:3 ~dim ~n:30 ~seed; model_id = "default" })
+  with
+  | Protocol.R_ok _ -> ()
+  | r -> Alcotest.fail (Printf.sprintf "dims-%d ingest: %s" dim (Protocol.response_to_string r))
+
+let refit_default t =
+  Server.handle t (Protocol.Refit { deadline_ms = -1; model_id = "default" })
+
+let test_swap_to_other_dims_resets_accumulator () =
+  with_server ~model:(fit_model ()) (cfg ()) (fun t ->
+      ingest_default t ~dim:6 ~seed:35;
+      install_model t "default" (Tcca.fit ~r:2 (synth_views ~views:3 ~dim:8 ~n:40 ~seed:36));
+      ingest_default t ~dim:8 ~seed:37;
+      let h = model_health t "default" in
+      check_true "v2 counts only the swapped shape's samples since the fit"
+        (h.Protocol.mh_version = 2 && h.Protocol.mh_since_fit = 30
+        && h.Protocol.mh_ingested = 60);
+      (match refit_default t with
+      | Protocol.R_ok { version = 3; _ } -> ()
+      | r -> Alcotest.fail ("refit after the swap: " ^ Protocol.response_to_string r));
+      check_true "the refit keeps the swapped dims"
+        ((model_health t "default").Protocol.mh_dims = [| 8; 8; 8 |]);
+      ignore
+        (expect_matrix "dims-8 transform after the refit"
+           (transform t (synth_views ~views:3 ~dim:8 ~n:5 ~seed:38))))
+
+let test_same_dims_swap_keeps_accumulator () =
+  with_server ~model:(fit_model ~seed:3 ()) (cfg ()) (fun t ->
+      ingest_default t ~dim:6 ~seed:39;
+      install_model t "default" (fit_model ~seed:4 ());
+      let h = model_health t "default" in
+      check_true "since-fit survives a same-dims swap"
+        (h.Protocol.mh_version = 2 && h.Protocol.mh_since_fit = 30);
+      match refit_default t with
+      | Protocol.R_ok { version = 3; _ } -> ()
+      | r -> Alcotest.fail ("refit after a same-dims swap: " ^ Protocol.response_to_string r))
 
 (* ------------------------------------------------------------------ *)
 (* Ingest + refit *)
@@ -926,7 +1106,7 @@ let test_refit_nan_leaves_model_untouched () =
             check_true "mentions give-up accounting"
               (String.length message > 0)
           | r -> Alcotest.fail ("poisoned refit: " ^ Protocol.response_to_string r));
-      check_true "version unchanged" (Server.version t = 1);
+      check_true "version unchanged" ((model_health t "default").Protocol.mh_version = 1);
       check_true "health reports the failure"
         (let lr = (model_health t "default").Protocol.mh_last_refit in
          String.length lr >= 6 && String.sub lr 0 6 = "failed");
@@ -990,7 +1170,8 @@ let test_second_model_lifecycle () =
       (match Server.handle t (Protocol.Refit { deadline_ms = -1; model_id = "b" }) with
       | Protocol.R_ok { version = 2; _ } -> ()
       | r -> Alcotest.fail ("refit b: " ^ Protocol.response_to_string r));
-      check_true "default untouched by b's refit" (Server.version t = 1);
+      check_true "default untouched by b's refit"
+        ((model_health t "default").Protocol.mh_version = 1);
       let za' = expect_matrix "default after b refit" (transform t x) in
       check_true "default projections bitwise unchanged" (mat_equal_bits za za'))
 
@@ -1178,7 +1359,7 @@ let test_recovery_from_newest_valid () =
   Model_store.save ~path:(Filename.concat dir "model-v000001.tccm") m1;
   Model_store.save ~path:(Filename.concat dir "model-v000002.tccm") m2;
   with_server (cfg ~state_dir:dir ()) (fun t ->
-      check_true "adopts newest version" (Server.version t = 2);
+      check_true "adopts newest version" ((model_health t "default").Protocol.mh_version = 2);
       let x = synth_views ~views:3 ~dim:6 ~n:5 ~seed:52 in
       let z = expect_matrix "transform after recovery" (transform t x) in
       check_true "serves the newest model bitwise" (mat_equal_bits z (Tcca.transform m2 x)));
@@ -1197,7 +1378,8 @@ let test_recovery_skips_corrupt_newest () =
   write_file p2 (String.sub good 0 (String.length good / 2));
   Robust.clear_warnings ();
   with_server (cfg ~state_dir:dir ()) (fun t ->
-      check_true "falls back to the older valid snapshot" (Server.version t = 1);
+      check_true "falls back to the older valid snapshot"
+        ((model_health t "default").Protocol.mh_version = 1);
       let x = synth_views ~views:3 ~dim:6 ~n:5 ~seed:53 in
       let z = expect_matrix "transform after degraded recovery" (transform t x) in
       check_true "serves v1 bitwise" (mat_equal_bits z (Tcca.transform m1 x)));
@@ -1207,7 +1389,8 @@ let test_recovery_all_corrupt_degrades_cold () =
   let dir = tmp_dir "tccad-cold" in
   write_file (Filename.concat dir "model-v000003.tccm") "TCCMgarbage";
   with_server (cfg ~state_dir:dir ()) (fun t ->
-      check_true "cold start" (Server.version t = 0 && Server.model t = None));
+      let h = model_health t "default" in
+      check_true "cold start" (h.Protocol.mh_version = 0 && h.Protocol.mh_dims = [||]));
   rm_rf dir
 
 let test_recovery_mixed_model_dirs () =
@@ -1444,6 +1627,12 @@ let () =
           Alcotest.test_case "rejects damage" `Quick test_model_store_rejects_damage;
           Alcotest.test_case "torn write refused on load" `Quick
             test_torn_model_write_refused_on_load ] );
+      ( "model-state",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_version_counts_installs;
+            prop_ingested_sums_counts;
+            prop_since_fit_counts_since_reset;
+            prop_draining_absorbing ] );
       ( "breaker",
         [ Alcotest.test_case "state machine (fake clock)" `Quick test_breaker_state_machine;
           Alcotest.test_case "trips and isolates" `Quick test_breaker_trips_and_isolates;
@@ -1476,7 +1665,11 @@ let () =
         [ Alcotest.test_case "valid swap installs" `Quick test_swap_success;
           Alcotest.test_case "torn swap rolls back" `Quick test_torn_swap_rolls_back;
           Alcotest.test_case "corrupt swap rolls back" `Quick test_corrupt_swap_rolls_back;
-          Alcotest.test_case "version skew refused" `Quick test_version_skew_swap_refused ] );
+          Alcotest.test_case "version skew refused" `Quick test_version_skew_swap_refused;
+          Alcotest.test_case "swap to other dims resets the accumulator" `Quick
+            test_swap_to_other_dims_resets_accumulator;
+          Alcotest.test_case "same-dims swap keeps the accumulator" `Quick
+            test_same_dims_swap_keeps_accumulator ] );
       ( "refit",
         [ Alcotest.test_case "cold ingest+refit" `Quick test_ingest_then_refit_cold;
           Alcotest.test_case "no new data retained bitwise" `Quick
