@@ -343,6 +343,15 @@ let micro_tests () =
     Op_tensor.factored ~weight:1e-3
       (Array.init 3 (fun _ -> Mat.init 60 1000 (fun _ _ -> Rng.gaussian r)))
   in
+  (* The dense route's materialization at large N: 3 views at dₚ = 40 and
+     N = 64 000 components, far deeper than one 4 MiB chunk of packed
+     Z₂, so the per-N cost of Op_tensor.to_tensor shows at about a
+     second per run. *)
+  let large_n_op =
+    let r = Rng.create 6400 in
+    Op_tensor.factored ~weight:(1. /. 64_000.)
+      (Array.init 3 (fun _ -> Mat.init 40 64_000 (fun _ _ -> Rng.gaussian r)))
+  in
   (* Sketched scaling path (PR "sketched scaling path"): the partial-Cholesky
      Nyström pipeline at sizes where the N×N Gram would be prohibitive.  The
      oracles are RBF over synthetic features, so fitting needs no bandwidth
@@ -392,6 +401,8 @@ let micro_tests () =
       (Staged.stage (fun () -> Op_tensor.mttkrp op_factored op_us 0));
     Test.make ~name:"op/gram-pass-factored"
       (Staged.stage (fun () -> Op_tensor.norm2_and_mode_grams gram_pass_op));
+    Test.make ~name:"op/to-tensor-large-n"
+      (Staged.stage (fun () -> Op_tensor.to_tensor large_n_op));
     (* End-to-end fit on a dense-feasible shape, both representations … *)
     Test.make ~name:"tcca/fit-dense"
       (Staged.stage (fun () -> Tcca.fit_prepared ~solver:bench_als ~r:8 tcca_dense_p));
@@ -545,6 +556,8 @@ let flops_of_kernel =
   | "op/mttkrp-dense" -> Some (2 * 8 * 810_000)
   | "op/mttkrp-factored" -> Some ((3 * mulf 200 30 8) + (3 * 200 * 8) + mulf 30 200 8)
   | "op/gram-pass-factored" -> Some ((2 * 1000 * 1000 * (3 * 60)) + (3 * mulf 60 1000 60))
+  (* 2·N·∏dₚ: one multiply-add per entry per component. *)
+  | "op/to-tensor-large-n" -> Some (2 * 64_000 * 40 * 40 * 40)
   (* Partial Cholesky: the residual-column update at step k is 2·N·k flops;
      summed over ℓ = 256 steps (kernel-entry evaluations not counted). *)
   | "sketch/pchol-n4096-l256" -> Some (4096 * 256 * 255)

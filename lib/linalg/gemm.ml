@@ -87,7 +87,8 @@ let grown buf len = if Array.length buf >= len then buf else Array.make len 0.
    ap.(ip·klen·mr + l·mr + r), so the kernel reads mr contiguous values per
    depth step.  Rows beyond mlen are zero-padded — the kernel computes the
    padded cells and the store discards them, which keeps edge tiles exact.
-   B panels mirror this with nr-wide column panels. *)
+   B panels mirror this with nr-wide column panels, from offset [dst] of
+   bp. *)
 
 let pack_a ~ta ~a ~aoff ~lda ~i0 ~mlen ~p0 ~klen ap =
   let mpan = (mlen + mr - 1) / mr in
@@ -126,12 +127,12 @@ let pack_a ~ta ~a ~aoff ~lda ~i0 ~mlen ~p0 ~klen ap =
       done
   done
 
-let pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen bp =
+let pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen ~dst bp =
   let npan = (nlen + nr - 1) / nr in
   for jp = 0 to npan - 1 do
     let jb = j0 + (jp * nr) in
     let vc = min nr (j0 + nlen - jb) in
-    let dst0 = jp * (klen * nr) in
+    let dst0 = dst + (jp * (klen * nr)) in
     if not tb then
       (* B[l,j] = b.(boff + l·ldb + j): each depth step is contiguous in j. *)
       for l = 0 to klen - 1 do
@@ -282,13 +283,35 @@ let kern_staged ap abase bp bbase klen c co ldc ib jb vr vc up first tile =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The register tiles of one packed block: A rows [i0, i0 + mlen) against
+   B columns [j0, j0 + nlen), klen deep, with the B panels from [bbase] of
+   bp.  Row i, column j of the output is c.(coff + i·ldc + j). *)
+
+let macro ap bp ~bbase ~klen ~i0 ~mlen ~j0 ~nlen c ~coff ~ldc ~up ~first tile =
+  for ip = 0 to ((mlen + mr - 1) / mr) - 1 do
+    let ib = i0 + (ip * mr) in
+    let vr = min mr (i0 + mlen - ib) in
+    let abase = ip * (klen * mr) in
+    for jp = 0 to ((nlen + nr - 1) / nr) - 1 do
+      let jb = j0 + (jp * nr) in
+      let vc = min nr (j0 + nlen - jb) in
+      let bo = bbase + (jp * (klen * nr)) in
+      let co = coff + (ib * ldc) + jb in
+      (* Tiles with no cell on or above the diagonal are skipped outright
+         in the syrk case. *)
+      if vr = mr && vc = nr && ((not up) || jb >= ib + (mr - 1)) then
+        kern ap abase bp bo klen c co ldc first
+      else if (not up) || jb + vc - 1 >= ib then
+        kern_staged ap abase bp bo klen c co ldc ib jb vr vc up first tile
+    done
+  done
+
 (* One pool chunk: rows [r0, r1) of the output.  BLIS-style loop nest —
    jc (nc column blocks) → pc (kc depth slabs, ascending, so every cell
    accumulates its terms in ascending-k order across slabs) → ic (mc row
    blocks) → register tiles.  Each chunk packs into its own checked-out
    scratch; B is repacked per chunk, which duplicates O(k·n) copy work but
-   keeps the partitioning embarrassingly deterministic.  Row i, column j of
-   the output is c.(coff + i·ldc + j). *)
+   keeps the partitioning embarrassingly deterministic. *)
 
 let band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 =
   if r1 > r0 && n > 0 && k > 0 then begin
@@ -299,40 +322,22 @@ let band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c 
     let mpan_cap = (min mc (r1 - r0) + mr - 1) / mr in
     let ap = grown s.ap (klen_max * mpan_cap * mr) in
     s.ap <- ap;
-    let tile = s.tile in
     let jc = ref 0 in
     while !jc < n do
       let j0 = !jc in
       let nlen = min nc (n - j0) in
-      let npan = (nlen + nr - 1) / nr in
       let pc = ref 0 in
       while !pc < k do
         let p0 = !pc in
         let klen = min kc (k - p0) in
-        pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen bp;
+        pack_b ~tb ~b ~boff ~ldb ~j0 ~nlen ~p0 ~klen ~dst:0 bp;
         let ic = ref r0 in
         while !ic < r1 do
           let i0 = !ic in
           let mlen = min mc (r1 - i0) in
-          let mpan = (mlen + mr - 1) / mr in
           pack_a ~ta ~a ~aoff ~lda ~i0 ~mlen ~p0 ~klen ap;
-          for ip = 0 to mpan - 1 do
-            let ib = i0 + (ip * mr) in
-            let vr = min mr (i0 + mlen - ib) in
-            let abase = ip * (klen * mr) in
-            for jp = 0 to npan - 1 do
-              let jb = j0 + (jp * nr) in
-              let vc = min nr (j0 + nlen - jb) in
-              let bbase = jp * (klen * nr) and first = p0 = 0 && not acc in
-              let co = coff + (ib * ldc) + jb in
-              (* Tiles with no cell on or above the diagonal are skipped
-                 outright in the syrk case. *)
-              if vr = mr && vc = nr && ((not up) || jb >= ib + (mr - 1)) then
-                kern ap abase bp bbase klen c co ldc first
-              else if (not up) || jb + vc - 1 >= ib then
-                kern_staged ap abase bp bbase klen c co ldc ib jb vr vc up first tile
-            done
-          done;
+          macro ap bp ~bbase:0 ~klen ~i0 ~mlen ~j0 ~nlen c ~coff ~ldc ~up
+            ~first:(p0 = 0 && not acc) s.tile;
           ic := i0 + mlen
         done;
         pc := p0 + klen
@@ -341,13 +346,18 @@ let band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c 
     done
   end
 
-let band ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 =
+(* [f s] on a checked-out scratch, returned however [f] ends. *)
+let with_scratch f =
   let s = checkout () in
-  match band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 with
+  match f s with
   | () -> release s
   | exception e ->
     release s;
     raise e
+
+let band ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1 =
+  with_scratch (fun s ->
+      band_with s ~ta ~tb ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~coff ~ldc ~up ~acc c r0 r1)
 
 (* ------------------------------------------------------------------ *)
 (* Operand checks.  The kernels read and write through [unsafe_get] and
@@ -389,3 +399,67 @@ let syrk ~ta ~n ~k ~a c =
     Parallel.parallel_for ~cost:((n * n * k / 2) + 1) ~n (fun r0 r1 ->
         band ~ta ~tb:(not ta) ~n ~k ~a ~aoff:0 ~lda:ld ~b:a ~boff:0 ~ldb:ld ~coff:0 ~ldc:n
           ~up:true ~acc:false c r0 r1)
+
+(* ------------------------------------------------------------------ *)
+(* C += A·op(B) with A written by the caller straight into the packed
+   panel layout, so an A that is a function of other arrays (the
+   Khatri–Rao rows of Op_tensor's materialization) never exists whole.
+
+   The depth runs in chunks of whole kc slabs whose packed B fits in
+   [b_chunk_floats] (at least one slab).  Each chunk's B is packed once,
+   by the caller, into one checked-out buffer that every pool chunk
+   reads.  The mc-row blocks are then claimed from an atomic counter by
+   one worker per domain, so a stalled domain holds up one block rather
+   than a fixed share of the rows.  A block owns its rows of C and walks
+   the chunk's slabs in ascending order, and the chunks themselves run in
+   ascending order, so every cell still adds its terms one at a time in
+   ascending k onto the value C held: which worker claims which block
+   changes no bit. *)
+
+let b_chunk_floats = (4 lsl 20) / 8
+
+let accumulate_packed_a ?(b_off = 0) ?ldb ?(c_off = 0) ?ldc ~tb ~m ~n ~k ~pack_a ~b c =
+  if m < 0 || n < 0 || k < 0 then invalid_arg "Gemm.accumulate_packed_a: negative dimension";
+  let b_rows, b_cols = if tb then (n, k) else (k, n) in
+  let ldb = Option.value ldb ~default:b_cols and ldc = Option.value ldc ~default:n in
+  check_block "accumulate_packed_a" "b" b ~off:b_off ~ld:ldb ~rows:b_rows ~cols:b_cols;
+  check_block "accumulate_packed_a" "c" c ~off:c_off ~ld:ldc ~rows:m ~cols:n;
+  if m > 0 && n > 0 && k > 0 then begin
+    let slab = kc * ((n + nr - 1) / nr) * nr in
+    let chunk = kc * max 1 (b_chunk_floats / slab) in
+    let blocks = (m + mc - 1) / mc in
+    with_scratch (fun shared ->
+        let bp = grown shared.bp (((min chunk k + kc - 1) / kc) * slab) in
+        shared.bp <- bp;
+        let cp = ref 0 in
+        while !cp < k do
+          let c0 = !cp in
+          let clen = min chunk (k - c0) in
+          let slabs = (clen + kc - 1) / kc in
+          let klen sl = min kc (clen - (sl * kc)) in
+          for sl = 0 to slabs - 1 do
+            pack_b ~tb ~b ~boff:b_off ~ldb ~j0:0 ~nlen:n ~p0:(c0 + (sl * kc)) ~klen:(klen sl)
+              ~dst:(sl * slab) bp
+          done;
+          let next = Atomic.make 0 in
+          Parallel.parallel_for ~cost:(m * n * clen)
+            ~n:(min blocks (Parallel.num_domains ()))
+            (fun _ _ ->
+              with_scratch (fun s ->
+                  let ap = grown s.ap (kc * (((min mc m) + mr - 1) / mr) * mr) in
+                  s.ap <- ap;
+                  let blk = ref (Atomic.fetch_and_add next 1) in
+                  while !blk < blocks do
+                    let i0 = !blk * mc in
+                    let mlen = min mc (m - i0) in
+                    for sl = 0 to slabs - 1 do
+                      let klen = klen sl in
+                      pack_a ~i0 ~mlen ~p0:(c0 + (sl * kc)) ~klen ap;
+                      macro ap bp ~bbase:(sl * slab) ~klen ~i0 ~mlen ~j0:0 ~nlen:n c ~coff:c_off
+                        ~ldc ~up:false ~first:false s.tile
+                    done;
+                    blk := Atomic.fetch_and_add next 1
+                  done));
+          cp := c0 + clen
+        done)
+  end

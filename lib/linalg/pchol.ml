@@ -146,7 +146,18 @@ let decompose ?rank ?(tol = 1e-6) o =
                  { stage; pivot = argmax d; value = dmax0; jitter_tried = 0. })
           else begin
             let fd = !f and c = !cap in
-            let factor = Mat.init n ell (fun i t -> fd.((i * c) + t)) in
+            (* F's rows sit at stride [cap]: the buffer is F itself when the
+               achieved rank fills it, else its rows are copied out. *)
+            let factor =
+              if ell = c then Mat.unsafe_of_flat ~rows:n ~cols:ell fd
+              else begin
+                let packed = Array.make (n * ell) 0. in
+                for i = 0 to n - 1 do
+                  Array.blit fd (i * c) packed (i * ell) ell
+                done;
+                Mat.unsafe_of_flat ~rows:n ~cols:ell packed
+              end
+            in
             Ok
               ( factor,
                 { rank = ell;

@@ -39,6 +39,7 @@ type rep =
   | Exact_rep of { e_kernels : Mat.t array; e_chols : Cholesky.t array }
   | Nystrom_rep of {
       ny_factors : Mat.t array; (* centered Fₚ, N × ℓₚ *)
+      ny_grams : Mat.t array; (* FₚᵀFₚ, for the whitening and the duals *)
       ny_chols : Cholesky.t array; (* Gₚ with FₚᵀFₚ + εI = GₚGₚᵀ, ℓₚ × ℓₚ *)
       ny_info : sketch_info;
     }
@@ -98,6 +99,19 @@ let prepare_raw_exact ?(center = true) kernels_raw =
     raw_tms = raw_total_means;
     raw_centered = center }
 
+(* The column means of the N × ℓ factor [f], each summed from +0. in
+   ascending row order, as [Vec.mean (Mat.col f j)] sums it, in one pass
+   over the rows. *)
+let column_means (f : Mat.t) =
+  let n, ell = Mat.dims f in
+  let sums = Array.make ell 0. in
+  for i = 0 to n - 1 do
+    for j = 0 to ell - 1 do
+      sums.(j) <- sums.(j) +. Array.unsafe_get f.Mat.data ((i * ell) + j)
+    done
+  done;
+  Array.map (fun s -> s /. float_of_int n) sums
+
 (* Nyström raw statistics: a pivoted partial Cholesky per view consumes
    kernel columns on demand (never the N×N Gram) and yields K̂ₚ = FₚFₚᵀ.
    Everything downstream — centering, PLS whitening, the tensor S — is
@@ -131,11 +145,21 @@ let nystrom_raw_checked ~center ~rank ~tol oracles =
                else 0.);
             (* μ̂ = F₀(F₀ᵀ1)/N, and the per-column means of F₀ for centering. *)
             let ell = snd (Mat.dims f0) in
-            let fmeans = Array.init ell (fun j -> Vec.mean (Mat.col f0 j)) in
+            let fmeans = column_means f0 in
             let mu = Mat.mul_vec f0 fmeans in
             col_means.(p) <- mu;
             total_means.(p) <- Stats.mean mu;
-            if center then Mat.init n ell (fun i j -> Mat.get f0 i j -. fmeans.(j)) else f0)
+            (* F₀ is the fresh factor Pchol returned: center it in place. *)
+            if center then begin
+              let d = f0.Mat.data in
+              for i = 0 to n - 1 do
+                for j = 0 to ell - 1 do
+                  let k = (i * ell) + j in
+                  Array.unsafe_set d k (Array.unsafe_get d k -. fmeans.(j))
+                done
+              done
+            end;
+            f0)
         oracles
     in
     Ok
@@ -195,10 +219,10 @@ let whiten_kernel ~eps ~view kernel =
         Mat.add_scaled_identity (-.(1. +. Float.abs (Mat.trace a))) a
       else a)
 
-(* Nyström whitening: Mₚ = FₚᵀFₚ + εI is ℓₚ×ℓₚ and already conditioned by ε,
-   but reuse the same escalation shape for a degenerate F. *)
-let whiten_nystrom ~eps ~view f =
-  let gram = Mat.tgram f in
+(* Nyström whitening of [gram] = FₚᵀFₚ: Mₚ = FₚᵀFₚ + εI is ℓₚ×ℓₚ and
+   already conditioned by ε, but reuse the same escalation shape for a
+   degenerate F. *)
+let whiten_nystrom ~eps ~view gram =
   cholesky_ladder ~stage:(Printf.sprintf "ktcca.whiten-nystrom view %d" view) ~eps (fun e ->
       Mat.add_scaled_identity e gram)
 
@@ -241,19 +265,22 @@ let prepare_of_raw_checked ~eps raw =
         ~n:(fst (Mat.dims kernels.(0)))
         (Array.map2 Mat.mul inv_lowers kernels))
   | Raw_nystrom { rn_factors; rn_info } -> (
-    match whiten_views (whiten_nystrom ~eps) rn_factors with
+    let grams = Array.map Mat.tgram rn_factors in
+    match whiten_views (whiten_nystrom ~eps) grams with
     | Error e -> Error e
     | Ok chols ->
       (* With b = Fᵀa and M = FᵀF + εI = GGᵀ, setting c = Gᵀb turns the
          objective into the CP fit of S = (1/N) Σₙ ∘ₚ (Gₚ⁻¹ fₚₙ) over the
          rows fₚₙ of Fₚ: factors Zₚ = Gₚ⁻¹Fₚᵀ, ℓₚ × N.  The operator lives
          in ℓ-space, so at large N the route materializes the small ∏ℓₚ
-         tensor, which keeps the HOSVD init off the O(N²) Gram pass. *)
+         tensor, which keeps the HOSVD init off the O(N²) Gram pass.  The
+         product reads Fₚ as the GEMM's transposed operand. *)
       let inv_lowers = Array.map Cholesky.inverse_lower chols in
       finish
-        (Nystrom_rep { ny_factors = rn_factors; ny_chols = chols; ny_info = rn_info })
+        (Nystrom_rep
+           { ny_factors = rn_factors; ny_grams = grams; ny_chols = chols; ny_info = rn_info })
         ~n:(fst (Mat.dims rn_factors.(0)))
-        (Array.map2 (fun il f -> Mat.mul il (Mat.transpose f)) inv_lowers rn_factors))
+        (Array.map2 Mat.mul_nt inv_lowers rn_factors))
 
 let prepare_of_raw ~eps raw =
   match prepare_of_raw_checked ~eps raw with
@@ -300,7 +327,7 @@ let fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared =
             correlations = kruskal.Kruskal.weights;
             t_sketch = None;
             factors = kruskal.Kruskal.factors }
-    | Nystrom_rep { ny_factors; ny_chols; ny_info } -> (
+    | Nystrom_rep { ny_factors; ny_grams; ny_chols; ny_info } -> (
       (* Back-substitution in ℓ-space: Bₚ = Gₚ⁻ᵀCₚ, then the least-norm dual
          with FₚᵀAₚ = Bₚ is Aₚ = Fₚ(FₚᵀFₚ + δI)⁻¹Bₚ; the train embedding
          K̂ₚAₚ = FₚBₚ never touches an N×N matrix. *)
@@ -311,7 +338,7 @@ let fit_prepared_checked ?solver ?budget ?checkpoint ~r prepared =
               let b = Cholesky.solve_lower_transpose ny_chols.(p) kruskal.Kruskal.factors.(p) in
               blocks.(p) <- Mat.mul ny_factors.(p) b;
               let stage = Printf.sprintf "ktcca.duals view %d" p in
-              match Cholesky.decompose_jittered ~stage (Mat.tgram ny_factors.(p)) with
+              match Cholesky.decompose_jittered ~stage ny_grams.(p) with
               | Error e -> raise (Robust.Error e)
               | Ok (chol, _) ->
                 Mat.mul ny_factors.(p) (Cholesky.solve chol b))

@@ -32,7 +32,7 @@ let init breaker_config =
 type _ event =
   | Seed : { model : Tcca.t; version : int } -> unit event
   | Ingested : { acc : accumulator; n : int } -> unit event
-  | Refit_installed : Tcca.t -> unit event
+  | Refit_installed : { model : Tcca.t; acc : accumulator; fitted : int } -> bool event
   | Refit_retained : unit event
   | Refit_failed : string -> unit event
   | Swap_installed : Tcca.t -> unit event
@@ -62,14 +62,20 @@ let step : type a. t -> now:float -> a event -> t * a =
   | Seed { model; version } -> ({ s with model = Some model; version }, ())
   | Ingested { acc; n } ->
     ({ s with acc = Some acc; ingested = s.ingested + n; since_fit = s.since_fit + n }, ())
-  | Refit_installed model ->
-    let version = s.version + 1 in
-    ( { s with
-        model = Some model;
-        version;
-        since_fit = 0;
-        last_refit = Printf.sprintf "installed v%d" version },
-      () )
+  | Refit_installed { model; acc; fitted } -> (
+    match s.acc with
+    | Some current when current == acc ->
+      let version = s.version + 1 in
+      ( { s with
+          model = Some model;
+          version;
+          since_fit = s.since_fit - fitted;
+          last_refit = Printf.sprintf "installed v%d" version },
+        true )
+    | Some _ | None ->
+      (* A swap to other view dimensions dropped the statistics this model
+         was fitted on while it ran: the swapped model stays. *)
+      ({ s with last_refit = "superseded by swap" }, false))
   | Refit_retained -> ({ s with last_refit = "retained" }, ())
   | Refit_failed message -> ({ s with last_refit = "failed: " ^ message }, ())
   | Swap_installed model ->

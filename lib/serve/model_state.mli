@@ -22,10 +22,12 @@ type t = private {
   acc : accumulator option;  (** Created by the first Ingest. *)
   ingested : int;  (** Instances ingested over the model's lifetime. *)
   since_fit : int;
-      (** Instances ingested since the last installed refit, or since a swap
-          that changed the view dimensions. *)
+      (** Instances ingested and not yet in an installed refit: an install
+          subtracts what its fit saw, a swap that changes the view
+          dimensions zeroes it. *)
   last_refit : string;
-      (** ["never"], ["installed vN"], ["retained"] or ["failed: …"]. *)
+      (** ["never"], ["installed vN"], ["retained"], ["superseded by swap"]
+          or ["failed: …"]. *)
   draining : bool;  (** Per-model drain: absorbing; siblings unaffected. *)
   breaker : Breaker.state;
   respawns : int;  (** Workers respawned after crashes. *)
@@ -43,7 +45,15 @@ type _ event =
       (** A model recovered from disk, or the daemon's [?model]. *)
   | Ingested : { acc : accumulator; n : int } -> unit event
       (** [n] instances folded into [acc] (from {!accumulator}). *)
-  | Refit_installed : Tcca.t -> unit event
+  | Refit_installed : { model : Tcca.t; acc : accumulator; fitted : int } -> bool event
+      (** A refit of [model] from [acc] finished; [fitted] is the
+          [since_fit] read under the same lock as the statistics were
+          finalized.  Answers whether it was installed: only while [acc]
+          is still the state's accumulator (physically), and then [fitted]
+          is subtracted from [since_fit], so the ingests made during the
+          fit still count towards the next one.  Otherwise a swap dropped
+          [acc] meanwhile: model and version stay, and [last_refit] reads
+          ["superseded by swap"]. *)
   | Refit_retained : unit event  (** Nothing new since the last fit. *)
   | Refit_failed : string -> unit event
   | Swap_installed : Tcca.t -> unit event

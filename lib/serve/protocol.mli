@@ -76,7 +76,7 @@ type model_health = {
   mh_ingested : int;
   mh_since_fit : int;
   mh_last_refit : string;    (** ["never"], ["installed v3"], ["retained"],
-                                 or ["failed: …"]. *)
+                                 ["superseded by swap"] or ["failed: …"]. *)
   mh_draining : bool;
 }
 

@@ -261,8 +261,11 @@ let refit_reply t e budget =
         | Some acc when s.since_fit > 0 -> (
           let attempt () =
             (* Ingest folds into the builder in place; finalize under the
-               entry lock (O(statistics), not O(fit)). *)
-            let raw = locked e (fun () -> Tcca.Builder.finalize acc.builder) in
+               entry lock (O(statistics), not O(fit)), with the count of
+               instances it holds. *)
+            let raw, fitted =
+              locked e (fun () -> (Tcca.Builder.finalize acc.builder, (state e).since_fit))
+            in
             let prep () = Tcca.prepare_of_raw_checked ~eps:t.cfg.eps raw in
             let prepared =
               (* [Refit_nan] reuses the fit path's own covariance-poison
@@ -279,7 +282,9 @@ let refit_reply t e budget =
                 | Some m -> (Tcca.warm_solver ~options:t.cfg.refit_options m, Tcca.r m)
                 | None -> (Tcca.Als t.cfg.refit_options, t.cfg.rank)
               in
-              Tcca.fit_prepared_checked ~solver ~budget ~r:rank prepared
+              Result.map
+                (fun model -> (model, fitted))
+                (Tcca.fit_prepared_checked ~solver ~budget ~r:rank prepared)
           in
           let on_retry ~attempt ~delay err =
             Log.warn (fun m ->
@@ -288,12 +293,17 @@ let refit_reply t e budget =
                   (delay *. 1000.))
           in
           match Retry.run ~policy:t.cfg.refit_retry ~on_retry attempt with
-          | Ok model' ->
-            let s = fst (apply e (Model_state.Refit_installed model')) in
-            Registry.snapshot t.reg e.id s;
+          | Ok (model', fitted) ->
+            let s, installed =
+              apply e (Model_state.Refit_installed { model = model'; acc; fitted })
+            in
+            if installed then Registry.snapshot t.reg e.id s;
             ship_warnings ();
             Protocol.R_ok
-              { version = s.version; note = "refit installed: " ^ Tcca.solver_info model' }
+              { version = s.version;
+                note =
+                  (if installed then "refit installed: " ^ Tcca.solver_info model'
+                   else "refit superseded by a swap — serving model retained") }
           | Error gu ->
             ship_warnings ();
             let message =

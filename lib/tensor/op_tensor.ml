@@ -303,10 +303,10 @@ let inner_kruskal op lambda us =
    the tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where
    row (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is the running product
    (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:] over the n components;
-   for m = 1 its single row is w.  KR is filled one block of at most
-   [to_tensor_block_rows n] rows at a time, and each block's product is
-   added straight into its rows of the target, so no (∏dₚ) × n array and
-   no second tensor ever exists.
+   for m = 1 its single row is w.  KR never exists: [Gemm.accumulate_packed_a]
+   asks for one block of rows × depth at a time, and [pack_kr] writes it
+   straight into the GEMM's packed panels, so nothing but the target and
+   the GEMM's fixed scratch is allocated, whatever n is.
 
    Onto a zeroed target the result is bitwise the historical loop that
    added one rank-1 term per component (kept in the tests as the oracle):
@@ -323,40 +323,56 @@ let inner_kruskal op lambda us =
    Onto a target that already holds a sum, each cell continues that sum
    in the same ascending order (the GEMM's accumulation contract), which
    is how the streaming Builder folds batch after batch into one tensor.
-   Chunks and blocks own disjoint output rows, so any pool size gives the
-   same bits. *)
+   Blocks own disjoint output rows, so any pool size gives the same bits. *)
 
-(* A 4 MiB block of KR rows. *)
-let to_tensor_block_rows n = max 1 ((4 lsl 20) / (8 * n))
-
-(* Rows r₀ … r₀ + rows − 1 of KR into [kr], row-major with n columns.
-   [span.(p)] is the number of KR rows per index of mode p; [prefix.(p)]
-   holds the running product through mode p of the current index, for
-   p < m − 2. *)
-let fill_khatri_rao ~weight factors ~span prefix kr ~n ~rows r0 =
-  let m = Array.length factors in
-  let rec go p base =
-    let z = (factors.(p) : Mat.t).Mat.data and s = span.(p) in
-    let a_lo = max 0 ((r0 - base) / s)
-    and a_hi = min (fst (Mat.dims factors.(p)) - 1) ((r0 + rows - 1 - base) / s) in
-    for a = a_lo to a_hi do
-      let dst, off = if p = m - 2 then (kr, (base + (a * s) - r0) * n) else (prefix.(p), 0) in
-      let za = a * n in
-      if p = 0 then
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst (off + i) (weight *. Array.unsafe_get z (za + i))
-        done
-      else begin
-        let coeff = prefix.(p - 1) in
-        for i = 0 to n - 1 do
-          Array.unsafe_set dst (off + i)
-            (Array.unsafe_get coeff i *. Array.unsafe_get z (za + i))
-        done
-      end;
-      if p < m - 2 then go (p + 1) (base + (a * s))
+(* KR rows [i0, i0 + mlen) over components [p0, p0 + klen) into [ap], in
+   the GEMM's panel layout: entry l of local row r at
+   ap.((r / mr)·klen·mr + l·mr + r mod mr).  Consecutive rows that share
+   the prefix (a₀ … a_{m−3}) form runs of d_{m−2}; each run's prefix
+   (…(w·z₀[a₀,:])…)·z_{m−3}[a_{m−3},:] is built in its first row's slot,
+   the other rows multiply it by their z_{m−2} row, and the first row
+   multiplies it last.  [span.(p)] is the number of KR rows per index of
+   mode p. *)
+let pack_kr ~weight factors ~span ~n ~i0 ~mlen ~p0 ~klen ap =
+  let m = Array.length factors and mr = 4 in
+  let slot r = ((r / mr) * klen * mr) + (r mod mr) in
+  let fill_weight s0 =
+    for l = 0 to klen - 1 do
+      Array.unsafe_set ap (s0 + (l * mr)) weight
     done
   in
-  if m = 1 then Array.fill kr 0 n weight else go 0 0
+  if m = 1 then fill_weight (slot 0)
+  else begin
+    let zl = (factors.(m - 2) : Mat.t).Mat.data and dl = fst (Mat.dims factors.(m - 2)) in
+    let first = ref 0 in
+    while !first < mlen do
+      let i = i0 + !first in
+      let last = min (mlen - 1) (!first + dl - 1 - (i mod dl)) in
+      let s0 = slot !first in
+      fill_weight s0;
+      for p = 0 to m - 3 do
+        let z = (factors.(p) : Mat.t).Mat.data in
+        let src = ((i / span.(p) mod fst (Mat.dims factors.(p))) * n) + p0 in
+        for l = 0 to klen - 1 do
+          let d = s0 + (l * mr) in
+          Array.unsafe_set ap d (Array.unsafe_get ap d *. Array.unsafe_get z (src + l))
+        done
+      done;
+      for r = !first + 1 to last do
+        let dst = slot r and src = (((i0 + r) mod dl) * n) + p0 in
+        for l = 0 to klen - 1 do
+          Array.unsafe_set ap (dst + (l * mr))
+            (Array.unsafe_get ap (s0 + (l * mr)) *. Array.unsafe_get zl (src + l))
+        done
+      done;
+      let src = ((i mod dl) * n) + p0 in
+      for l = 0 to klen - 1 do
+        let d = s0 + (l * mr) in
+        Array.unsafe_set ap d (Array.unsafe_get ap d *. Array.unsafe_get zl (src + l))
+      done;
+      first := last + 1
+    done
+  end
 
 let add_into (out : Tensor.t) op =
   if out.Tensor.dims <> dims op then invalid_arg "Op_tensor.add_into: shape mismatch";
@@ -367,23 +383,9 @@ let add_into (out : Tensor.t) op =
     let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
     let last = factors.(m - 1) in
     let cols = fst (Mat.dims last) in
-    let rows = Tensor.size out / cols in
     let span = Array.init (m - 1) (fun p -> out.Tensor.strides.(p) / cols) in
-    let b = to_tensor_block_rows n in
-    (* Each chunk owns a run of tensor rows and walks it in blocks of b rows
-       (the last one shorter), reusing its own buffers; the block GEMMs
-       nested in the pool run sequentially. *)
-    Parallel.parallel_for ~cost:(n * Tensor.size out) ~n:rows (fun lo hi ->
-        let prefix = Array.init (max 0 (m - 2)) (fun _ -> Array.make n 0.) in
-        let kr = Array.make (min b (hi - lo) * n) 0. in
-        let r0 = ref lo in
-        while !r0 < hi do
-          let height = min b (hi - !r0) in
-          fill_khatri_rao ~weight factors ~span prefix kr ~n ~rows:height !r0;
-          Gemm.gemm ~accumulate:true ~ta:false ~tb:true ~m:height ~n:cols ~k:n ~a:kr
-            ~b:last.Mat.data ~c_off:(!r0 * cols) out.Tensor.data;
-          r0 := !r0 + height
-        done)
+    Gemm.accumulate_packed_a ~tb:true ~m:(Tensor.size out / cols) ~n:cols ~k:n
+      ~pack_a:(pack_kr ~weight factors ~span ~n) ~b:last.Mat.data out.Tensor.data
 
 let to_tensor = function
   | Dense x -> x

@@ -125,26 +125,23 @@ val to_tensor : t -> Tensor.t
 val add_into : Tensor.t -> t -> unit
 (** [add_into x op] adds the entries of [op] into [x] in place; raises
     [Invalid_argument] unless [x] has [op]'s {!dims}.  [Dense]: an
-    entrywise sum.  [Factored]: one GEMM, streamed over row blocks.  Read
-    row-major, the tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix
-    KR · Z_{m−1}ᵀ, where row (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR
-    is (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:].  The rows are split
-    across the [Parallel] pool, and each domain walks its run in blocks of
-    at most [b = to_tensor_block_rows n] rows: it fills the block of KR and
-    adds its product into those rows of [x] with one accumulating
-    [Gemm.gemm].  O(n · ∏ₚ dₚ) time at GEMM rate; memory O(b · n) per
-    domain — no (∏dₚ) × n array and no second tensor is allocated.
+    entrywise sum.  [Factored]: one accumulating GEMM.  Read row-major,
+    the tensor is the (∏_{p<m−1} dₚ) × d_{m−1} matrix KR · Z_{m−1}ᵀ, where
+    row (a₀, …, a_{m−2}) of the Khatri–Rao matrix KR is
+    (…((w·z₀[a₀,:])·z₁[a₁,:])…)·z_{m−2}[a_{m−2},:].  KR is never stored:
+    {!Gemm.accumulate_packed_a} asks for one block of at most 128 rows ×
+    256 components at a time and the running products are written
+    straight into its packed panels.  Z_{m−1} is packed once per chunk of
+    at most 4 MiB of components and shared by the domains, which claim
+    the row blocks one at a time.  O(n · ∏ₚ dₚ) time at GEMM rate;
+    memory: the GEMM's fixed scratch per domain and one 4 MiB chunk —
+    nothing grows with n, and no second tensor is allocated.
 
     Each cell continues the sum [x] holds with its n new terms in
     ascending component order (the GEMM's accumulation contract), so
     adding the operators over consecutive column ranges of the same
     factors is bitwise one [add_into] over all the columns, and onto a
     zeroed [x] it is {!to_tensor}. *)
-
-val to_tensor_block_rows : int -> int
-(** KR rows per full block of a factored {!add_into} for [n] components:
-    a fixed 4 MiB budget divided by the 8·n bytes of one row, at least 1.
-    The last block of each domain's run may be shorter. *)
 
 (** {1 Route}
 

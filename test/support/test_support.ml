@@ -338,10 +338,15 @@ let historical_mode_gram ~weight factors k =
    recursing over the modes and skipping the subtree under a zero entry
    (p < m−1).  The bitwise oracle for [Op_tensor.to_tensor] and
    [Tcca.covariance_tensor].  Its zero skips can hide a non-finite entry,
-   so it is an oracle for finite factors only. *)
-let oracle_to_tensor ~weight factors =
+   so it is an oracle for finite factors only.  With [~onto] the terms are
+   added onto a copy of that tensor instead of zeros. *)
+let oracle_to_tensor ?onto ~weight factors =
   let m = Array.length factors and n = snd (Mat.dims factors.(0)) in
-  let t = Tensor.create (Array.map (fun z -> fst (Mat.dims z)) factors) in
+  let t =
+    match onto with
+    | Some x -> Tensor.copy x
+    | None -> Tensor.create (Array.map (fun z -> fst (Mat.dims z)) factors)
+  in
   let dims = t.Tensor.dims and strides = t.Tensor.strides and data = t.Tensor.data in
   let add_outer xs =
     let rec go k base coeff =

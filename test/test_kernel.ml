@@ -126,6 +126,46 @@ let test_oracle_matches_gram () =
     check_float ~eps:1e-12 "column entry" (Mat.get k i j) col.(i)
   done
 
+(* The oracle's columns and diagonal against [gram], bit for bit, at
+   pools 1 and 4: every kernel and distance, N ≡ 0, 1, 2, 3 (mod 4), and
+   every column, so the pivot sits in each lane of a four-instance group
+   and in the tail.  A fifth of the features are exact zeros, so χ² meets
+   pairs whose sum is 0. *)
+let test_oracle_columns_bitwise () =
+  let kinds =
+    [ ("linear", Kernel.Linear);
+      ("rbf", Kernel.Rbf 0.3);
+      ("exp L2", Kernel.Exp_distance Distance.L2);
+      ("exp squared L2", Kernel.Exp_distance Distance.Sq_l2);
+      ("exp L1", Kernel.Exp_distance Distance.L1);
+      ("exp chi2", Kernel.Exp_distance Distance.Chi2) ]
+  in
+  List.iter
+    (fun n ->
+      let r = Rng.create (100 + n) in
+      let x =
+        Mat.init 7 n (fun _ _ -> if Rng.uniform r < 0.2 then 0. else Rng.uniform r)
+      in
+      List.iter
+        (fun (name, kind) ->
+          let f = Kernel.fit ~precompute:false kind x in
+          let k = Kernel.gram f in
+          List.iter
+            (fun size ->
+              with_pool size (fun () ->
+                  let o = Kernel.oracle f in
+                  let what = Printf.sprintf "%s, N = %d, pool %d" name n size in
+                  check_true (what ^ ": diagonal")
+                    (Array.for_all2 same_bits (Mat.diag k) (o.Pchol.o_diag ()));
+                  for j = 0 to n - 1 do
+                    check_true
+                      (Printf.sprintf "%s: column %d" what j)
+                      (Array.for_all2 same_bits (Mat.col k j) (o.Pchol.o_column j))
+                  done))
+            [ 1; 4 ])
+        kinds)
+    [ 12; 13; 14; 15; 33 ]
+
 let test_rbf () =
   let x = Mat.of_cols [| [| 0. |]; [| 1. |] |] in
   let k = Kernel.gram (Kernel.fit (Kernel.Rbf 2.) x) in
@@ -150,4 +190,6 @@ let () =
         [ Alcotest.test_case "fit+gram = one pairwise pass" `Quick test_fit_gram_single_pass;
           Alcotest.test_case "streaming fit matches" `Quick
             test_streaming_fit_matches_precomputed;
-          Alcotest.test_case "oracle matches gram" `Quick test_oracle_matches_gram ] ) ]
+          Alcotest.test_case "oracle matches gram" `Quick test_oracle_matches_gram;
+          Alcotest.test_case "oracle columns = gram columns (bitwise)" `Quick
+            test_oracle_columns_bitwise ] ) ]

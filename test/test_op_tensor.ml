@@ -177,13 +177,14 @@ let prop_gram_pass_trace =
       Array.for_all (fun g -> Float.abs (Mat.trace g -. norm) <= 1e-12 *. scale) grams)
 
 (* ------------------------------------------------------------------ *)
-(* The blocked Khatri–Rao × GEMM materialization against the historical
-   rank-1 slab loop, bit for bit: m ∈ 1..5, dims that include 1, last modes
-   below the 4-wide register tile, component counts whose block height
-   leaves a tail block, exact zeros, pools 1 and 4, and every setting of
-   the small-product cutoff (plain loops on every shape, microkernel
-   forced on every shape, the default).  The materialization calls the
-   accumulating microkernel directly, so the cutoff must not matter. *)
+(* The Khatri–Rao × GEMM materialization against the historical rank-1
+   slab loop, bit for bit: m ∈ 1..5, dims that include 1, last modes
+   below the 4-wide register tile, component counts around the GEMM's
+   256-deep slab and across several slabs, exact zeros, pools 1 and 4,
+   and every setting of the small-product cutoff (plain loops on every
+   shape, microkernel forced on every shape, the default).  The
+   materialization calls the accumulating microkernel directly, so the
+   cutoff must not matter. *)
 
 let gemm_routes =
   let default_cutoff = Gemm.small_cutoff () in
@@ -211,15 +212,16 @@ let to_tensor_matches_oracle (dims, n, weight, seed) =
       Op_tensor.to_tensor (Op_tensor.factored ~weight zs))
 
 (* (dims, n, weight, seed).  The leading-mode caps keep ∏dₚ near a few
-   hundred rows; the large n put the block height at 349, 201 and 127 rows,
-   so those rows usually split into full blocks and a tail. *)
+   hundred rows, so m = 2 and 3 usually span several 128-row blocks with
+   a short last one; n is below, at and just above one 256-deep slab, or
+   several slabs deep. *)
 let gen_materialize_case =
   QCheck2.Gen.(
     int_range 1 5 >>= fun m ->
     let cap = [| 1; 1; 300; 20; 8; 5 |].(m) in
     list_repeat (m - 1) (frequency [ (1, return 1); (3, int_range 1 cap) ]) >>= fun lead ->
     frequency [ (3, int_range 1 3); (1, int_range 4 9) ] >>= fun last ->
-    oneofl [ 1; 2; 5; 17; 64; 1500; 2600; 4100 ] >>= fun n ->
+    oneofl [ 1; 2; 5; 17; 64; 255; 256; 257; 1500; 2600 ] >>= fun n ->
     float_range (-1.5) 1.5 >>= fun weight ->
     int_bound 1_000_000 >|= fun seed -> (Array.of_list (lead @ [ last ]), n, weight, seed))
 
@@ -249,19 +251,71 @@ let prop_add_into_column_split =
           done;
           x))
 
-(* Shapes pinned to leave a tail block at every order (at pool 1, where one
-   chunk walks all rows). *)
+(* Shapes pinned to the edges of the GEMM's loop, one or more per order
+   m = 1 … 4: tensor rows that are a multiple of neither the 4-row panel
+   nor the 128-row block, an odd last mode (a padded 2-column panel), and
+   n just below, at and just above one 256-deep slab.  The last two cross
+   a chunk of packed Z_{m−1}: 8 192 components at width 64, one slab at
+   width 1 025. *)
 let test_to_tensor_tail_blocks () =
   List.iter
     (fun (dims, n) ->
       let rows = Array.fold_left ( * ) 1 dims / dims.(Array.length dims - 1) in
-      let b = Op_tensor.to_tensor_block_rows n in
       check_true
-        (Printf.sprintf "%d rows at block height %d leave a tail" rows b)
-        (rows > b && rows mod b <> 0);
-      check_true "bitwise = oracle" (to_tensor_matches_oracle (dims, n, 0.7, rows + n)))
-    [ ([| 300; 3 |], 2600); ([| 15; 13; 2 |], 3000); ([| 6; 1; 6; 6; 1 |], 4100);
-      ([| 4; 4; 4; 4; 2 |], 4100) ]
+        (Printf.sprintf "bitwise = oracle: %d rows × %d, n = %d" rows
+           dims.(Array.length dims - 1) n)
+        (to_tensor_matches_oracle (dims, n, 0.7, rows + n)))
+    [ ([| 7 |], 255); ([| 5 |], 256); ([| 3 |], 257);
+      ([| 130; 3 |], 256); ([| 257; 1 |], 255);
+      ([| 11; 13; 5 |], 257); ([| 9; 1; 7 |], 256);
+      ([| 3; 5; 9; 7 |], 255); ([| 2; 3; 1; 5 |], 513);
+      ([| 5; 64 |], 8197); ([| 3; 1025 |], 700) ]
+
+(* [add_into] onto a tensor that already holds sums (the Builder's case):
+   every cell continues from its value, bitwise the slab loop started
+   there, on the edge shapes above at pools 1 and 4. *)
+let test_add_into_onto_sums () =
+  List.iter
+    (fun (dims, n) ->
+      let zs = zero_mixed_factors dims n (n + 3) in
+      let start = random_tensor (Rng.create n) dims in
+      let op = Op_tensor.factored ~weight:(-0.3) zs in
+      check_true
+        (Printf.sprintf "onto sums = oracle, n = %d" n)
+        (materializes_as
+           (oracle_to_tensor ~onto:start ~weight:(-0.3) zs)
+           (fun () ->
+             let x = Tensor.copy start in
+             Op_tensor.add_into x op;
+             x)))
+    [ ([| 130; 3 |], 257); ([| 11; 13; 5 |], 255); ([| 3; 5; 9; 7 |], 513) ]
+
+(* One non-finite factor entry on a shape with several row blocks and
+   slabs: the cells whose index in its mode is its row are non-finite, and
+   every other cell is bitwise the materialization without it. *)
+let test_to_tensor_non_finite_pinned () =
+  let dims = [| 11; 13; 5 |] and n = 300 in
+  let zs = zero_mixed_factors dims n 29 in
+  let clean = oracle_to_tensor ~weight:0.7 zs in
+  List.iter
+    (fun (p, row, col, value) ->
+      let poisoned = Array.map Mat.copy zs in
+      Mat.set poisoned.(p) row col value;
+      List.iter
+        (fun size ->
+          with_pool size (fun () ->
+              let x = Op_tensor.to_tensor (Op_tensor.factored ~weight:0.7 poisoned) in
+              let stride = x.Tensor.strides.(p) in
+              check_true
+                (Printf.sprintf "mode %d row %d at pool %d" p row size)
+                (Array.for_all Fun.id
+                   (Array.mapi
+                      (fun flat v ->
+                        if flat / stride mod dims.(p) = row then not (Float.is_finite v)
+                        else same_bits v clean.Tensor.data.(flat))
+                      x.Tensor.data))))
+        [ 1; 4 ])
+    [ (0, 10, 257, Float.nan); (1, 4, 0, Float.infinity); (2, 2, 299, Float.neg_infinity) ]
 
 let prop_covariance_tensor_bitwise =
   qtest ~count:30 "Tcca.covariance_tensor ≡ rank-1 slab oracle (bitwise)"
@@ -501,6 +555,9 @@ let () =
       qsuite "materialize"
         [ prop_to_tensor_bitwise;
           Alcotest.test_case "tail blocks" `Quick test_to_tensor_tail_blocks;
+          Alcotest.test_case "add_into onto sums" `Quick test_add_into_onto_sums;
+          Alcotest.test_case "non-finite entry, pinned shape" `Quick
+            test_to_tensor_non_finite_pinned;
           prop_covariance_tensor_bitwise;
           prop_to_tensor_non_finite;
           Alcotest.test_case "non-finite weight" `Quick test_to_tensor_non_finite_weight;

@@ -650,7 +650,10 @@ let test_breaker_state_machine () =
 
 type op =
   | Ingest of { n : int; wide : bool }
-  | Refit_installed of bool  (* a wide model? *)
+  | Refit_installed of { wide : bool; stale : bool; fitted : int }
+      (* A refit of a wide or narrow model, from the state's accumulator or
+         from one a swap dropped while the fit ran ([stale]); [fitted] caps
+         the since-fit count its statistics held. *)
   | Refit_retained
   | Refit_failed
   | Swap of bool
@@ -677,7 +680,8 @@ let gen_op =
   let open QCheck2.Gen in
   oneof
     [ map2 (fun n wide -> Ingest { n; wide }) (int_range 0 50) bool;
-      map (fun w -> Refit_installed w) bool;
+      map3 (fun wide stale fitted -> Refit_installed { wide; stale; fitted }) bool bool
+        (int_range 0 60);
       return Refit_retained;
       return Refit_failed;
       map (fun w -> Swap w) bool;
@@ -690,7 +694,9 @@ let gen_op =
 
 let print_op = function
   | Ingest { n; wide } -> Printf.sprintf "Ingest %d%s" n (if wide then " wide" else "")
-  | Refit_installed w -> if w then "Refit_installed wide" else "Refit_installed"
+  | Refit_installed { wide; stale; fitted } ->
+    Printf.sprintf "Refit_installed%s%s %d" (if wide then " wide" else "")
+      (if stale then " stale" else "") fitted
   | Refit_retained -> "Refit_retained"
   | Refit_failed -> "Refit_failed"
   | Swap w -> if w then "Swap wide" else "Swap"
@@ -707,7 +713,17 @@ let apply_op s ~now op =
   match op with
   | Ingest { n; wide } ->
     step (Model_state.Ingested { acc = (if wide then wide_acc else narrow_acc); n })
-  | Refit_installed w -> step (Model_state.Refit_installed (model_of_width w))
+  | Refit_installed { wide; stale; fitted } ->
+    (* A stale refit carries a fresh accumulator record: never the
+       state's, as a dropped one never is. *)
+    let acc =
+      match s.Model_state.acc with
+      | Some a when not stale -> a
+      | Some _ | None -> accumulator_of_width wide
+    in
+    step
+      (Model_state.Refit_installed
+         { model = model_of_width wide; acc; fitted = min fitted s.since_fit })
   | Refit_retained -> step Model_state.Refit_retained
   | Refit_failed -> step (Model_state.Refit_failed "poisoned")
   | Swap w -> step (Model_state.Swap_installed (model_of_width w))
@@ -753,10 +769,19 @@ let step_property name check =
     QCheck2.Gen.(list_size (int_range 0 60) gen_op)
     check
 
+(* A refit installs only from the accumulator the state still holds; one
+   whose accumulator a swap dropped while it ran leaves the version (and
+   the swapped model) alone. *)
 let prop_version_counts_installs =
-  step_property "step: the version grows by one per installed refit or swap, else not"
+  step_property
+    "step: the version grows by one per swap and per refit from the current accumulator, else not"
     (every_step (fun (before : Model_state.t) op (after : Model_state.t) ->
-         let installs = match op with Refit_installed _ | Swap _ -> 1 | _ -> 0 in
+         let installs =
+           match op with
+           | Swap _ -> 1
+           | Refit_installed { stale = false; _ } when Option.is_some before.acc -> 1
+           | _ -> 0
+         in
          after.version = before.version + installs))
 
 let prop_ingested_sums_counts =
@@ -766,10 +791,11 @@ let prop_ingested_sums_counts =
       in
       (List.hd (List.rev (run_ops ops))).Model_state.ingested = total)
 
-(* The reference: since-fit sums the counts since the last installed refit
-   or the last swap to a model whose dims differ from the accumulator's. *)
+(* The reference: since-fit sums the counts since the last swap to a model
+   whose dims differ from the accumulator's, less what each installed
+   refit fitted; a stale refit changes nothing. *)
 let prop_since_fit_counts_since_reset =
-  step_property "step: since-fit sums the counts since the last install or reshaping swap"
+  step_property "step: since-fit sums the counts not yet fitted since the last reshaping swap"
     (fun ops ->
       let _, _, expected =
         List.fold_left
@@ -777,7 +803,8 @@ let prop_since_fit_counts_since_reset =
             let acc_wide, since =
               match op with
               | Ingest { n; wide } -> (Some wide, since + n)
-              | Refit_installed _ -> (acc_wide, 0)
+              | Refit_installed { stale = false; fitted; _ } when acc_wide <> None ->
+                (acc_wide, since - min fitted since)
               | Swap w when acc_wide <> None && acc_wide <> Some w -> (None, 0)
               | _ -> (acc_wide, since)
             in
@@ -792,6 +819,53 @@ let prop_draining_absorbing =
   step_property "step: draining is absorbing, and set by Drain alone"
     (every_step (fun (before : Model_state.t) op (after : Model_state.t) ->
          after.draining = (before.draining || op = Drain)))
+
+(* A refit's fit runs outside the model's lock.  Ingests that land during
+   it still count towards the next refit... *)
+let test_refit_keeps_ingests_made_during_fit () =
+  let s0 =
+    Model_state.init
+      { Breaker.failure_threshold = 2; open_cooldown_s = 1.; half_open_successes = 1 }
+  in
+  let step s ev = Model_state.step s ~now:0. ev in
+  let acc = accumulator_of_width false in
+  let s, () = step s0 (Model_state.Ingested { acc; n = 10 }) in
+  (* The refit finalizes here, reading since-fit = 10. *)
+  let s, () = step s (Model_state.Ingested { acc; n = 5 }) in
+  let s, installed =
+    step s (Model_state.Refit_installed { model = narrow_model; acc; fitted = 10 })
+  in
+  check_true "installed" installed;
+  check_true "version 1" (s.version = 1);
+  check_true "the 5 ingested during the fit still count" (s.since_fit = 5);
+  check_true "last refit" (s.last_refit = "installed v1")
+
+(* ...and a swap to other view dimensions during the fit wins: the refit's
+   old-shape model is not installed, also after the swapped model's first
+   ingest made a new accumulator of the new shape. *)
+let test_refit_superseded_by_swap () =
+  let s0 =
+    Model_state.init
+      { Breaker.failure_threshold = 2; open_cooldown_s = 1.; half_open_successes = 1 }
+  in
+  let step s ev = Model_state.step s ~now:0. ev in
+  let narrow = accumulator_of_width false in
+  let s, () = step s0 (Model_state.Seed { model = narrow_model; version = 1 }) in
+  let s, () = step s (Model_state.Ingested { acc = narrow; n = 10 }) in
+  let s, () = step s (Model_state.Swap_installed wide_model) in
+  let stale = Model_state.Refit_installed { model = narrow_model; acc = narrow; fitted = 10 } in
+  let check_superseded what (s : Model_state.t) =
+    let s', installed = step s stale in
+    check_true (what ^ ": not installed") (not installed);
+    check_true (what ^ ": version kept") (s'.version = 2);
+    check_true (what ^ ": swapped model kept")
+      (match s'.model with Some m -> m == wide_model | None -> false);
+    check_true (what ^ ": since-fit kept") (s'.since_fit = s.since_fit);
+    check_true (what ^ ": noted") (s'.last_refit = "superseded by swap")
+  in
+  check_superseded "accumulator dropped" s;
+  let s, () = step s (Model_state.Ingested { acc = accumulator_of_width true; n = 4 }) in
+  check_superseded "new accumulator" s
 
 (* ------------------------------------------------------------------ *)
 (* Engine: serving correctness *)
@@ -1632,7 +1706,11 @@ let () =
           [ prop_version_counts_installs;
             prop_ingested_sums_counts;
             prop_since_fit_counts_since_reset;
-            prop_draining_absorbing ] );
+            prop_draining_absorbing ]
+        @ [ Alcotest.test_case "refit keeps ingests made during the fit" `Quick
+              test_refit_keeps_ingests_made_during_fit;
+            Alcotest.test_case "refit superseded by a swap" `Quick test_refit_superseded_by_swap
+          ] );
       ( "breaker",
         [ Alcotest.test_case "state machine (fake clock)" `Quick test_breaker_state_machine;
           Alcotest.test_case "trips and isolates" `Quick test_breaker_trips_and_isolates;
