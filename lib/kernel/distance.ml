@@ -34,6 +34,60 @@ let eval kind x y =
     done;
     !acc
 
+(* [eval kind cols.(i) y] into out.(i) for i in [lo, hi), four instances
+   per step so that four independent sums are in flight.  Each sum is
+   still taken from +0. in ascending feature order with [eval]'s terms,
+   and L2 takes its square root last, so every entry is bitwise [eval]'s.
+   The last (hi − lo) mod 4 instances call [eval] itself. *)
+let column_into kind cols y out lo hi =
+  let d = Array.length y in
+  for i = lo to hi - 1 do
+    if Array.length cols.(i) <> d then invalid_arg "Distance.column_into: dimension mismatch"
+  done;
+  let i = ref lo in
+  while !i + 3 < hi do
+    let c0 = cols.(!i) and c1 = cols.(!i + 1) and c2 = cols.(!i + 2) and c3 = cols.(!i + 3) in
+    let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+    (match kind with
+    | Sq_l2 | L2 ->
+      for f = 0 to d - 1 do
+        let yf = Array.unsafe_get y f in
+        let e0 = Array.unsafe_get c0 f -. yf and e1 = Array.unsafe_get c1 f -. yf in
+        let e2 = Array.unsafe_get c2 f -. yf and e3 = Array.unsafe_get c3 f -. yf in
+        s0 := !s0 +. (e0 *. e0);
+        s1 := !s1 +. (e1 *. e1);
+        s2 := !s2 +. (e2 *. e2);
+        s3 := !s3 +. (e3 *. e3)
+      done
+    | L1 ->
+      for f = 0 to d - 1 do
+        let yf = Array.unsafe_get y f in
+        s0 := !s0 +. Float.abs (Array.unsafe_get c0 f -. yf);
+        s1 := !s1 +. Float.abs (Array.unsafe_get c1 f -. yf);
+        s2 := !s2 +. Float.abs (Array.unsafe_get c2 f -. yf);
+        s3 := !s3 +. Float.abs (Array.unsafe_get c3 f -. yf)
+      done
+    | Chi2 ->
+      for f = 0 to d - 1 do
+        let yf = Array.unsafe_get y f in
+        let x0 = Array.unsafe_get c0 f and x1 = Array.unsafe_get c1 f in
+        let x2 = Array.unsafe_get c2 f and x3 = Array.unsafe_get c3 f in
+        if x0 +. yf > 0. then s0 := !s0 +. ((x0 -. yf) *. (x0 -. yf) /. (x0 +. yf));
+        if x1 +. yf > 0. then s1 := !s1 +. ((x1 -. yf) *. (x1 -. yf) /. (x1 +. yf));
+        if x2 +. yf > 0. then s2 := !s2 +. ((x2 -. yf) *. (x2 -. yf) /. (x2 +. yf));
+        if x3 +. yf > 0. then s3 := !s3 +. ((x3 -. yf) *. (x3 -. yf) /. (x3 +. yf))
+      done);
+    let l2 = kind = L2 in
+    out.(!i) <- (if l2 then sqrt !s0 else !s0);
+    out.(!i + 1) <- (if l2 then sqrt !s1 else !s1);
+    out.(!i + 2) <- (if l2 then sqrt !s2 else !s2);
+    out.(!i + 3) <- (if l2 then sqrt !s3 else !s3);
+    i := !i + 4
+  done;
+  for i = !i to hi - 1 do
+    out.(i) <- eval kind cols.(i) y
+  done
+
 (* Both Gram-construction entry points are row-partitioned across the domain
    pool: every output row is owned by exactly one chunk and each entry is an
    independent evaluation, so results are trivially deterministic. *)

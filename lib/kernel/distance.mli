@@ -12,6 +12,13 @@ type t =
 
 val eval : t -> Vec.t -> Vec.t -> float
 
+val column_into : t -> Vec.t array -> Vec.t -> float array -> int -> int -> unit
+(** [column_into d cols y out lo hi] sets [out.(i)] to [eval d cols.(i) y],
+    bitwise, for every [lo ≤ i < hi], summing four instances per loop
+    step — the pass behind a Nyström kernel column.  Raises
+    [Invalid_argument] if one of those [cols.(i)] differs in length from
+    [y]. *)
+
 val pairwise : t -> Mat.t -> Mat.t
 (** [pairwise d x] for [x : d×N] (instances as columns) is the symmetric
     [N×N] distance matrix. *)

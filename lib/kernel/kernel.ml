@@ -54,105 +54,40 @@ let gram f =
 
 let bandwidth f = f.lambda
 
-(* The sums behind kernel column j over instances [lo, hi): out.(i) gets
-   Σ_f term(xᵢ[f], x_j[f]) — the squared, absolute or χ² differences of
-   [kind], or the products when [kind] is [None] (the linear kernel).
-   Four instances run per step, so four independent sums are in flight;
-   each is still taken from +0. in ascending feature order with the terms
-   [Distance.eval] and [Vec.dot] add, so every sum is bitwise theirs.  A
-   chunk's last (hi − lo) mod 4 instances take those functions directly. *)
-let column_sums kind cols xj out lo hi =
-  let d = Array.length xj in
-  let i = ref lo in
-  while !i + 3 < hi do
-    let c0 = cols.(!i) and c1 = cols.(!i + 1) and c2 = cols.(!i + 2) and c3 = cols.(!i + 3) in
-    let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
-    (match kind with
-    | None ->
-      for f = 0 to d - 1 do
-        let y = Array.unsafe_get xj f in
-        s0 := !s0 +. (Array.unsafe_get c0 f *. y);
-        s1 := !s1 +. (Array.unsafe_get c1 f *. y);
-        s2 := !s2 +. (Array.unsafe_get c2 f *. y);
-        s3 := !s3 +. (Array.unsafe_get c3 f *. y)
-      done
-    | Some (Distance.Sq_l2 | Distance.L2) ->
-      for f = 0 to d - 1 do
-        let y = Array.unsafe_get xj f in
-        let e0 = Array.unsafe_get c0 f -. y and e1 = Array.unsafe_get c1 f -. y in
-        let e2 = Array.unsafe_get c2 f -. y and e3 = Array.unsafe_get c3 f -. y in
-        s0 := !s0 +. (e0 *. e0);
-        s1 := !s1 +. (e1 *. e1);
-        s2 := !s2 +. (e2 *. e2);
-        s3 := !s3 +. (e3 *. e3)
-      done
-    | Some Distance.L1 ->
-      for f = 0 to d - 1 do
-        let y = Array.unsafe_get xj f in
-        s0 := !s0 +. Float.abs (Array.unsafe_get c0 f -. y);
-        s1 := !s1 +. Float.abs (Array.unsafe_get c1 f -. y);
-        s2 := !s2 +. Float.abs (Array.unsafe_get c2 f -. y);
-        s3 := !s3 +. Float.abs (Array.unsafe_get c3 f -. y)
-      done
-    | Some Distance.Chi2 ->
-      for f = 0 to d - 1 do
-        let y = Array.unsafe_get xj f in
-        let x0 = Array.unsafe_get c0 f and x1 = Array.unsafe_get c1 f in
-        let x2 = Array.unsafe_get c2 f and x3 = Array.unsafe_get c3 f in
-        if x0 +. y > 0. then s0 := !s0 +. ((x0 -. y) *. (x0 -. y) /. (x0 +. y));
-        if x1 +. y > 0. then s1 := !s1 +. ((x1 -. y) *. (x1 -. y) /. (x1 +. y));
-        if x2 +. y > 0. then s2 := !s2 +. ((x2 -. y) *. (x2 -. y) /. (x2 +. y));
-        if x3 +. y > 0. then s3 := !s3 +. ((x3 -. y) *. (x3 -. y) /. (x3 +. y))
-      done);
-    out.(!i) <- !s0;
-    out.(!i + 1) <- !s1;
-    out.(!i + 2) <- !s2;
-    out.(!i + 3) <- !s3;
-    i := !i + 4
-  done;
-  for i = !i to hi - 1 do
-    out.(i) <-
-      (match kind with
-      | None -> Vec.dot cols.(i) xj
-      | Some Distance.L2 -> Distance.eval Distance.Sq_l2 cols.(i) xj
-      | Some k -> Distance.eval k cols.(i) xj)
-  done
-
 (* Column/diagonal oracle — the Nyström entry point.  Nothing O(N²) is ever
-   formed: a column costs one pass over the training instances, partitioned
-   across the pool with per-entry ownership (each slot written once, by one
-   chunk), so columns are bitwise identical at any pool size.  Each entry
-   is [gram]'s: the same sum, then the same map to a kernel value, with
-   the diagonal pinned at 1 for the distance kernels. *)
+   formed: a column costs one pass over the training instances.  A
+   distance kernel's column is partitioned across the pool with per-entry
+   ownership (each slot written once, by one chunk), so columns are
+   bitwise identical at any pool size.  Each entry is [gram]'s: the same
+   distance ([Distance.column_into] is bitwise [Distance.eval]) or inner
+   product ([Mat.mul_tn] and [Mat.tgram] sum alike), then the same map to
+   a kernel value, with the diagonal pinned at 1 for the distance
+   kernels. *)
 let oracle f =
   let d_feat, n = Mat.dims f.train in
   let cols = Array.init n (Mat.col f.train) in
-  let kind, lam =
-    match f.kind, f.lambda with
-    | Linear, _ -> (None, 1.)
-    | Exp_distance dk, Some lam -> (Some dk, lam)
-    | Rbf _, _ -> (Some Distance.Sq_l2, 1.)
-    | Exp_distance _, None -> assert false
-  in
   let column j =
-    let out = Array.make n 0. and xj = cols.(j) in
-    Parallel.parallel_for ~cost:(n * d_feat) ~n (fun lo hi ->
-        column_sums kind cols xj out lo hi;
-        match f.kind with
-        | Linear -> ()
-        | Exp_distance Distance.L2 ->
+    let distances dk to_kernel =
+      let out = Array.make n 0. in
+      Parallel.parallel_for ~cost:(n * d_feat) ~n (fun lo hi ->
+          Distance.column_into dk cols cols.(j) out lo hi;
+          to_kernel out lo hi);
+      out.(j) <- 1.;
+      out
+    in
+    match f.kind, f.lambda with
+    | Linear, _ -> (Mat.mul_tn f.train (Mat.of_cols [| cols.(j) |])).Mat.data
+    | Exp_distance dk, Some lam ->
+      distances dk (fun out lo hi ->
           for i = lo to hi - 1 do
-            out.(i) <- (if i = j then 1. else exp (-.sqrt out.(i) /. lam))
-          done
-        | Exp_distance _ ->
+            out.(i) <- exp (-.out.(i) /. lam)
+          done)
+    | Rbf gamma, _ ->
+      distances Distance.Sq_l2 (fun out lo hi ->
           for i = lo to hi - 1 do
-            out.(i) <- (if i = j then 1. else exp (-.out.(i) /. lam))
-          done
-        | Rbf gamma ->
-          for i = lo to hi - 1 do
-            out.(i) <- (if i = j then 1. else exp (-.gamma *. out.(i)))
-          done);
-    out
+            out.(i) <- exp (-.gamma *. out.(i))
+          done)
+    | Exp_distance _, None -> assert false
   in
   { Pchol.o_dim = n;
     o_diag =

@@ -401,7 +401,7 @@ let syrk ~ta ~n ~k ~a c =
           ~up:true ~acc:false c r0 r1)
 
 (* ------------------------------------------------------------------ *)
-(* C += A·op(B) with A written by the caller straight into the packed
+(* C += A·Bᵀ with A written by the caller straight into the packed
    panel layout, so an A that is a function of other arrays (the
    Khatri–Rao rows of Op_tensor's materialization) never exists whole.
 
@@ -418,12 +418,10 @@ let syrk ~ta ~n ~k ~a c =
 
 let b_chunk_floats = (4 lsl 20) / 8
 
-let accumulate_packed_a ?(b_off = 0) ?ldb ?(c_off = 0) ?ldc ~tb ~m ~n ~k ~pack_a ~b c =
+let accumulate_packed_a ~m ~n ~k ~pack_a ~b c =
   if m < 0 || n < 0 || k < 0 then invalid_arg "Gemm.accumulate_packed_a: negative dimension";
-  let b_rows, b_cols = if tb then (n, k) else (k, n) in
-  let ldb = Option.value ldb ~default:b_cols and ldc = Option.value ldc ~default:n in
-  check_block "accumulate_packed_a" "b" b ~off:b_off ~ld:ldb ~rows:b_rows ~cols:b_cols;
-  check_block "accumulate_packed_a" "c" c ~off:c_off ~ld:ldc ~rows:m ~cols:n;
+  check_block "accumulate_packed_a" "b" b ~off:0 ~ld:k ~rows:n ~cols:k;
+  check_block "accumulate_packed_a" "c" c ~off:0 ~ld:n ~rows:m ~cols:n;
   if m > 0 && n > 0 && k > 0 then begin
     let slab = kc * ((n + nr - 1) / nr) * nr in
     let chunk = kc * max 1 (b_chunk_floats / slab) in
@@ -438,7 +436,7 @@ let accumulate_packed_a ?(b_off = 0) ?ldb ?(c_off = 0) ?ldc ~tb ~m ~n ~k ~pack_a
           let slabs = (clen + kc - 1) / kc in
           let klen sl = min kc (clen - (sl * kc)) in
           for sl = 0 to slabs - 1 do
-            pack_b ~tb ~b ~boff:b_off ~ldb ~j0:0 ~nlen:n ~p0:(c0 + (sl * kc)) ~klen:(klen sl)
+            pack_b ~tb:true ~b ~boff:0 ~ldb:k ~j0:0 ~nlen:n ~p0:(c0 + (sl * kc)) ~klen:(klen sl)
               ~dst:(sl * slab) bp
           done;
           let next = Atomic.make 0 in
@@ -455,8 +453,8 @@ let accumulate_packed_a ?(b_off = 0) ?ldb ?(c_off = 0) ?ldc ~tb ~m ~n ~k ~pack_a
                     for sl = 0 to slabs - 1 do
                       let klen = klen sl in
                       pack_a ~i0 ~mlen ~p0:(c0 + (sl * kc)) ~klen ap;
-                      macro ap bp ~bbase:(sl * slab) ~klen ~i0 ~mlen ~j0:0 ~nlen:n c ~coff:c_off
-                        ~ldc ~up:false ~first:false s.tile
+                      macro ap bp ~bbase:(sl * slab) ~klen ~i0 ~mlen ~j0:0 ~nlen:n c ~coff:0
+                        ~ldc:n ~up:false ~first:false s.tile
                     done;
                     blk := Atomic.fetch_and_add next 1
                   done));

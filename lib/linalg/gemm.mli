@@ -96,34 +96,32 @@ val syrk : ta:bool -> n:int -> k:int -> a:float array -> float array -> unit
     if [c] is not [n×n] or [a] is shorter than [n·k]. *)
 
 val accumulate_packed_a :
-  ?b_off:int -> ?ldb:int -> ?c_off:int -> ?ldc:int ->
-  tb:bool -> m:int -> n:int -> k:int ->
+  m:int -> n:int -> k:int ->
   pack_a:(i0:int -> mlen:int -> p0:int -> klen:int -> float array -> unit) ->
   b:float array -> float array -> unit
-(** [accumulate_packed_a ~tb ~m ~n ~k ~pack_a ~b c] computes
-    [C += A·op(B)] into the row-major [m×n] block of [c], where the
-    [m×k] operand [A] is never stored: [pack_a ~i0 ~mlen ~p0 ~klen ap]
-    writes its block of rows [i0 … i0+mlen−1] and depth
+(** [accumulate_packed_a ~m ~n ~k ~pack_a ~b c] computes [C += A·Bᵀ]
+    into the row-major [m×n] array [c], where [b] is [B] stored row-major
+    [n×k] and the [m×k] operand [A] is never stored: [pack_a ~i0 ~mlen
+    ~p0 ~klen ap] writes its block of rows [i0 … i0+mlen−1] and depth
     [p0 … p0+klen−1] into [ap] in the kernel's packed panel layout,
     [ap.(ip·klen·mr + l·mr + r) = A[i0 + ip·mr + r, p0 + l]] with [mr = 4],
     for every [ip·mr + r < mlen].  The lanes past [mlen] in the last
-    panel may hold anything: no cell they feed is stored.  [b], [b_off],
-    [ldb], [tb], [c_off] and [ldc] are as in {!gemm}.  Calls have
+    panel may hold anything: no cell they feed is stored.  Calls have
     [mlen ≤ 128] and [klen ≤ 256], and may come from several domains at
     once, each with its own [ap]; [pack_a] must only write [ap].
 
     {b Accumulation.}  Always accumulating: each cell continues the sum
     [c] holds with its [k] new terms in ascending order, exactly as
-    [gemm ~accumulate:true] on the stored [A] — bitwise that call, at any
-    pool size.
+    [gemm ~accumulate:true ~ta:false ~tb:true] on the stored [A] — bitwise
+    that call, at any pool size.
 
     {b Schedule.}  The depth runs in chunks of at most 4 MiB of packed
-    [op(B)] (at least one 256-deep slab); each chunk of [B] is packed once
+    [Bᵀ] (at least one 256-deep slab); each chunk of [B] is packed once
     and read by every domain.  The 128-row blocks of [C] are claimed one
     at a time from a shared counter, so a slow domain holds up one block,
     not a fixed share of the rows.  No buffer grows with [k].  Packing
     scratch comes from the same checkout list as {!gemm}'s, so concurrent
     calls on systhreads of one domain never share it.
 
-    Raises [Invalid_argument] on a negative dimension, or on a [b] or [c]
-    block as {!gemm} does. *)
+    Raises [Invalid_argument] on a negative dimension, or when [b] is
+    shorter than [n·k] or [c] than [m·n]. *)

@@ -32,7 +32,7 @@ let init breaker_config =
 type _ event =
   | Seed : { model : Tcca.t; version : int } -> unit event
   | Ingested : { acc : accumulator; n : int } -> unit event
-  | Refit_installed : { model : Tcca.t; acc : accumulator; fitted : int } -> bool event
+  | Refit_installed : { model : Tcca.t; version : int; fitted : int } -> bool event
   | Refit_retained : unit event
   | Refit_failed : string -> unit event
   | Swap_installed : Tcca.t -> unit event
@@ -62,9 +62,8 @@ let step : type a. t -> now:float -> a event -> t * a =
   | Seed { model; version } -> ({ s with model = Some model; version }, ())
   | Ingested { acc; n } ->
     ({ s with acc = Some acc; ingested = s.ingested + n; since_fit = s.since_fit + n }, ())
-  | Refit_installed { model; acc; fitted } -> (
-    match s.acc with
-    | Some current when current == acc ->
+  | Refit_installed { model; version; fitted } ->
+    if version = s.version then
       let version = s.version + 1 in
       ( { s with
           model = Some model;
@@ -72,10 +71,11 @@ let step : type a. t -> now:float -> a event -> t * a =
           since_fit = s.since_fit - fitted;
           last_refit = Printf.sprintf "installed v%d" version },
         true )
-    | Some _ | None ->
-      (* A swap to other view dimensions dropped the statistics this model
-         was fitted on while it ran: the swapped model stays. *)
-      ({ s with last_refit = "superseded by swap" }, false))
+    else
+      (* A swap installed another model while this refit ran; the refit
+         was warm-started from, and took its rank from, the model the swap
+         replaced.  The swapped model stays. *)
+      ({ s with last_refit = "superseded by swap" }, false)
   | Refit_retained -> ({ s with last_refit = "retained" }, ())
   | Refit_failed message -> ({ s with last_refit = "failed: " ^ message }, ())
   | Swap_installed model ->

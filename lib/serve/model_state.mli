@@ -45,14 +45,15 @@ type _ event =
       (** A model recovered from disk, or the daemon's [?model]. *)
   | Ingested : { acc : accumulator; n : int } -> unit event
       (** [n] instances folded into [acc] (from {!accumulator}). *)
-  | Refit_installed : { model : Tcca.t; acc : accumulator; fitted : int } -> bool event
-      (** A refit of [model] from [acc] finished; [fitted] is the
-          [since_fit] read under the same lock as the statistics were
-          finalized.  Answers whether it was installed: only while [acc]
-          is still the state's accumulator (physically), and then [fitted]
-          is subtracted from [since_fit], so the ingests made during the
-          fit still count towards the next one.  Otherwise a swap dropped
-          [acc] meanwhile: model and version stay, and [last_refit] reads
+  | Refit_installed : { model : Tcca.t; version : int; fitted : int } -> bool event
+      (** A refit that started at [version] finished with [model];
+          [fitted] is the [since_fit] read under the same lock as the
+          statistics were finalized.  Answers whether it was installed:
+          only while the state is still at [version], and then [fitted] is
+          subtracted from [since_fit], so the ingests made during the fit
+          still count towards the next one.  Otherwise a swap, of any view
+          dimensions, installed another model meanwhile: model, version
+          and [since_fit] stay, and [last_refit] reads
           ["superseded by swap"]. *)
   | Refit_retained : unit event  (** Nothing new since the last fit. *)
   | Refit_failed : string -> unit event

@@ -295,7 +295,8 @@ let refit_reply t e budget =
           match Retry.run ~policy:t.cfg.refit_retry ~on_retry attempt with
           | Ok (model', fitted) ->
             let s, installed =
-              apply e (Model_state.Refit_installed { model = model'; acc; fitted })
+              apply e
+                (Model_state.Refit_installed { model = model'; version = s.version; fitted })
             in
             if installed then Registry.snapshot t.reg e.id s;
             ship_warnings ();

@@ -384,7 +384,7 @@ let add_into (out : Tensor.t) op =
     let last = factors.(m - 1) in
     let cols = fst (Mat.dims last) in
     let span = Array.init (m - 1) (fun p -> out.Tensor.strides.(p) / cols) in
-    Gemm.accumulate_packed_a ~tb:true ~m:(Tensor.size out / cols) ~n:cols ~k:n
+    Gemm.accumulate_packed_a ~m:(Tensor.size out / cols) ~n:cols ~k:n
       ~pack_a:(pack_kr ~weight factors ~span ~n) ~b:last.Mat.data out.Tensor.data
 
 let to_tensor = function

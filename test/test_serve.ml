@@ -651,9 +651,10 @@ let test_breaker_state_machine () =
 type op =
   | Ingest of { n : int; wide : bool }
   | Refit_installed of { wide : bool; stale : bool; fitted : int }
-      (* A refit of a wide or narrow model, from the state's accumulator or
-         from one a swap dropped while the fit ran ([stale]); [fitted] caps
-         the since-fit count its statistics held. *)
+      (* A refit of a wide or narrow model that started at the state's
+         version, or one version earlier, a swap having installed another
+         model while it ran ([stale]); [fitted] caps the since-fit count
+         its statistics held. *)
   | Refit_retained
   | Refit_failed
   | Swap of bool
@@ -714,16 +715,11 @@ let apply_op s ~now op =
   | Ingest { n; wide } ->
     step (Model_state.Ingested { acc = (if wide then wide_acc else narrow_acc); n })
   | Refit_installed { wide; stale; fitted } ->
-    (* A stale refit carries a fresh accumulator record: never the
-       state's, as a dropped one never is. *)
-    let acc =
-      match s.Model_state.acc with
-      | Some a when not stale -> a
-      | Some _ | None -> accumulator_of_width wide
-    in
     step
       (Model_state.Refit_installed
-         { model = model_of_width wide; acc; fitted = min fitted s.since_fit })
+         { model = model_of_width wide;
+           version = (if stale then s.Model_state.version - 1 else s.version);
+           fitted = min fitted s.since_fit })
   | Refit_retained -> step Model_state.Refit_retained
   | Refit_failed -> step (Model_state.Refit_failed "poisoned")
   | Swap w -> step (Model_state.Swap_installed (model_of_width w))
@@ -769,18 +765,15 @@ let step_property name check =
     QCheck2.Gen.(list_size (int_range 0 60) gen_op)
     check
 
-(* A refit installs only from the accumulator the state still holds; one
-   whose accumulator a swap dropped while it ran leaves the version (and
-   the swapped model) alone. *)
+(* A refit installs only at the version it started from; one that a swap
+   overtook while it ran leaves the version (and the swapped model)
+   alone. *)
 let prop_version_counts_installs =
   step_property
-    "step: the version grows by one per swap and per refit from the current accumulator, else not"
+    "step: the version grows by one per swap and per refit started at the current version, else not"
     (every_step (fun (before : Model_state.t) op (after : Model_state.t) ->
          let installs =
-           match op with
-           | Swap _ -> 1
-           | Refit_installed { stale = false; _ } when Option.is_some before.acc -> 1
-           | _ -> 0
+           match op with Swap _ | Refit_installed { stale = false; _ } -> 1 | _ -> 0
          in
          after.version = before.version + installs))
 
@@ -803,7 +796,7 @@ let prop_since_fit_counts_since_reset =
             let acc_wide, since =
               match op with
               | Ingest { n; wide } -> (Some wide, since + n)
-              | Refit_installed { stale = false; fitted; _ } when acc_wide <> None ->
+              | Refit_installed { stale = false; fitted; _ } ->
                 (acc_wide, since - min fitted since)
               | Swap w when acc_wide <> None && acc_wide <> Some w -> (None, 0)
               | _ -> (acc_wide, since)
@@ -830,42 +823,52 @@ let test_refit_keeps_ingests_made_during_fit () =
   let step s ev = Model_state.step s ~now:0. ev in
   let acc = accumulator_of_width false in
   let s, () = step s0 (Model_state.Ingested { acc; n = 10 }) in
-  (* The refit finalizes here, reading since-fit = 10. *)
+  (* The refit starts at version 0 and finalizes here, reading
+     since-fit = 10. *)
   let s, () = step s (Model_state.Ingested { acc; n = 5 }) in
   let s, installed =
-    step s (Model_state.Refit_installed { model = narrow_model; acc; fitted = 10 })
+    step s (Model_state.Refit_installed { model = narrow_model; version = 0; fitted = 10 })
   in
   check_true "installed" installed;
   check_true "version 1" (s.version = 1);
   check_true "the 5 ingested during the fit still count" (s.since_fit = 5);
   check_true "last refit" (s.last_refit = "installed v1")
 
-(* ...and a swap to other view dimensions during the fit wins: the refit's
-   old-shape model is not installed, also after the swapped model's first
-   ingest made a new accumulator of the new shape. *)
+(* ...and a swap during the fit wins, whatever its view dimensions: the
+   refit was warm-started from the model the swap replaced, so its model
+   is not installed.  Also after the swapped model's first ingest made a
+   new accumulator of a new shape. *)
 let test_refit_superseded_by_swap () =
   let s0 =
     Model_state.init
       { Breaker.failure_threshold = 2; open_cooldown_s = 1.; half_open_successes = 1 }
   in
   let step s ev = Model_state.step s ~now:0. ev in
-  let narrow = accumulator_of_width false in
   let s, () = step s0 (Model_state.Seed { model = narrow_model; version = 1 }) in
-  let s, () = step s (Model_state.Ingested { acc = narrow; n = 10 }) in
-  let s, () = step s (Model_state.Swap_installed wide_model) in
-  let stale = Model_state.Refit_installed { model = narrow_model; acc = narrow; fitted = 10 } in
-  let check_superseded what (s : Model_state.t) =
+  let s, () = step s (Model_state.Ingested { acc = accumulator_of_width false; n = 10 }) in
+  (* The refit starts here, at version 1. *)
+  let stale =
+    Model_state.Refit_installed { model = narrow_model; version = 1; fitted = 10 }
+  in
+  let check_superseded what swapped (s : Model_state.t) =
     let s', installed = step s stale in
     check_true (what ^ ": not installed") (not installed);
     check_true (what ^ ": version kept") (s'.version = 2);
     check_true (what ^ ": swapped model kept")
-      (match s'.model with Some m -> m == wide_model | None -> false);
+      (match s'.model with Some m -> m == swapped | None -> false);
     check_true (what ^ ": since-fit kept") (s'.since_fit = s.since_fit);
     check_true (what ^ ": noted") (s'.last_refit = "superseded by swap")
   in
-  check_superseded "accumulator dropped" s;
+  let same_dims = fit_model ~seed:4 () in
+  let kept, () = step s (Model_state.Swap_installed same_dims) in
+  check_true "same dims: accumulator kept"
+    ((match (kept.acc, s.acc) with Some a, Some b -> a == b | _ -> false)
+    && kept.since_fit = 10);
+  check_superseded "same dims" same_dims kept;
+  let s, () = step s (Model_state.Swap_installed wide_model) in
+  check_superseded "accumulator dropped" wide_model s;
   let s, () = step s (Model_state.Ingested { acc = accumulator_of_width true; n = 4 }) in
-  check_superseded "new accumulator" s
+  check_superseded "new accumulator" wide_model s
 
 (* ------------------------------------------------------------------ *)
 (* Engine: serving correctness *)
